@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         d = asdict(self)
-        d["grid"] = list(d["grid"])
         # the destination path is not part of the experiment; dropping it
         # keeps outputs byte-identical wherever they are written
         d.pop("out")
@@ -86,16 +85,6 @@ def _parse_n_range(text: str) -> list[int]:
     if not values:
         raise ParameterError(f"--n-range {text!r} is empty")
     return values
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        g, p = (int(x) for x in text.lower().split("x"))
-    except ValueError as exc:
-        raise ParameterError(f"--grid must look like 181x181, got {text!r}") from exc
-    if g < 2 or p < 2:
-        raise ParameterError("grid resolutions must be >= 2")
-    return g, p
 
 
 def _fmt(value) -> str:
@@ -208,13 +197,10 @@ def cmd_mixing_sweep(config: ExperimentConfig) -> int:
     epsilons = config.epsilon or [1e-2, 1e-3, 1e-4]
     n_values = config.n_range or [config.n]
     rows = []
-    any_unsatisfied = False
     for n in n_values:
         params = WalkParams(n, config.theta, config.gamma, config.phi, config.e0)
-        for rec in convergence_sweep(params, epsilons, t_max):
-            rows.append(rec)
-            if not rec["satisfied"]:
-                any_unsatisfied = True
+        rows.extend(convergence_sweep(params, epsilons, t_max))
+    any_unsatisfied = not all(rec["satisfied"] for rec in rows)
     _write_dataset(
         config,
         ["n", "epsilon", "tau_mix", "tau_therm", "c", "tau_therm_scaled", "satisfied"],
@@ -376,34 +362,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON types of --config values, matched exactly so that true is not an
+# integer; list entries are integers (numbers for epsilon).
+_NUMBER, _NONE = (int, float), type(None)
+_CONFIG_TYPES = {
+    "n": (int,), "seed": (int,), "t_max": (int, _NONE), "fmt": (str,), "out": (str, _NONE),
+    "theta": _NUMBER, "gamma": _NUMBER, "phi": _NUMBER, "e0": _NUMBER,
+    "epsilon": (list, _NONE), "n_range": (str, list, _NONE), "grid": (str, list),
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge the config file and the flags, and reject any invalid value."""
     file_values: dict = {}
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ParameterError("the config file must hold a JSON object")
     config = ExperimentConfig(command=args.command)
-    known = {f.name for f in fields(ExperimentConfig)}
     for key, value in file_values.items():
         key = key.replace("-", "_")
         if key == "format":
             key = "fmt"
-        if key not in known:
+        if key not in _CONFIG_TYPES:
             raise ParameterError(f"unknown config key {key!r}")
+        each = _NUMBER if key == "epsilon" else (int,)
+        items = value if type(value) is list else []
+        if type(value) not in _CONFIG_TYPES[key] or any(type(x) not in each for x in items):
+            raise ParameterError(f"config key {key!r} has the wrong type: {value!r}")
         setattr(config, key, value)
-    for key in known - {"command"}:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
     if isinstance(config.n_range, str):
         config.n_range = _parse_n_range(config.n_range)
     if isinstance(config.grid, str):
-        config.grid = _parse_grid(config.grid)
-    elif isinstance(config.grid, list):
-        config.grid = tuple(config.grid)
+        try:
+            config.grid = [int(x) for x in config.grid.lower().split("x")]
+        except ValueError as exc:
+            raise ParameterError(f"grid must look like 181x181, got {config.grid!r}") from exc
+    if len(config.grid) != 2 or min(config.grid) < 2:
+        raise ParameterError("grid must be two resolutions >= 2")
     if config.fmt not in ("csv", "json"):
         raise ParameterError(f"format must be csv or json, got {config.fmt!r}")
     if config.epsilon is not None and not config.epsilon:
         raise ParameterError("epsilon list must be non-empty")
+    if config.t_max is not None and config.t_max < 0:
+        raise ParameterError(f"t_max must be non-negative, got {config.t_max}")
+    # every command reads its walk parameters from the same domain
+    WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
     return config
 
 

@@ -13,13 +13,13 @@ The solution is a two-frequency oscillation
 
 with ``sin(omega_k) = cos(theta) sin(2*pi*k/N)`` on the principal branch and
 (alpha_k, beta_k) fixed by the mode values at t = 0 and t = 1.  This gives
-O(N) access to the state at arbitrary time and exact time averages.
+the mode values at arbitrary time in O(N), the site amplitudes through one
+FFT in O(N log N) time and O(N) memory, and exact time averages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,41 +31,26 @@ from .walk import WalkState, step
 _DEGENERACY_TOL = 1e-9
 
 
-@lru_cache(maxsize=64)
-def fourier_matrix(n_sites: int) -> np.ndarray:
-    """Unitary matrix with entries exp(2*pi*i*k*l/N)/sqrt(N), read-only."""
-    k = np.arange(n_sites)
-    mat = np.exp(2j * np.pi * np.outer(k, k) / n_sites) / np.sqrt(n_sites)
-    mat.setflags(write=False)
-    return mat
-
-
-def fourier_coefficients(
-    state: WalkState, *, use_fft: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def fourier_coefficients(state: WalkState) -> tuple[np.ndarray, np.ndarray]:
     """Project both chirality channels onto the Fourier modes.
 
     Returns ``(c_left, c_right)`` with ``c[k] = sum_l v*_{kl} amp[l]``.
     The transform is unitary, so the mode populations sum to the state norm.
-    The default is an explicit matrix product; ``use_fft=True`` switches to
-    an FFT for large cycles.
     """
-    if use_fft:
-        root_n = np.sqrt(state.n_sites)
-        return np.fft.fft(state.a) / root_n, np.fft.fft(state.b) / root_n
-    v_conj_t = fourier_matrix(state.n_sites).conj().T
-    return v_conj_t @ state.a, v_conj_t @ state.b
+    root_n = np.sqrt(state.n_sites)
+    return np.fft.fft(state.a) / root_n, np.fft.fft(state.b) / root_n
 
 
 def inverse_fourier(
-    c_left: np.ndarray, c_right: np.ndarray, *, use_fft: bool = False
+    c_left: np.ndarray, c_right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`fourier_coefficients` back to site amplitudes."""
-    if use_fft:
-        root_n = np.sqrt(len(c_left))
-        return np.fft.ifft(c_left) * root_n, np.fft.ifft(c_right) * root_n
-    v = fourier_matrix(len(c_left))
-    return v @ c_left, v @ c_right
+    """Invert :func:`fourier_coefficients` back to site amplitudes.
+
+    Transforms along the last axis, so a (T, N) stack of mode vectors
+    becomes a (T, N) stack of site amplitudes.
+    """
+    root_n = np.sqrt(np.shape(c_left)[-1])
+    return np.fft.ifft(c_left) * root_n, np.fft.ifft(c_right) * root_n
 
 
 @dataclass(frozen=True)
@@ -74,8 +59,6 @@ class SpectralDecomposition:
 
     ``omega`` holds the mode phases; ``alpha_l/beta_l`` (``alpha_r/beta_r``)
     the two-frequency coefficients of the left (right) chirality channel.
-    The mode values at t = 0 and t = 1 are kept for the alternative
-    asymptotic-average formulas.
     """
 
     n_sites: int
@@ -85,15 +68,9 @@ class SpectralDecomposition:
     beta_l: np.ndarray
     alpha_r: np.ndarray
     beta_r: np.ndarray
-    c_l0: np.ndarray
-    c_r0: np.ndarray
-    c_l1: np.ndarray
-    c_r1: np.ndarray
 
 
-def decompose(
-    state0: WalkState, theta: float, *, use_fft: bool = False
-) -> SpectralDecomposition:
+def decompose(state0: WalkState, theta: float) -> SpectralDecomposition:
     """Build the spectral solution from a state at time 0.
 
     Computes the state at t = 1 by direct iteration, transforms both to the
@@ -116,8 +93,8 @@ def decompose(
         )
 
     state1 = step(state0, theta)
-    c_l0, c_r0 = fourier_coefficients(state0, use_fft=use_fft)
-    c_l1, c_r1 = fourier_coefficients(state1, use_fft=use_fft)
+    c_l0, c_r0 = fourier_coefficients(state0)
+    c_l1, c_r1 = fourier_coefficients(state1)
 
     phase = np.exp(-1j * omega)
     denom = 2 * cos_omega
@@ -134,32 +111,30 @@ def decompose(
         beta_l=beta_l,
         alpha_r=alpha_r,
         beta_r=beta_r,
-        c_l0=c_l0,
-        c_r0=c_r0,
-        c_l1=c_l1,
-        c_r1=c_r1,
     )
 
 
-def mode_values_at(
-    decomp: SpectralDecomposition, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier-mode amplitudes (c_left, c_right) at integer time ``t``."""
-    if t < 0:
+def mode_values_at(decomp: SpectralDecomposition, t) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier-mode amplitudes (c_left, c_right) at integer time ``t``.
+
+    For an array of times the results have shape (len(t), n_sites).
+    """
+    t = np.asarray(t)
+    if np.any(t < 0):
         raise ParameterError(f"t must be non-negative, got {t}")
-    osc = np.exp(1j * decomp.omega * t)
-    sign = -1.0 if t % 2 else 1.0
+    osc = np.exp(1j * np.multiply.outer(t, decomp.omega))
+    sign = np.where(t % 2, -1.0, 1.0)[..., None]
     c_l = decomp.alpha_l * osc + decomp.beta_l * sign / osc
     c_r = decomp.alpha_r * osc + decomp.beta_r * sign / osc
     return c_l, c_r
 
 
-def amplitudes_at(
-    decomp: SpectralDecomposition, t: int, *, use_fft: bool = False
-) -> WalkState:
-    """State at integer time ``t`` evaluated from the closed form, O(N^2)."""
-    c_l, c_r = mode_values_at(decomp, t)
-    a, b = inverse_fourier(c_l, c_r, use_fft=use_fft)
+def amplitudes_at(decomp: SpectralDecomposition, t: int) -> WalkState:
+    """State at integer time ``t`` from the closed form.
+
+    O(N log N) time and O(N) memory: one FFT of the propagated modes.
+    """
+    a, b = inverse_fourier(*mode_values_at(decomp, t))
     return WalkState(a, b, time=t)
 
 
@@ -171,10 +146,4 @@ def amplitudes_trajectory(
     Returns arrays of shape (len(times), n_sites): row ``i`` holds the site
     amplitudes at ``times[i]`` for the left and right channel respectively.
     """
-    times = np.asarray(times)
-    osc = np.exp(1j * np.outer(times, decomp.omega))  # (T, N)
-    sign = np.where(times % 2 == 0, 1.0, -1.0)[:, None]
-    c_l = decomp.alpha_l * osc + decomp.beta_l * sign / osc
-    c_r = decomp.alpha_r * osc + decomp.beta_r * sign / osc
-    v_t = fourier_matrix(decomp.n_sites).T
-    return c_l @ v_t, c_r @ v_t
+    return inverse_fourier(*mode_values_at(decomp, times))

@@ -183,33 +183,6 @@ def asymptotic_density(decomp: SpectralDecomposition) -> CoinDensity:
     return CoinDensity(p_left, p_right, q)
 
 
-def asymptotic_density_from_initial_modes(
-    decomp: SpectralDecomposition,
-) -> CoinDensity:
-    """Same limit expressed through the t = 0 and t = 1 mode values.
-
-    Algebraically identical to :func:`asymptotic_density`; kept as an
-    independent cross-check of the coefficient inversion.
-    """
-    cos2 = 2 * np.cos(decomp.omega) ** 2
-    sin_om = np.sin(decomp.omega)
-    l0, l1 = decomp.c_l0, decomp.c_l1
-    r0, r1 = decomp.c_r0, decomp.c_r1
-    p_left = np.sum(
-        (np.abs(l1) ** 2 + np.abs(l0) ** 2) / cos2
-        + 1j * sin_om * (l1 * np.conj(l0) - np.conj(l1) * l0) / cos2
-    )
-    p_right = np.sum(
-        (np.abs(r1) ** 2 + np.abs(r0) ** 2) / cos2
-        + 1j * sin_om * (r1 * np.conj(r0) - np.conj(r1) * r0) / cos2
-    )
-    q = np.sum(
-        (l0 * np.conj(r0) + l1 * np.conj(r1)) / cos2
-        + 1j * sin_om * (l1 * np.conj(r0) - l0 * np.conj(r1)) / cos2
-    )
-    return CoinDensity(float(p_left.real), float(p_right.real), complex(q))
-
-
 def f_g_h(n_sites: int, theta: float) -> tuple[float, float, float]:
     """Lattice sums controlling the localized-start asymptotics.
 

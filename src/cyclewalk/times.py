@@ -85,18 +85,44 @@ def _asymptotics(params: WalkParams) -> tuple[float, float, float]:
     return lam_inf, beta_inf, c
 
 
-def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceReport:
-    """Scan for the last t in 1..t_max with |lambda+(t) - lambda+(inf)| > epsilon."""
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+def _check_scan_args(epsilons: list[float], t_max: int) -> None:
+    if any(e <= 0 for e in epsilons):
+        raise ParameterError(f"epsilon must be positive, got {epsilons}")
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
-    lam_inf, _, c = _asymptotics(params)
-    last_violation = 0
-    for ts, lam_plus, _ in _lambda_beta_series(params, 1, t_max):
-        bad = np.nonzero(np.abs(lam_plus - lam_inf) > epsilon)[0]
-        if bad.size:
-            last_violation = int(ts[bad[-1]])
+
+
+def _last_violations(
+    params: WalkParams,
+    t_max: int,
+    lam_inf: float,
+    lam_eps: list[float],
+    beta_inf: float,
+    beta_eps: list[float],
+) -> tuple[list[int], list[int]]:
+    """Last t in 1..t_max violating each threshold, 0 where none does.
+
+    A threshold e in ``lam_eps`` is violated when |lambda+(t) - lam_inf| > e,
+    one in ``beta_eps`` when e0*|beta(t) - beta_inf| > e.  All thresholds
+    share one pass over the closed-form series.
+    """
+    e0 = params.energy_scale
+    last_lam, last_beta = [0] * len(lam_eps), [0] * len(beta_eps)
+    for ts, lam_plus, beta in _lambda_beta_series(params, 1, t_max):
+        for dev, eps, last in (
+            (np.abs(lam_plus - lam_inf), lam_eps, last_lam),
+            (e0 * np.abs(beta - beta_inf), beta_eps, last_beta),
+        ):
+            for i, e in enumerate(eps):
+                bad = np.nonzero(dev > e)[0]
+                if bad.size:
+                    last[i] = int(ts[bad[-1]])
+    return last_lam, last_beta
+
+
+def _report(
+    epsilon: float, last_violation: int, t_max: int, c: float
+) -> ConvergenceReport:
     return ConvergenceReport(
         epsilon=epsilon,
         tau=last_violation + 1,
@@ -105,6 +131,14 @@ def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceRe
         c_constant=c,
         satisfied=last_violation < t_max,
     )
+
+
+def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceReport:
+    """Scan for the last t in 1..t_max with |lambda+(t) - lambda+(inf)| > epsilon."""
+    _check_scan_args([epsilon], t_max)
+    lam_inf, beta_inf, c = _asymptotics(params)
+    (last,), _ = _last_violations(params, t_max, lam_inf, [epsilon], beta_inf, [])
+    return _report(epsilon, last, t_max, c)
 
 
 def convergence_sweep(
@@ -117,42 +151,24 @@ def convergence_sweep(
     c * epsilon (the one expected to match tau).  Scanning once per
     parameter set keeps N-range sweeps affordable.
     """
-    if any(e <= 0 for e in epsilons):
-        raise ParameterError("epsilons must be positive")
-    if t_max < 1:
-        raise ParameterError(f"t_max must be >= 1, got {t_max}")
+    _check_scan_args(epsilons, t_max)
     lam_inf, beta_inf, c = _asymptotics(params)
-    e0 = params.energy_scale
     beta_ok = beta_inf > 0.0 and not math.isinf(beta_inf)
-    last_mix = {e: 0 for e in epsilons}
-    last_therm = {e: 0 for e in epsilons}
-    last_therm_scaled = {e: 0 for e in epsilons}
-    for ts, lam_plus, beta in _lambda_beta_series(params, 1, t_max):
-        lam_dev = np.abs(lam_plus - lam_inf)
-        beta_dev = e0 * np.abs(beta - beta_inf) if beta_ok else None
-        for e in epsilons:
-            bad = np.nonzero(lam_dev > e)[0]
-            if bad.size:
-                last_mix[e] = int(ts[bad[-1]])
-            if beta_dev is not None:
-                bad = np.nonzero(beta_dev > e)[0]
-                if bad.size:
-                    last_therm[e] = int(ts[bad[-1]])
-                bad = np.nonzero(beta_dev > c * e)[0]
-                if bad.size:
-                    last_therm_scaled[e] = int(ts[bad[-1]])
+    beta_eps = [*epsilons, *(c * e for e in epsilons)] if beta_ok else []
+    last_mix, last_beta = _last_violations(
+        params, t_max, lam_inf, epsilons, beta_inf, beta_eps
+    )
     records = []
-    for e in epsilons:
-        satisfied = beta_ok and max(last_mix[e], last_therm[e]) < t_max
+    for i, e in enumerate(epsilons):
         records.append(
             {
                 "n": params.n_sites,
                 "epsilon": e,
-                "tau_mix": last_mix[e] + 1,
-                "tau_therm": (last_therm[e] + 1) if beta_ok else None,
+                "tau_mix": last_mix[i] + 1,
+                "tau_therm": (last_beta[i] + 1) if beta_ok else None,
                 "c": c,
-                "tau_therm_scaled": (last_therm_scaled[e] + 1) if beta_ok else None,
-                "satisfied": satisfied,
+                "tau_therm_scaled": (last_beta[len(epsilons) + i] + 1) if beta_ok else None,
+                "satisfied": beta_ok and max(last_mix[i], last_beta[i]) < t_max,
             }
         )
     return records
@@ -167,33 +183,11 @@ def thermalization_time(
     temperature has no finite limit to converge to; the report is returned
     flagged unsatisfied rather than raising.
     """
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if t_max < 1:
-        raise ParameterError(f"t_max must be >= 1, got {t_max}")
-    _, beta_inf, c = _asymptotics(params)
-    e0 = params.energy_scale
+    _check_scan_args([epsilon], t_max)
+    lam_inf, beta_inf, c = _asymptotics(params)
     if beta_inf == 0.0 or math.isinf(beta_inf):
         # chi_inf = 0: the asymptotic temperature is infinite and beta(t)
         # only decays as 1/sqrt(t), so no finite horizon certifies the scan.
-        return ConvergenceReport(
-            epsilon=epsilon,
-            tau=t_max + 1,
-            t_max=t_max,
-            last_violation=t_max,
-            c_constant=c,
-            satisfied=False,
-        )
-    last_violation = 0
-    for ts, _, beta in _lambda_beta_series(params, 1, t_max):
-        bad = np.nonzero(e0 * np.abs(beta - beta_inf) > epsilon)[0]
-        if bad.size:
-            last_violation = int(ts[bad[-1]])
-    return ConvergenceReport(
-        epsilon=epsilon,
-        tau=last_violation + 1,
-        t_max=t_max,
-        last_violation=last_violation,
-        c_constant=c,
-        satisfied=last_violation < t_max,
-    )
+        return _report(epsilon, t_max, t_max, c)
+    _, (last,) = _last_violations(params, t_max, lam_inf, [], beta_inf, [epsilon])
+    return _report(epsilon, last, t_max, c)

@@ -224,6 +224,29 @@ class TestConfigFile:
         assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"n": "abc"}, ["simulate", "--t-max", "3"]),
+        ([1, 2], ["simulate", "--t-max", "3"]),
+        (None, ["markov", "--e0", "0"]),
+        (None, ["isotherms", "--e0", "-1", "--grid", "3x3"]),
+        (None, ["simulate", "--t-max", "-1"]),
+    ],
+    ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
+         "simulate-t-max-negative"],
+)
+def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(["selftest", "--seed", "7"], capsys)
     assert code == EXIT_OK

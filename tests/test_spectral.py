@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,15 @@ from cyclewalk import (
     localized_initial_state,
     step,
 )
-from cyclewalk.spectral import fourier_matrix, mode_values_at
+from cyclewalk.spectral import mode_values_at
 
 from conftest import random_state
+
+
+def dense_dft(n_sites):
+    """Oracle: the unitary matrix with entries exp(2*pi*i*k*l/N)/sqrt(N)."""
+    k = np.arange(n_sites)
+    return np.exp(2j * np.pi * np.outer(k, k) / n_sites) / np.sqrt(n_sites)
 
 
 class TestFourierCoefficients:
@@ -32,8 +39,8 @@ class TestFourierCoefficients:
         np.testing.assert_allclose(c_r, 0, atol=1e-14)
 
     def test_pure_mode_is_delta(self):
-        v = fourier_matrix(4)
-        s = WalkState(v[:, 1], np.zeros(4))
+        mode = np.exp(2j * np.pi * np.arange(4) / 4) / 2
+        s = WalkState(mode, np.zeros(4))
         c_l, _ = fourier_coefficients(s)
         np.testing.assert_allclose(c_l, [0, 1, 0, 0], atol=1e-14)
 
@@ -50,11 +57,22 @@ class TestFourierCoefficients:
         np.testing.assert_allclose(b, s.b, atol=1e-12)
 
     def test_fft_path_agrees(self, rng):
-        s = random_state(rng, 12)
-        slow = fourier_coefficients(s)
-        fast = fourier_coefficients(s, use_fft=True)
-        np.testing.assert_allclose(slow[0], fast[0], atol=1e-12)
-        np.testing.assert_allclose(slow[1], fast[1], atol=1e-12)
+        for n in (3, 12, 257):
+            v = dense_dft(n)
+            s = random_state(rng, n)
+            c_l, c_r = fourier_coefficients(s)
+            np.testing.assert_allclose(c_l, v.conj().T @ s.a, atol=1e-12)
+            np.testing.assert_allclose(c_r, v.conj().T @ s.b, atol=1e-12)
+            a, b = inverse_fourier(c_l, c_r)
+            np.testing.assert_allclose(a, v @ c_l, atol=1e-12)
+            np.testing.assert_allclose(b, v @ c_r, atol=1e-12)
+            dec = decompose(s, 0.7)
+            ts = np.array([0, 1, 5, 42, 199])
+            a_all, b_all = amplitudes_trajectory(dec, ts)
+            for i, t in enumerate(ts):
+                m_l, m_r = mode_values_at(dec, int(t))
+                np.testing.assert_allclose(a_all[i], v @ m_l, atol=1e-12)
+                np.testing.assert_allclose(b_all[i], v @ m_r, atol=1e-12)
 
 
 class TestDecompose:
@@ -122,6 +140,17 @@ class TestAmplitudesAt:
         dec = decompose(random_state(rng, 9), 1.1)
         for t in (3, 77, 400):
             assert abs(amplitudes_at(dec, t).norm_squared - 1.0) < 1e-10
+
+    def test_memory_linear_in_n(self):
+        # an N x N transform matrix at N = 4096 alone would take 256 MB
+        s0 = localized_initial_state(WalkParams(4096, math.pi / 4, 1.0, 0.5))
+        tracemalloc.start()
+        try:
+            amplitudes_at(decompose(s0, math.pi / 4), 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_trajectory_matches_pointwise(self, rng):
         dec = decompose(random_state(rng, 6), 0.7)

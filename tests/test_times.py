@@ -135,8 +135,16 @@ def test_linearization_slope():
 
 
 def test_convergence_sweep_matches_individual_scans():
-    params = WalkParams(40, **FIG3_PARAMS)
-    recs = convergence_sweep(params, [1e-2, 1e-3], 5000)
+    # the three scans share one code path, so pin the Fig. 3 values (the
+    # same at t_max = 1e5) as well as checking the scans against each other
+    params = WalkParams(100, **FIG3_PARAMS)
+    recs = convergence_sweep(params, [1e-2, 1e-3, 1e-4], 6000)
+    taus = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"]) for r in recs]
+    assert taus == [(14, 42, 14), (146, 518, 146), (1730, 5429, 1730)]
+    assert all(r["satisfied"] for r in recs)
     for rec in recs:
-        assert rec["tau_mix"] == mixing_time(params, rec["epsilon"], 5000).tau
-        assert rec["tau_therm"] == thermalization_time(params, rec["epsilon"], 5000).tau
+        eps = rec["epsilon"]
+        assert rec["tau_mix"] == mixing_time(params, eps, 6000).tau
+        assert rec["tau_therm"] == thermalization_time(params, eps, 6000).tau
+        scaled = thermalization_time(params, rec["c"] * eps, 6000).tau
+        assert rec["tau_therm_scaled"] == scaled
