@@ -74,13 +74,18 @@ class ExperimentConfig:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    parts = [int(p) for p in text.split(":")]
+    try:
+        parts = [int(p) for p in text.split(":")]
+    except ValueError as exc:
+        raise ParameterError(f"--n-range must be start:stop[:step], got {text!r}") from exc
     if len(parts) == 2:
         start, stop, stride = parts[0], parts[1], 1
     elif len(parts) == 3:
         start, stop, stride = parts
     else:
         raise ParameterError(f"--n-range must be start:stop[:step], got {text!r}")
+    if stride == 0:
+        raise ParameterError(f"--n-range step must not be zero, got {text!r}")
     values = list(range(start, stop + 1, stride))
     if not values:
         raise ParameterError(f"--n-range {text!r} is empty")

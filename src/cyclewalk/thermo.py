@@ -124,17 +124,38 @@ def averaged_density_numeric(params: WalkParams, t: int) -> CoinDensity:
     return CoinDensity(p_left / t, p_right / t, q / t)
 
 
+def _oscillation_denominator(decomp: SpectralDecomposition) -> np.ndarray:
+    """1 + exp(2i*omega_k), the denominator of every partial-sum factor F_k."""
+    denom = 1.0 + np.exp(2j * decomp.omega)
+    if np.any(np.abs(denom) < 1e-9):
+        raise DegenerateSpectrumError("a mode phase sits at omega_k = +-pi/2")
+    return denom
+
+
 def _mode_oscillation(decomp: SpectralDecomposition, t) -> np.ndarray:
     """Partial-sum factor F_k(t) of the oscillating part of the average.
 
     F_k(t) = (1 - exp(i*(2*omega_k + pi)*t)) / (1 + exp(2i*omega_k)); for an
     array ``t`` the result has shape (N, len(t)).
     """
-    denom = 1.0 + np.exp(2j * decomp.omega)
-    if np.any(np.abs(denom) < 1e-9):
-        raise DegenerateSpectrumError("a mode phase sits at omega_k = +-pi/2")
+    denom = _oscillation_denominator(decomp)
     num = 1.0 - np.exp(1j * np.multiply.outer(2 * decomp.omega + np.pi, t))
     return num / (denom[:, None] if num.ndim == 2 else denom)
+
+
+def _oscillation_weights(
+    decomp: SpectralDecomposition,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode weights (w_p, w_q, w_qc) of the 1/t part of the average.
+
+    p_left_avg(t) = p_left_inf + 2/t * Re sum_k w_p F_k(t) and
+    q_avg(t) = q_inf + 1/t * sum_k (w_q F_k(t) + w_qc conj(F_k(t))).
+    """
+    return (
+        decomp.alpha_l * np.conj(decomp.beta_l),
+        decomp.alpha_l * np.conj(decomp.beta_r),
+        decomp.beta_l * np.conj(decomp.alpha_r),
+    )
 
 
 def averaged_trajectory_closed(
@@ -144,22 +165,38 @@ def averaged_trajectory_closed(
 
     Returns ``(p_left_avg, p_right_avg, q_avg)`` arrays.  This is the exact
     finite-time average, not an asymptotic expansion: the deviation from the
-    limit is 2/t times a bounded oscillating coefficient.
+    limit is 2/t times a bounded oscillating coefficient (see
+    :func:`envelope_constant`).
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 1):
         raise UndefinedAverageError("time average needs t >= 1")
     limit = asymptotic_density(decomp)
     f = _mode_oscillation(decomp, times)  # (N, T)
-    xi = np.einsum("k,kt->t", decomp.alpha_l * np.conj(decomp.beta_l), f).real
-    sigma = 0.5 * (
-        np.einsum("k,kt->t", decomp.alpha_l * np.conj(decomp.beta_r), f)
-        + np.einsum("k,kt->t", decomp.beta_l * np.conj(decomp.alpha_r), f.conj())
-    )
+    w_p, w_q, w_qc = _oscillation_weights(decomp)
+    xi = np.einsum("k,kt->t", w_p, f).real
+    sigma = 0.5 * (np.einsum("k,kt->t", w_q, f) + np.einsum("k,kt->t", w_qc, f.conj()))
     p_left = limit.p_left + 2.0 / times * xi
     p_right = limit.p_right - 2.0 / times * xi
     q = limit.q + 2.0 / times * sigma
     return p_left, p_right, q
+
+
+def envelope_constant(decomp: SpectralDecomposition) -> float:
+    """K with |r_avg(t) - r_inf| <= K / t for every t >= 1.
+
+    r is the Bloch vector of the coin density (r_z = p_left - p_right,
+    r_x - i*r_y = 2q), so |r| = 2*sqrt(chi).  Since |F_k(t)| is at most
+    2/|1 + exp(2i*omega_k)|, the two oscillating sums of
+    :func:`averaged_trajectory_closed` are bounded by B_p = sum_k |w_p| * 2/|.|
+    and B_q = sum_k (|w_q| + |w_qc|)/2 * 2/|.|, giving K = 4*sqrt(B_p^2 + B_q^2),
+    which does not grow with N.
+    """
+    f_max = 2.0 / np.abs(_oscillation_denominator(decomp))
+    w_p, w_q, w_qc = _oscillation_weights(decomp)
+    b_p = float(np.sum(np.abs(w_p) * f_max))
+    b_q = float(0.5 * np.sum((np.abs(w_q) + np.abs(w_qc)) * f_max))
+    return 4.0 * math.hypot(b_p, b_q)
 
 
 def averaged_density_closed(decomp: SpectralDecomposition, t: int) -> CoinDensity:

@@ -229,9 +229,10 @@ def test_mixing_time_scaling():
 
 def test_eigenvalue_beta_linearization():
     params = WalkParams(100, **FIG3)
-    lam_inf, beta_inf, c = _asymptotics(params)
+    dec = decompose_localized(params)
+    lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
     xs, ys = [], []
-    for _, lam_plus, beta in _lambda_beta_series(params, 10**3, 10**5):
+    for _, lam_plus, beta in _lambda_beta_series(dec, params.energy_scale, 10**3, 10**5):
         xs.append((beta - beta_inf) / c)
         ys.append(lam_plus - lam_inf)
     x = np.concatenate(xs)

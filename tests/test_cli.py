@@ -232,9 +232,11 @@ class TestConfigFile:
         (None, ["markov", "--e0", "0"]),
         (None, ["isotherms", "--e0", "-1", "--grid", "3x3"]),
         (None, ["simulate", "--t-max", "-1"]),
+        (None, ["mixing-sweep", "--n-range", "a:b"]),
+        (None, ["mixing-sweep", "--n-range", "1:9:0"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
-         "simulate-t-max-negative"],
+         "simulate-t-max-negative", "n-range-not-integers", "n-range-zero-step"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cyclewalk.thermo
+import cyclewalk.times
 from cyclewalk import (
     CoinDensity,
     ParameterError,
     WalkParams,
     asymptotic_density,
+    averaged_trajectory_closed,
     decompose_localized,
     density_seminorm,
     mixing_time,
     thermalization_time,
 )
-from cyclewalk.times import convergence_sweep
+from cyclewalk.thermo import envelope_constant
+from cyclewalk.times import _asymptotics, _horizon, _lambda_beta_series, convergence_sweep
 
 FIG3_PARAMS = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
 
@@ -121,11 +127,10 @@ def test_linearization_slope():
     # eigenvalue deviation vs (1/c) * beta deviation: slope 1 for large t
     params = WalkParams(100, **FIG3_PARAMS)
     records = convergence_sweep(params, [1e-2], 10)  # warm nothing; direct series below
-    from cyclewalk.times import _asymptotics, _lambda_beta_series
-
-    lam_inf, beta_inf, c = _asymptotics(params)
+    dec = decompose_localized(params)
+    lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
     xs, ys = [], []
-    for ts, lam_plus, beta in _lambda_beta_series(params, 1000, 100000):
+    for ts, lam_plus, beta in _lambda_beta_series(dec, params.energy_scale, 1000, 100000):
         xs.append((beta - beta_inf) / c)
         ys.append(lam_plus - lam_inf)
     x = np.concatenate(xs)
@@ -148,3 +153,79 @@ def test_convergence_sweep_matches_individual_scans():
         assert rec["tau_therm"] == thermalization_time(params, eps, 6000).tau
         scaled = thermalization_time(params, rec["c"] * eps, 6000).tau
         assert rec["tau_therm_scaled"] == scaled
+
+
+def test_one_decomposition_per_sweep(monkeypatch):
+    calls = []
+    decompose = cyclewalk.thermo.decompose
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(cyclewalk.thermo, "decompose", counting)
+    convergence_sweep(WalkParams(30, **FIG3_PARAMS), [1e-2, 1e-3], 500)
+    assert len(calls) == 1
+
+
+def test_scan_stops_at_horizon(monkeypatch):
+    # the envelope horizon of these thresholds is 14,401, far below t_max
+    scanned = []
+    closed = cyclewalk.times.averaged_trajectory_closed
+
+    def counting(decomp, times):
+        scanned.append(len(times))
+        return closed(decomp, times)
+
+    monkeypatch.setattr(cyclewalk.times, "averaged_trajectory_closed", counting)
+    recs = convergence_sweep(WalkParams(100, **FIG3_PARAMS), [1e-2, 1e-3, 1e-4], 10**5)
+    assert sum(scanned) <= 15_000
+    taus = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"]) for r in recs]
+    assert taus == [(14, 42, 14), (146, 518, 146), (1730, 5429, 1730)]
+
+
+def test_tiny_epsilon_scans_to_t_max():
+    # K/delta overflows (or delta underflows) here: the horizon is infinite
+    (rec,) = convergence_sweep(WalkParams(5, **FIG3_PARAMS), [5e-324], 10)
+    assert (rec["tau_mix"], rec["tau_therm"], rec["satisfied"]) == (11, 11, False)
+
+
+def _last_violation(dev: np.ndarray, eps: float) -> int:
+    bad = np.nonzero(dev > eps)[0]
+    return int(bad[-1]) + 1 if bad.size else 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 64),
+    theta=st.floats(0.05, math.pi / 2 - 0.05),
+    cos_gamma=st.floats(-1.0, 1.0),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    eps=st.sampled_from([1e-2, 1e-3]),
+)
+def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
+    params = WalkParams(n, theta, math.acos(cos_gamma), phi)
+    dec = decompose_localized(params)
+    lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
+    beta_ok = 0.0 < beta_inf < math.inf
+    t_star = _horizon(dec, lam_inf, [eps], [eps, c * eps] if beta_ok else [])
+
+    # |r(t) - r_inf| <= K/t, with r_z = p_left - p_right and r_x - i r_y = 2q
+    ts = np.arange(1, 4 * t_star + 1)
+    p_left, p_right, q = averaged_trajectory_closed(dec, ts)
+    limit = asymptotic_density(dec)
+    dr_z = (p_left - p_right) - (limit.p_left - limit.p_right)
+    dr = np.sqrt(dr_z**2 + 4.0 * np.abs(q - limit.q) ** 2)
+    assert np.all(ts * dr <= envelope_constant(dec))
+
+    # the sweep equals a brute-force scan over all of [1, t_max]
+    chi = np.maximum(0.25 - (p_left * p_right - np.abs(q) ** 2), 0.0)
+    lam_dev = np.abs(0.5 + np.sqrt(chi) - lam_inf)
+    beta_dev = np.abs(np.arctanh(np.minimum(2.0 * np.sqrt(chi), 1.0 - 1e-16)) - beta_inf)
+    for t_max in (max(1, t_star // 2), 2 * t_star):
+        (rec,) = convergence_sweep(params, [eps], t_max)
+        assert rec["tau_mix"] == _last_violation(lam_dev[:t_max], eps) + 1
+        if beta_ok:
+            assert rec["tau_therm"] == _last_violation(beta_dev[:t_max], eps) + 1
+            scaled = _last_violation(beta_dev[:t_max], c * eps) + 1
+            assert rec["tau_therm_scaled"] == scaled
