@@ -12,13 +12,13 @@ import math
 import sys
 
 from cyclewalk import WalkParams, asymptotic_density_localized, chi_of_density
-from cyclewalk import chi_reference, temperature_from_chi
+from cyclewalk import beta_of_chi, chi_reference
 from cyclewalk.cli import main
 
 
 def gamma_for_ratio(ratio: float, lo: float, hi: float) -> float:
     chi_ref = chi_reference(3, math.pi / 4)
-    target = (math.tanh(math.atanh(2 * math.sqrt(chi_ref)) / ratio) / 2) ** 2
+    target = (math.tanh(beta_of_chi(chi_ref, 1.0) / ratio) / 2) ** 2
 
     def chi_at(g: float) -> float:
         return chi_of_density(

@@ -26,18 +26,18 @@ from .markov import (
 )
 from .spectral import amplitudes_at, decompose
 from .thermo import (
+    CoinDensity,
     asymptotic_density,
     asymptotic_density_localized,
     averaged_density_closed,
     averaged_density_numeric,
+    beta_of_chi,
     chi_isotherm,
+    chi_isotherm_grid,
     chi_of_density,
     chi_reference,
     coin_density,
     entanglement_entropy,
-    f_g_h,
-    temperature_from_chi,
-    transient_temperature,
 )
 from .times import convergence_sweep
 from .walk import WalkParams, evolve, localized_initial_state, step
@@ -131,24 +131,31 @@ def _write_dataset(config, columns, rows, summary=None):
         sys.stdout.write(text)
 
 
+def _t_over_t0(config: ExperimentConfig, chi) -> np.ndarray:
+    """T/T0 for an array of chi values; T0 is the temperature of the
+    gamma = pi start (see :func:`cyclewalk.thermo.chi_reference`)."""
+    beta_ref = beta_of_chi(chi_reference(config.n, config.theta), config.e0)
+    if math.isinf(beta_ref):
+        raise ParameterError(f"T/T0 is undefined at theta = {config.theta}, where T0 = 0")
+    with np.errstate(divide="ignore"):
+        return beta_ref / beta_of_chi(np.minimum(chi, 0.25), config.e0)
+
+
 def cmd_simulate(config: ExperimentConfig) -> int:
     t_max = 500 if config.t_max is None else config.t_max
     params = WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
-    t_ref = temperature_from_chi(chi_reference(config.n, config.theta), config.e0)
     state = localized_initial_state(params)
     acc_l = acc_r = 0.0
     acc_q = 0.0 + 0.0j
-    rows = []
+    rows, chis = [], []
     for t in range(t_max + 1):
         rho = coin_density(state)
         acc_l += rho.p_left
         acc_r += rho.p_right
         acc_q += rho.q
-        avg = transient_temperature(
-            # average over steps 0..t inclusive (t + 1 terms)
-            type(rho)(acc_l / (t + 1), acc_r / (t + 1), acc_q / (t + 1)),
-            config.e0,
-        )
+        # average over steps 0..t inclusive (t + 1 terms)
+        avg = CoinDensity(acc_l / (t + 1), acc_r / (t + 1), acc_q / (t + 1))
+        chis.append(chi_of_density(avg))
         rows.append(
             {
                 "t": t,
@@ -157,11 +164,15 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 "re_q": rho.q.real,
                 "im_q": rho.q.imag,
                 "entropy": entanglement_entropy(rho),
-                "lambda_plus_avg": avg.lambda_plus,
-                "t_over_t0": avg.temperature / t_ref,
             }
         )
         state = step(state, config.theta)
+    chi = np.array(chis)
+    for row, lam, ratio in zip(
+        rows, (0.5 + np.sqrt(chi)).tolist(), _t_over_t0(config, chi).tolist()
+    ):
+        row["lambda_plus_avg"] = lam
+        row["t_over_t0"] = ratio
     _write_dataset(
         config,
         ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"],
@@ -174,26 +185,12 @@ def cmd_isotherms(config: ExperimentConfig) -> int:
     n_gamma, n_phi = config.grid
     gammas = np.linspace(0.0, math.pi, n_gamma)
     phis = np.linspace(-math.pi / 2, math.pi / 2, n_phi)
-    f, _, h = f_g_h(config.n, config.theta)
-    th = config.theta
-    t_ref = temperature_from_chi(chi_reference(config.n, th), config.e0)
     gg, pp = np.meshgrid(gammas, phis, indexing="ij")
-    chi = (h - f) ** 2 * np.sin(pp) ** 2 * np.sin(gg) ** 2 * np.sin(th) ** 4 / 16 + (
-        h + f
-    ) ** 2 * (np.cos(pp) * np.sin(gg) * np.sin(th) + np.cos(gg) * np.cos(th)) ** 2 / 16
-    rows = []
-    for i, g in enumerate(gammas):
-        for j, p in enumerate(phis):
-            temp = temperature_from_chi(min(float(chi[i, j]), 0.25), config.e0)
-            rows.append(
-                {
-                    "gamma": float(g),
-                    "phi": float(p),
-                    "chi": float(chi[i, j]),
-                    "t_over_t0": temp / t_ref,
-                }
-            )
-    _write_dataset(config, ["gamma", "phi", "chi", "t_over_t0"], rows)
+    chi = chi_isotherm_grid(config.n, config.theta, gg, pp)
+    columns = ["gamma", "phi", "chi", "t_over_t0"]
+    cells = (gg, pp, chi, _t_over_t0(config, chi))
+    rows = [dict(zip(columns, cell)) for cell in zip(*(a.ravel().tolist() for a in cells))]
+    _write_dataset(config, columns, rows)
     return EXIT_OK
 
 

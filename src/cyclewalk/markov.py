@@ -93,8 +93,8 @@ def markov_thermalization_time(
     t = 1..t_max.  theta = pi/4 kills the memory of the start in a single
     step; theta = 0 and theta = pi/2 never converge.
     """
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
     dp0 = initial.p_left - initial.p_right
     if dp0 == 0.0:
         return 0.0, 1

@@ -279,21 +279,23 @@ def asymptotic_density_localized(params: WalkParams) -> CoinDensity:
     return CoinDensity(1.0 - p_right, p_right, q)
 
 
-def chi_isotherm(params: WalkParams) -> float:
+def chi_isotherm_grid(n_sites: int, theta: float, gamma, phi) -> np.ndarray:
     """Asymptotic chi for a localized start, directly in the Bloch angles.
 
     This is the isotherm map: level sets of the returned value in the
     (gamma, phi) plane are lines of constant asymptotic temperature.
+    ``gamma`` and ``phi`` broadcast against each other.
     """
-    f, _, h = f_g_h(params.n_sites, params.theta)
-    th, ga, ph = params.theta, params.gamma, params.phi
-    term1 = (h - f) ** 2 * math.sin(ph) ** 2 * math.sin(ga) ** 2 * math.sin(th) ** 4 / 16
-    term2 = (
-        (h + f) ** 2
-        * (math.cos(ph) * math.sin(ga) * math.sin(th) + math.cos(ga) * math.cos(th)) ** 2
-        / 16
-    )
-    return term1 + term2
+    f, _, h = f_g_h(n_sites, theta)
+    sin_ga, sin_th = np.sin(gamma), np.sin(theta)
+    return (h - f) ** 2 * np.sin(phi) ** 2 * sin_ga**2 * sin_th**4 / 16 + (h + f) ** 2 * (
+        np.cos(phi) * sin_ga * sin_th + np.cos(gamma) * np.cos(theta)
+    ) ** 2 / 16
+
+
+def chi_isotherm(params: WalkParams) -> float:
+    """:func:`chi_isotherm_grid` at the Bloch angles of ``params``."""
+    return float(chi_isotherm_grid(params.n_sites, params.theta, params.gamma, params.phi))
 
 
 def chi_reference(n_sites: int, theta: float) -> float:
@@ -302,51 +304,42 @@ def chi_reference(n_sites: int, theta: float) -> float:
     return (h + f) ** 2 * math.cos(theta) ** 2 / 16
 
 
-def temperature_from_chi(chi: float, e0: float) -> float:
-    """Temperature of the two-level ensemble with eigenvalue split 2*sqrt(chi).
+def beta_of_chi(chi, e0: float):
+    """Inverse temperature of the two-level ensemble with eigenvalue split 2*sqrt(chi).
 
-    T = 2*e0 / ln((1 + 2*sqrt(chi)) / (1 - 2*sqrt(chi))); chi = 0 gives
-    infinite temperature and chi = 1/4 gives T = 0.
+    tanh(beta * e0) = 2*sqrt(chi), elementwise over an array ``chi >= 0``:
+    chi = 0 gives beta = 0 and a split of 1 or more (chi >= 1/4) gives inf.
+    This is the one chi -> beta map of the package.
     """
+    with np.errstate(divide="ignore"):
+        return np.arctanh(np.minimum(2.0 * np.sqrt(chi), 1.0)) / e0
+
+
+def temperature_from_chi(chi: float, e0: float) -> float:
+    """Temperature 1/beta of :func:`beta_of_chi`; chi = 0 gives infinite
+    temperature and chi = 1/4 gives T = 0."""
     if not 0.0 <= chi <= 0.25:
         raise ParameterError(f"chi must lie in [0, 1/4], got {chi}")
-    gap = 2.0 * math.sqrt(chi)
-    if gap == 0.0:
-        return math.inf
-    if gap >= 1.0:
-        return 0.0
-    return 2.0 * e0 / math.log((1.0 + gap) / (1.0 - gap))
+    beta = float(beta_of_chi(chi, e0))
+    return math.inf if beta == 0.0 else 1.0 / beta
 
 
-def transient_temperature(
-    rho_avg: CoinDensity, e0: float, *, convention: str = "tanh"
-) -> ThermoState:
+def transient_temperature(rho_avg: CoinDensity, e0: float) -> ThermoState:
     """Thermodynamic reading of an averaged coin density.
 
-    With the default ``"tanh"`` convention, tanh(beta * e0) equals the
-    eigenvalue split of ``rho_avg`` and the finite-time temperature
-    converges to :func:`temperature_from_chi` of the asymptotic chi.  The
-    ``"literal"`` convention instead uses T = e0 / ln(lambda+/lambda-),
-    which differs by a factor of 2.
+    tanh(beta * e0) equals the eigenvalue split of ``rho_avg``, so the
+    finite-time temperature converges to :func:`temperature_from_chi` of
+    the asymptotic chi.
     """
-    if convention not in ("tanh", "literal"):
-        raise ParameterError(f"unknown convention {convention!r}")
     chi = chi_of_density(rho_avg)
-    lam_plus, lam_minus = 0.5 + math.sqrt(chi), 0.5 - math.sqrt(chi)
-    gap = lam_plus - lam_minus
-    if gap >= 1.0:
-        beta = math.inf
-    else:
-        beta = math.atanh(gap) / e0
-        if convention == "literal":
-            beta *= 2.0
-    temperature = math.inf if beta == 0.0 else 1.0 / beta
+    root = math.sqrt(chi)
+    beta = float(beta_of_chi(chi, e0))
     return ThermoState(
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
+        lambda_plus=0.5 + root,
+        lambda_minus=0.5 - root,
         chi=chi,
         beta=beta,
-        temperature=temperature,
+        temperature=math.inf if beta == 0.0 else 1.0 / beta,
     )
 
 

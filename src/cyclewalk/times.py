@@ -11,7 +11,7 @@ The scan need not run to ``t_max``.  The Bloch vector of the average obeys
 |r(t) - r_inf| <= K/t with a constant K that does not grow with N
 (:func:`cyclewalk.thermo.envelope_constant`).  Since lambda+ = (1 + |r|)/2,
 a lambda+ threshold epsilon cannot be violated once K/t < 2*epsilon.  Since
-e0*beta = atanh(|r|), the mean-value theorem gives
+tanh(e0*beta) = |r|, the mean-value theorem gives
 e0*|beta - beta_inf| <= delta / (1 - (r_inf + delta)^2) whenever
 |r - r_inf| <= delta, so a beta threshold epsilon cannot be violated once
 K/t is below the root delta of that bound set equal to epsilon.  With the
@@ -35,9 +35,11 @@ from .thermo import (
     CoinDensity,
     asymptotic_density,
     averaged_trajectory_closed,
+    beta_of_chi,
     chi_of_density,
     decompose_localized,
     envelope_constant,
+    transient_temperature,
 )
 from .spectral import SpectralDecomposition
 from .walk import WalkParams
@@ -80,21 +82,19 @@ def _lambda_beta_series(decomp: SpectralDecomposition, e0: float, t_lo: int, t_h
         ts = np.arange(start, stop + 1)
         p_left, p_right, q = averaged_trajectory_closed(decomp, ts)
         chi = np.maximum(0.25 - (p_left * p_right - np.abs(q) ** 2), 0.0)
-        gap = 2.0 * np.sqrt(chi)
         lam_plus = 0.5 + np.sqrt(chi)
-        beta = np.arctanh(np.minimum(gap, 1.0 - 1e-16)) / e0
+        # the t = 1 average is a pure coin (beta = inf); capping its split at
+        # 1 - 1e-16 keeps beta(1) finite, so a large beta threshold holds at t = 1
+        beta = beta_of_chi(np.minimum(chi, 0.25 * (1.0 - 1e-16) ** 2), e0)
         yield ts, lam_plus, beta
         start = stop + 1
 
 
 def _asymptotics(decomp: SpectralDecomposition, e0: float) -> tuple[float, float, float]:
     """(lambda_plus_inf, beta_inf, c) of the spectral solution ``decomp``."""
-    chi_inf = chi_of_density(asymptotic_density(decomp))
-    lam_inf = 0.5 + math.sqrt(chi_inf)
-    gap = 2.0 * math.sqrt(chi_inf)
-    beta_inf = math.inf if gap >= 1.0 else math.atanh(gap) / e0
-    c = math.inf if math.isinf(beta_inf) else 2.0 * math.cosh(beta_inf * e0) ** 2
-    return lam_inf, beta_inf, c
+    limit = transient_temperature(asymptotic_density(decomp), e0)
+    c = math.inf if math.isinf(limit.beta) else 2.0 * math.cosh(limit.beta * e0) ** 2
+    return limit.lambda_plus, limit.beta, c
 
 
 def _horizon(
@@ -122,8 +122,8 @@ def _horizon(
 
 
 def _check_scan_args(epsilons: list[float], t_max: int) -> None:
-    if any(e <= 0 for e in epsilons):
-        raise ParameterError(f"epsilon must be positive, got {epsilons}")
+    if not all(0.0 < e < math.inf for e in epsilons):
+        raise ParameterError(f"epsilon must be finite and positive, got {epsilons}")
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
 

@@ -41,7 +41,7 @@ class WalkParams:
         Bloch-sphere angles of the initial coin state, gamma in [0, pi]
         and phi in [0, 2*pi).
     energy_scale:
-        Positive energy gap of the two-level thermometer Hamiltonian.
+        Finite, positive energy gap of the two-level thermometer Hamiltonian.
     """
 
     n_sites: int
@@ -59,9 +59,9 @@ class WalkParams:
             raise ParameterError(f"gamma must lie in [0, pi], got {self.gamma}")
         if not 0.0 <= self.phi < 2 * math.pi:
             raise ParameterError(f"phi must lie in [0, 2*pi), got {self.phi}")
-        if not self.energy_scale > 0:
+        if not 0.0 < self.energy_scale < math.inf:
             raise ParameterError(
-                f"energy_scale must be positive, got {self.energy_scale}"
+                f"energy_scale must be finite and positive, got {self.energy_scale}"
             )
 
 

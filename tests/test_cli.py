@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclewalk import WalkParams, chi_isotherm, chi_reference
 from cyclewalk.cli import (
     EXIT_OK,
     EXIT_UNSATISFIED,
@@ -95,6 +96,22 @@ class TestIsotherms:
         for r in recs:
             if abs(r["gamma"] - math.pi) < 1e-12:
                 assert abs(r["t_over_t0"] - 1.0) < 1e-10
+        # every cell is the isotherm map and its one chi -> beta reading
+        n, theta, e0 = 7, 1.1, 2.5
+        _, out, _ = run(
+            ["isotherms", "--n", str(n), "--theta", str(theta), "--e0", str(e0),
+             "--grid", "9x11", "--format", "json"],
+            capsys,
+        )
+        recs = json.loads(out)["records"]
+        assert len(recs) == 99
+        beta_ref = math.atanh(2 * math.sqrt(chi_reference(n, theta)))
+        for r in recs:
+            params = WalkParams(n, theta, r["gamma"], r["phi"] % (2 * math.pi), e0)
+            want = chi_isotherm(params)
+            assert abs(r["chi"] - want) <= 1e-12 * want
+            beta = math.atanh(2 * math.sqrt(min(r["chi"], 0.25)))
+            assert abs(r["t_over_t0"] - beta_ref / beta) <= 1e-13 * (beta_ref / beta)
 
     def test_weak_n_dependence(self, capsys):
         ratios = {}
@@ -234,9 +251,15 @@ class TestConfigFile:
         (None, ["simulate", "--t-max", "-1"]),
         (None, ["mixing-sweep", "--n-range", "a:b"]),
         (None, ["mixing-sweep", "--n-range", "1:9:0"]),
+        (None, ["mixing-sweep", "--n", "5", "--epsilon", "nan", "--t-max", "100"]),
+        (None, ["markov", "--epsilon", "nan"]),
+        (None, ["isotherms", "--e0", "inf", "--grid", "3x3"]),
+        (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
-         "simulate-t-max-negative", "n-range-not-integers", "n-range-zero-step"],
+         "simulate-t-max-negative", "n-range-not-integers", "n-range-zero-step",
+         "mixing-sweep-epsilon-nan", "markov-epsilon-nan", "isotherms-e0-inf",
+         "isotherms-theta-zero"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:

@@ -119,6 +119,11 @@ class TestMarkovThermalizationTime:
         with pytest.raises(NonThermalizingError):
             markov_thermalization_time(MarkovState(1.0, 0.0), 0.0, 1e-4)
 
+    @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ParameterError):
+            markov_thermalization_time(MarkovState(1.0, 0.0), math.pi / 3, epsilon)
+
     def test_balanced_start_immediate(self):
         _, empirical = markov_thermalization_time(MarkovState(0.5, 0.5), 0.6, 1e-4)
         assert empirical == 1

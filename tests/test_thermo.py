@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cyclewalk import (
     asymptotic_density_localized,
     averaged_density_closed,
     averaged_density_numeric,
+    beta_of_chi,
     chi_isotherm,
     chi_of_density,
     chi_reference,
@@ -307,6 +309,24 @@ class TestTemperature:
             assert temperature_from_chi(lo, e0) > temperature_from_chi(hi, e0)
 
 
+class TestBetaOfChi:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chi=st.lists(st.floats(0.0, 0.25 + 1e-15), min_size=1, max_size=20),
+        e0=st.floats(0.1, 10.0),
+    )
+    def test_one_map(self, chi, e0):
+        chi = np.array([0.0, 0.25, *chi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = beta_of_chi(chi, e0)
+            scalar = [beta_of_chi(float(c), e0) for c in chi]
+        assert np.array_equal(beta, scalar)
+        assert beta[0] == 0.0 and beta[1] == math.inf
+        assert np.all(beta[chi > 0.25] == math.inf)
+        assert np.all(np.abs(np.tanh(beta * e0) - 2 * np.sqrt(np.minimum(chi, 0.25))) <= 1e-12)
+
+
 class TestTransientTemperature:
     def test_consistent_with_asymptotic(self):
         dec = decompose_localized(WalkParams(5, 0.9, 1.3, 0.2))
@@ -338,15 +358,10 @@ class TestTransientTemperature:
         assert abs(lam_p + lam_m - 1.0) < 1e-12
         assert abs(lam_p * lam_m - (rho.p_left * rho.p_right - abs(rho.q) ** 2)) < 1e-12
 
-    def test_literal_convention_halves_temperature(self):
-        rho = CoinDensity(0.7, 0.3, 0.1)
-        default = transient_temperature(rho, 1.0)
-        literal = transient_temperature(rho, 1.0, convention="literal")
-        assert abs(literal.temperature - default.temperature / 2) < 1e-12
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ParameterError):
-            transient_temperature(CoinDensity(0.6, 0.4, 0.0), 1.0, convention="x")
+    def test_pure_coin_zero_temperature(self):
+        ts = transient_temperature(CoinDensity(1.0, 0.0, 0.0), 1.0)
+        assert ts.beta == math.inf
+        assert ts.temperature == 0.0
 
 
 def test_fig2_style_settling():

@@ -90,6 +90,10 @@ class TestMixingTime:
             mixing_time(params, 0.0, 100)
         with pytest.raises(ParameterError):
             mixing_time(params, 1e-2, 0)
+        for scan in (mixing_time, thermalization_time):
+            for epsilon in (math.nan, math.inf):
+                with pytest.raises(ParameterError):
+                    scan(params, epsilon, 1000)
 
 
 class TestThermalizationTime:

@@ -35,6 +35,8 @@ class TestWalkParams:
             {"gamma": math.pi + 0.1},
             {"phi": 2 * math.pi},
             {"energy_scale": 0.0},
+            {"energy_scale": math.inf},
+            {"energy_scale": math.nan},
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):
