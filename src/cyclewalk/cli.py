@@ -24,9 +24,8 @@ from .markov import (
     markov_step,
     markov_thermalization_time,
 )
-from .spectral import amplitudes_at, decompose
+from .spectral import amplitudes_at, coin_trajectory, decompose
 from .thermo import (
-    CoinDensity,
     asymptotic_density,
     asymptotic_density_localized,
     averaged_density_closed,
@@ -35,12 +34,12 @@ from .thermo import (
     chi_isotherm,
     chi_isotherm_grid,
     chi_of_density,
+    chi_of_entries,
     chi_reference,
-    coin_density,
-    entanglement_entropy,
+    entropy_of_chi,
 )
 from .times import convergence_sweep
-from .walk import WalkParams, evolve, localized_initial_state, step
+from .walk import WalkParams, evolve, localized_initial_state
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -104,39 +103,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(config, columns, rows, summary):
+    """The lines of a CSV dataset, each with its newline, one at a time."""
+    yield f"# cyclewalk {__version__}\n"
+    yield "# config: " + json.dumps(config.echo(), sort_keys=True) + "\n"
+    for key, value in (summary or {}).items():
+        yield f"# {key}: {_fmt(value)}\n"
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(row[c]) for c in columns) + "\n"
+
+
 def _write_dataset(config, columns, rows, summary=None):
-    """Emit rows as CSV (commented header) or JSON to config.out / stdout."""
+    """Emit rows as CSV (commented header) or JSON to config.out / stdout.
+
+    ``rows`` is iterated once; CSV writes each row as it comes.
+    """
     if config.fmt == "csv":
-        lines = [f"# cyclewalk {__version__}"]
-        lines.append("# config: " + json.dumps(config.echo(), sort_keys=True))
-        for key, value in (summary or {}).items():
-            lines.append(f"# {key}: {_fmt(value)}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+        chunks = _csv_lines(config, columns, rows, summary)
     else:
         payload = {
             "version": __version__,
             "config": config.echo(),
-            "records": rows,
+            "records": list(rows),
         }
         if summary is not None:
             payload["summary"] = summary
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
     if config.out:
         with open(config.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _t_over_t0(config: ExperimentConfig, chi) -> np.ndarray:
-    """T/T0 for an array of chi values; T0 is the temperature of the
-    gamma = pi start (see :func:`cyclewalk.thermo.chi_reference`)."""
+def _beta_ref(config: ExperimentConfig) -> float:
+    """Inverse temperature of T0, the temperature of the gamma = pi start
+    (see :func:`cyclewalk.thermo.chi_reference`); T/T0 needs it finite."""
     beta_ref = beta_of_chi(chi_reference(config.n, config.theta), config.e0)
     if math.isinf(beta_ref):
         raise ParameterError(f"T/T0 is undefined at theta = {config.theta}, where T0 = 0")
+    return beta_ref
+
+
+def _t_over_t0(config: ExperimentConfig, beta_ref: float, chi) -> np.ndarray:
+    """T/T0 for an array of chi values."""
     with np.errstate(divide="ignore"):
         return beta_ref / beta_of_chi(np.minimum(chi, 0.25), config.e0)
 
@@ -144,40 +155,24 @@ def _t_over_t0(config: ExperimentConfig, chi) -> np.ndarray:
 def cmd_simulate(config: ExperimentConfig) -> int:
     t_max = 500 if config.t_max is None else config.t_max
     params = WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
-    state = localized_initial_state(params)
-    acc_l = acc_r = 0.0
-    acc_q = 0.0 + 0.0j
-    rows, chis = [], []
-    for t in range(t_max + 1):
-        rho = coin_density(state)
-        acc_l += rho.p_left
-        acc_r += rho.p_right
-        acc_q += rho.q
-        # average over steps 0..t inclusive (t + 1 terms)
-        avg = CoinDensity(acc_l / (t + 1), acc_r / (t + 1), acc_q / (t + 1))
-        chis.append(chi_of_density(avg))
-        rows.append(
-            {
-                "t": t,
-                "p_left": rho.p_left,
-                "p_right": rho.p_right,
-                "re_q": rho.q.real,
-                "im_q": rho.q.imag,
-                "entropy": entanglement_entropy(rho),
-            }
-        )
-        state = step(state, config.theta)
-    chi = np.array(chis)
-    for row, lam, ratio in zip(
-        rows, (0.5 + np.sqrt(chi)).tolist(), _t_over_t0(config, chi).tolist()
-    ):
-        row["lambda_plus_avg"] = lam
-        row["t_over_t0"] = ratio
-    _write_dataset(
-        config,
-        ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"],
-        rows,
+    beta_ref = _beta_ref(config)
+    p_left, p_right, q = coin_trajectory(localized_initial_state(params), config.theta, t_max)
+    # average over steps 0..t inclusive (t + 1 terms); cumsum adds in step order
+    terms = np.arange(1, t_max + 2)
+    chi_avg = chi_of_entries(*(np.cumsum(x) / terms for x in (p_left, p_right, q)))
+    columns = ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"]
+    cells = (
+        terms - 1,
+        p_left,
+        p_right,
+        q.real,
+        q.imag,
+        entropy_of_chi(chi_of_entries(p_left, p_right, q)),
+        0.5 + np.sqrt(chi_avg),
+        _t_over_t0(config, beta_ref, chi_avg),
     )
+    rows = (dict(zip(columns, cell)) for cell in zip(*(a.tolist() for a in cells)))
+    _write_dataset(config, columns, rows)
     return EXIT_OK
 
 
@@ -188,8 +183,8 @@ def cmd_isotherms(config: ExperimentConfig) -> int:
     gg, pp = np.meshgrid(gammas, phis, indexing="ij")
     chi = chi_isotherm_grid(config.n, config.theta, gg, pp)
     columns = ["gamma", "phi", "chi", "t_over_t0"]
-    cells = (gg, pp, chi, _t_over_t0(config, chi))
-    rows = [dict(zip(columns, cell)) for cell in zip(*(a.ravel().tolist() for a in cells))]
+    cells = (gg, pp, chi, _t_over_t0(config, _beta_ref(config), chi))
+    rows = (dict(zip(columns, cell)) for cell in zip(*(a.ravel().tolist() for a in cells)))
     _write_dataset(config, columns, rows)
     return EXIT_OK
 

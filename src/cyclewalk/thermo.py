@@ -89,19 +89,49 @@ def coin_density(state: WalkState) -> CoinDensity:
 
 def chi_of_density(rho: CoinDensity) -> float:
     """1/4 minus the determinant; tiny negative roundoff is clamped to 0."""
-    chi = 0.25 - (rho.p_left * rho.p_right - abs(rho.q) ** 2)
-    if chi < -_PSD_TOL:
-        raise InvalidDensityError(f"determinant exceeds 1/4: chi = {chi}")
-    return max(chi, 0.0)
+    return float(chi_of_entries(rho.p_left, rho.p_right, rho.q))
+
+
+def chi_of_entries(p_left, p_right, q) -> np.ndarray:
+    """:func:`chi_of_density` of densities given by their entries, elementwise.
+
+    Applies the :class:`CoinDensity` trace and positivity checks, then
+    requires chi >= 0 up to roundoff and clamps it there; raises
+    :class:`InvalidDensityError` at the first entry that fails.
+    """
+    p_left, p_right, q = np.asarray(p_left), np.asarray(p_right), np.asarray(q)
+    trace = p_left + p_right
+    bad = np.flatnonzero(np.abs(trace - 1.0) > _TRACE_TOL)
+    if bad.size:
+        raise InvalidDensityError(f"trace must be 1, got {trace.flat[bad[0]]} (entry {bad[0]})")
+    # hypot, as abs() of a Python complex computes it
+    det = p_left * p_right - np.hypot(q.real, q.imag) ** 2
+    bad = np.flatnonzero(det < -_PSD_TOL)
+    if bad.size:
+        raise InvalidDensityError(f"density matrix is not positive semidefinite (entry {bad[0]})")
+    chi = 0.25 - det
+    bad = np.flatnonzero(chi < -_PSD_TOL)
+    if bad.size:
+        raise InvalidDensityError(
+            f"determinant exceeds 1/4: chi = {chi.flat[bad[0]]} (entry {bad[0]})"
+        )
+    return np.maximum(chi, 0.0)
+
+
+def entropy_of_chi(chi):
+    """Von Neumann entropy -sum(lam * ln(lam)) over the positive eigenvalues
+    lam = 1/2 +- sqrt(chi) of a coin density, elementwise over ``chi``."""
+    root = np.sqrt(chi)
+    total = 0.0
+    for lam in (0.5 + root, 0.5 - root):
+        lam = np.where(lam > 0.0, lam, 1.0)  # ln(1) = 0 drops the term
+        total = total - lam * np.log(lam)
+    return total
 
 
 def entanglement_entropy(rho: CoinDensity) -> float:
     """Von Neumann entropy -sum(lam * ln(lam)) of the coin density."""
-    total = 0.0
-    for lam in rho.eigenvalues():
-        if lam > 0.0:
-            total -= lam * math.log(lam)
-    return total
+    return float(entropy_of_chi(chi_of_density(rho)))
 
 
 def averaged_density_numeric(params: WalkParams, t: int) -> CoinDensity:

@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import WalkParams, chi_isotherm, chi_reference
+from cyclewalk import (
+    CoinDensity,
+    WalkParams,
+    chi_isotherm,
+    chi_of_density,
+    chi_reference,
+    coin_density,
+    entanglement_entropy,
+    localized_initial_state,
+    step,
+)
+from cyclewalk import cli
 from cyclewalk.cli import (
     EXIT_OK,
     EXIT_UNSATISFIED,
@@ -64,6 +75,48 @@ class TestSimulate:
         code, _, err = run(["simulate", "--n", "2", "--t-max", "1"], capsys)
         assert code == EXIT_VALIDATION
         assert "n_sites" in err
+
+    def test_columns_match_direct_iteration(self, capsys):
+        code, out, _ = run(["simulate", "--n", "5", "--t-max", "2000"], capsys)
+        assert code == EXIT_OK
+        lines = data_lines(out)
+        columns = lines[0].split(",")
+        rows = [dict(zip(columns, map(float, line.split(",")))) for line in lines[1:]]
+        assert len(rows) == 2001
+        # the same eight columns from a direct step loop
+        params = WalkParams(5, math.pi / 4, math.pi / 3, math.pi / 6)
+        beta_ref = math.atanh(2 * math.sqrt(chi_reference(5, math.pi / 4)))
+        state = localized_initial_state(params)
+        acc_l = acc_r = 0.0
+        acc_q = 0.0j
+        for t, row in enumerate(rows):
+            rho = coin_density(state)
+            acc_l, acc_r, acc_q = acc_l + rho.p_left, acc_r + rho.p_right, acc_q + rho.q
+            chi = chi_of_density(CoinDensity(acc_l / (t + 1), acc_r / (t + 1), acc_q / (t + 1)))
+            split = min(2 * math.sqrt(chi), 1.0)
+            want = {
+                "t": t,
+                "p_left": rho.p_left,
+                "p_right": rho.p_right,
+                "re_q": rho.q.real,
+                "im_q": rho.q.imag,
+                "entropy": entanglement_entropy(rho),
+                "lambda_plus_avg": 0.5 + math.sqrt(chi),
+                "t_over_t0": 0.0 if split == 1.0 else beta_ref / math.atanh(split),
+            }
+            for key, value in want.items():
+                assert abs(row[key] - value) <= 1e-12 * max(1.0, abs(value)), (t, key)
+            assert abs(row["p_left"] + row["p_right"] - 1.0) <= 1e-12
+            state = step(state, math.pi / 4)
+
+    def test_undefined_t0_fails_before_the_series(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "coin_trajectory", lambda *args: calls.append(args))
+        code, out, err = run(["simulate", "--theta", "0", "--t-max", "1000000"], capsys)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: T/T0 is undefined")
+        assert out == ""
+        assert calls == []
 
     def test_converges_to_known_ratios(self, capsys):
         # gamma = pi sits on the reference isotherm: T/T0 -> 1

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclewalk import (
@@ -13,6 +13,8 @@ from cyclewalk import (
     WalkState,
     amplitudes_at,
     amplitudes_trajectory,
+    coin_density,
+    coin_trajectory,
     decompose,
     evolve,
     fourier_coefficients,
@@ -196,3 +198,68 @@ def test_spectral_direct_equivalence_property(n, theta, t, seed):
     direct = evolve(s0, theta, t)
     assert np.abs(closed.a - direct.a).max() < 1e-10
     assert np.abs(closed.b - direct.b).max() < 1e-10
+
+
+def direct_coin_series(s0, theta, t_max):
+    """Oracle: (p_left, p_right, q) of a step/coin_density loop over t = 0..t_max."""
+    rows = []
+    for _ in range(t_max + 1):
+        rho = coin_density(s0)
+        rows.append((rho.p_left, rho.p_right, rho.q))
+        s0 = step(s0, theta)
+    p_left, p_right, q = np.array(rows).T
+    return p_left.real, p_right.real, q
+
+
+def assert_matches_direct(s0, theta, t_max, tol=1e-10):
+    series = coin_trajectory(s0, theta, t_max)
+    for got, want in zip(series, direct_coin_series(s0, theta, t_max)):
+        assert got.shape == (t_max + 1,)
+        assert np.abs(got - want).max() < tol
+
+
+class TestCoinTrajectory:
+    @pytest.mark.parametrize("t_max", [0, 1, 2, 14, 15, 16, 98, 99, 100])
+    def test_block_edges(self, rng, t_max):
+        # t_max + 1 at, just below and just above a perfect square
+        assert_matches_direct(random_state(rng, 7), 0.9, t_max)
+
+    def test_large_cycle_long_run(self):
+        s0 = localized_initial_state(WalkParams(1000, math.pi / 4, math.pi / 3, math.pi / 6))
+        assert_matches_direct(s0, math.pi / 4, 10**4)
+
+    def test_start_row_is_the_site_density(self, rng):
+        # bit for bit, so that a localized start keeps its exactly pure coin
+        for s0 in (random_state(rng, 9), localized_initial_state(WalkParams(12, 0.3, 2.0, 1.0))):
+            rho = coin_density(s0)
+            p_left, p_right, q = coin_trajectory(s0, 0.3, 5)
+            assert (p_left[0], p_right[0], q[0]) == (rho.p_left, rho.p_right, rho.q)
+
+    def test_rejects_negative_t_max(self, rng):
+        with pytest.raises(ParameterError):
+            coin_trajectory(random_state(rng, 5), 0.4, -1)
+
+    def test_memory_bounded_by_block_cap(self):
+        # one block of all 1000 modes peaks at about 27 MB here
+        s0 = localized_initial_state(WalkParams(1000, math.pi / 4, 1.0, 0.5))
+        tracemalloc.start()
+        try:
+            coin_trajectory(s0, math.pi / 4, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 64),
+    theta=st.floats(0.0, math.pi / 2),
+    t_max=st.integers(0, 3000),
+    seed=st.integers(0, 2**31),
+)
+@example(n=12, theta=0.0, t_max=3000, seed=1)
+@example(n=12, theta=1e-6, t_max=3000, seed=2)
+def test_coin_trajectory_direct_equivalence_property(n, theta, t_max, seed):
+    # theta = 0 and 1e-6 at N = 12 are where the two-frequency closed form fails
+    assert_matches_direct(random_state(np.random.default_rng(seed), n), theta, t_max)

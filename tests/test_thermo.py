@@ -20,11 +20,13 @@ from cyclewalk import (
     beta_of_chi,
     chi_isotherm,
     chi_of_density,
+    chi_of_entries,
     chi_reference,
     coin_density,
     decompose,
     decompose_localized,
     entanglement_entropy,
+    entropy_of_chi,
     f_g_h,
     fourier_coefficients,
     hadamard_f_closed,
@@ -87,6 +89,40 @@ class TestCoinDensity:
             CoinDensity(0.9, 0.2, 0.0)
         with pytest.raises(InvalidDensityError):
             CoinDensity(0.5, 0.5, 0.9)
+
+
+class TestDensitySeries:
+    def test_matches_scalar_checks(self, rng):
+        rhos = [coin_density(random_state(rng, int(n))) for n in rng.integers(3, 12, 50)]
+        rhos += [CoinDensity(1.0, 0.0, 0.0), CoinDensity(0.5, 0.5, 0.5), CoinDensity(0.5, 0.5, 0)]
+        p_left, p_right, q = (
+            np.array([getattr(r, x) for r in rhos]) for x in ("p_left", "p_right", "q")
+        )
+        chi = chi_of_entries(p_left, p_right, q)
+        # bit for bit against a scalar loop of the same arithmetic
+        want = [max(0.25 - (r.p_left * r.p_right - abs(r.q) ** 2), 0.0) for r in rhos]
+        assert chi.tolist() == want
+        assert [chi_of_density(r) for r in rhos] == want
+        for value, rho in zip(entropy_of_chi(chi), rhos):
+            want = -sum(lam * math.log(lam) for lam in rho.eigenvalues() if lam > 0.0)
+            assert abs(value - want) <= 1e-15
+            assert entanglement_entropy(rho) == value
+
+    def test_invalid_entry_rejected(self):
+        p_left, p_right, q = np.full(5, 0.6), np.full(5, 0.4), np.zeros(5, complex)
+        chi_of_entries(p_left, p_right, q)
+        bad_trace = p_left.copy()
+        bad_trace[3] = 0.7
+        with pytest.raises(InvalidDensityError, match="trace"):
+            chi_of_entries(bad_trace, p_right, q)
+        not_psd = q.copy()
+        not_psd[1] = 0.5
+        with pytest.raises(InvalidDensityError, match="positive semidefinite"):
+            chi_of_entries(p_left, p_right, not_psd)
+        # trace within its tolerance, but the determinant above 1/4
+        half = np.full(2, 0.5 + 4e-10)
+        with pytest.raises(InvalidDensityError, match="exceeds 1/4"):
+            chi_of_entries(half, half, np.zeros(2))
 
 
 class TestEntropy:
