@@ -37,6 +37,7 @@ from .thermo import (
     chi_of_entries,
     chi_reference,
     entropy_of_chi,
+    running_chi,
 )
 from .times import convergence_sweep
 from .walk import WalkParams, evolve, localized_initial_state
@@ -157,12 +158,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     params = WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
     beta_ref = _beta_ref(config)
     p_left, p_right, q = coin_trajectory(localized_initial_state(params), config.theta, t_max)
-    # average over steps 0..t inclusive (t + 1 terms); cumsum adds in step order
-    terms = np.arange(1, t_max + 2)
-    chi_avg = chi_of_entries(*(np.cumsum(x) / terms for x in (p_left, p_right, q)))
+    # row t averages steps 0..t inclusive (t + 1 terms)
+    chi_avg = running_chi(p_left, p_right, q)
     columns = ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"]
     cells = (
-        terms - 1,
+        np.arange(t_max + 1),
         p_left,
         p_right,
         q.real,

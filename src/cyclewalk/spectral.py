@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ParameterError
-from .walk import WalkState, evolve, step
+from .walk import MAX_STEPS, WalkState, evolve, step
 
 # cos(omega_k) below this is treated as an exact degeneracy (theta = 0 on a
 # cycle divisible by 4); the two-frequency ansatz is singular there.
@@ -244,14 +244,16 @@ def coin_trajectory(
     matrix products of giant features (C = ceil((t_max + 1) / B) rows) and
     baby weights (B columns), so Python runs O(log t_max) steps per block
     and the O(N t_max) arithmetic runs in BLAS.  Every per-block array
-    stays under ``_WORK_ELEMENTS`` float64 values for t_max below about
-    6.7e7 (one mode per block beyond); the other arrays hold one value per
-    mode or are the returned series.  The roundoff grows with C, not with
-    t_max, because M^B comes from :func:`_power_of_walk`.  Row t = 0 is
-    summed over the sites, as :func:`cyclewalk.thermo.coin_density` does.
+    stays under ``_WORK_ELEMENTS`` float64 values; the other arrays hold
+    one value per mode or are the returned series of O(t_max) values, so
+    t_max above ``MAX_STEPS`` (10^6, the ceiling of :func:`evolve`) raises
+    :class:`ParameterError` before anything is allocated.  The roundoff
+    grows with C, not with t_max, because M^B comes from
+    :func:`_power_of_walk`.  Row t = 0 is summed over the sites, as
+    :func:`cyclewalk.thermo.coin_density` does.
     """
-    if t_max < 0:
-        raise ParameterError(f"t_max must be non-negative, got {t_max}")
+    if not 0 <= t_max <= MAX_STEPS:
+        raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
     n_times = t_max + 1
     n_baby = math.isqrt(n_times - 1) + 1
     n_giant = -(-n_times // n_baby)

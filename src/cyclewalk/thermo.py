@@ -51,13 +51,6 @@ class CoinDensity:
         if self.p_left * self.p_right - abs(self.q) ** 2 < -_PSD_TOL:
             raise InvalidDensityError("density matrix is not positive semidefinite")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.p_left, self.q], [np.conj(self.q), self.p_right]],
-            dtype=np.complex128,
-        )
-
     def eigenvalues(self) -> tuple[float, float]:
         """(larger, smaller) eigenvalue; they are 1/2 +- sqrt(chi)."""
         root = math.sqrt(chi_of_density(self))
@@ -118,6 +111,16 @@ def chi_of_entries(p_left, p_right, q) -> np.ndarray:
     return np.maximum(chi, 0.0)
 
 
+def running_chi(p_left, p_right, q) -> np.ndarray:
+    """:func:`chi_of_entries` of the running averages of a density series.
+
+    Entry t averages entries 0..t of the series (t + 1 terms); ``cumsum``
+    adds them in order, as a step-by-step accumulation does.
+    """
+    terms = np.arange(1, len(p_left) + 1)
+    return chi_of_entries(*(np.cumsum(x) / terms for x in (p_left, p_right, q)))
+
+
 def entropy_of_chi(chi):
     """Von Neumann entropy -sum(lam * ln(lam)) over the positive eigenvalues
     lam = 1/2 +- sqrt(chi) of a coin density, elementwise over ``chi``."""
@@ -165,12 +168,12 @@ def _oscillation_denominator(decomp: SpectralDecomposition) -> np.ndarray:
 def _mode_oscillation(decomp: SpectralDecomposition, t) -> np.ndarray:
     """Partial-sum factor F_k(t) of the oscillating part of the average.
 
-    F_k(t) = (1 - exp(i*(2*omega_k + pi)*t)) / (1 + exp(2i*omega_k)); for an
-    array ``t`` the result has shape (N, len(t)).
+    F_k(t) = (1 - exp(i*(2*omega_k + pi)*t)) / (1 + exp(2i*omega_k)) for a
+    1-d array ``t``; the result has shape (N, len(t)).
     """
     denom = _oscillation_denominator(decomp)
     num = 1.0 - np.exp(1j * np.multiply.outer(2 * decomp.omega + np.pi, t))
-    return num / (denom[:, None] if num.ndim == 2 else denom)
+    return num / denom[:, None]
 
 
 def _oscillation_weights(

@@ -21,6 +21,11 @@ the horizon t* = floor(K/delta) + 1, and the scan covers only
 [1, min(t*, t_max)].  Every reported value is the one a scan over all of
 [1, t_max] gives.  ``satisfied`` still means "not violated at t_max"; it
 is a proof of convergence only when t* <= t_max.
+
+The averages are running sums of the coin series that ``simulate`` reads,
+from :func:`cyclewalk.spectral.coin_trajectory`.  That series stops at
+``MAX_STEPS`` (10^6) steps, so a scan whose min(t*, t_max) exceeds
+MAX_STEPS + 1 raises :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -31,21 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .spectral import SpectralDecomposition, coin_trajectory
 from .thermo import (
     CoinDensity,
     asymptotic_density,
-    averaged_trajectory_closed,
     beta_of_chi,
     chi_of_density,
     decompose_localized,
     envelope_constant,
+    running_chi,
     transient_temperature,
 )
-from .spectral import SpectralDecomposition
-from .walk import WalkParams
-
-# Cap on the (n_modes x chunk) work arrays used by the scans.
-_CHUNK_ELEMENTS = 2_000_000
+from .walk import WalkParams, localized_initial_state
 
 
 @dataclass(frozen=True)
@@ -73,21 +75,14 @@ def density_seminorm(rho1: CoinDensity, rho2: CoinDensity) -> float:
     return abs(math.sqrt(chi_of_density(rho1)) - math.sqrt(chi_of_density(rho2)))
 
 
-def _lambda_beta_series(decomp: SpectralDecomposition, e0: float, t_lo: int, t_hi: int):
-    """Yield (times, lambda_plus, beta) chunks for t in [t_lo, t_hi]."""
-    chunk = max(1, _CHUNK_ELEMENTS // decomp.n_sites)
-    start = t_lo
-    while start <= t_hi:
-        stop = min(start + chunk - 1, t_hi)
-        ts = np.arange(start, stop + 1)
-        p_left, p_right, q = averaged_trajectory_closed(decomp, ts)
-        chi = np.maximum(0.25 - (p_left * p_right - np.abs(q) ** 2), 0.0)
-        lam_plus = 0.5 + np.sqrt(chi)
-        # the t = 1 average is a pure coin (beta = inf); capping its split at
-        # 1 - 1e-16 keeps beta(1) finite, so a large beta threshold holds at t = 1
-        beta = beta_of_chi(np.minimum(chi, 0.25 * (1.0 - 1e-16) ** 2), e0)
-        yield ts, lam_plus, beta
-        start = stop + 1
+def _lambda_beta_series(params: WalkParams, t_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_plus, beta) of the averages over steps 0..t-1, for t = 1..t_end."""
+    series = coin_trajectory(localized_initial_state(params), params.theta, t_end - 1)
+    chi = running_chi(*series)
+    # the t = 1 average is a pure coin (beta = inf); capping its split at
+    # 1 - 1e-16 keeps beta(1) finite, so a large beta threshold holds at t = 1
+    beta = beta_of_chi(np.minimum(chi, 0.25 * (1.0 - 1e-16) ** 2), params.energy_scale)
+    return 0.5 + np.sqrt(chi), beta
 
 
 def _asymptotics(decomp: SpectralDecomposition, e0: float) -> tuple[float, float, float]:
@@ -129,8 +124,8 @@ def _check_scan_args(epsilons: list[float], t_max: int) -> None:
 
 
 def _last_violations(
+    params: WalkParams,
     decomp: SpectralDecomposition,
-    e0: float,
     t_max: int,
     lam_inf: float,
     lam_eps: list[float],
@@ -141,22 +136,21 @@ def _last_violations(
 
     A threshold e in ``lam_eps`` is violated when |lambda+(t) - lam_inf| > e,
     one in ``beta_eps`` when e0*|beta(t) - beta_inf| > e.  All thresholds
-    share one pass over the closed-form series, which stops at the envelope
-    horizon t* when that comes before t_max: no threshold can be violated
-    from t* on, so the result equals that of a scan over all of 1..t_max.
+    share one series, which stops at the envelope horizon t* of ``decomp``
+    when that comes before t_max: no threshold can be violated from t* on,
+    so the result equals that of a scan over all of 1..t_max.
     """
     t_end = min(t_max, _horizon(decomp, lam_inf, lam_eps, beta_eps))
-    last_lam, last_beta = [0] * len(lam_eps), [0] * len(beta_eps)
-    for ts, lam_plus, beta in _lambda_beta_series(decomp, e0, 1, t_end):
-        for dev, eps, last in (
-            (np.abs(lam_plus - lam_inf), lam_eps, last_lam),
-            (e0 * np.abs(beta - beta_inf), beta_eps, last_beta),
-        ):
-            for i, e in enumerate(eps):
-                bad = np.nonzero(dev > e)[0]
-                if bad.size:
-                    last[i] = int(ts[bad[-1]])
-    return last_lam, last_beta
+    lam_plus, beta = _lambda_beta_series(params, t_end)
+    lam_dev = np.abs(lam_plus - lam_inf)
+    beta_dev = params.energy_scale * np.abs(beta - beta_inf)
+    return [_last_over(lam_dev, e) for e in lam_eps], [_last_over(beta_dev, e) for e in beta_eps]
+
+
+def _last_over(dev: np.ndarray, e: float) -> int:
+    """Last t with dev > e, where dev[i] is the deviation at t = i + 1; 0 if none."""
+    bad = np.flatnonzero(dev > e)
+    return int(bad[-1]) + 1 if bad.size else 0
 
 
 def _report(
@@ -177,7 +171,7 @@ def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceRe
     _check_scan_args([epsilon], t_max)
     decomp, e0 = decompose_localized(params), params.energy_scale
     lam_inf, beta_inf, c = _asymptotics(decomp, e0)
-    (last,), _ = _last_violations(decomp, e0, t_max, lam_inf, [epsilon], beta_inf, [])
+    (last,), _ = _last_violations(params, decomp, t_max, lam_inf, [epsilon], beta_inf, [])
     return _report(epsilon, last, t_max, c)
 
 
@@ -198,7 +192,7 @@ def convergence_sweep(
     beta_ok = beta_inf > 0.0 and not math.isinf(beta_inf)
     beta_eps = [*epsilons, *(c * e for e in epsilons)] if beta_ok else []
     last_mix, last_beta = _last_violations(
-        decomp, e0, t_max, lam_inf, epsilons, beta_inf, beta_eps
+        params, decomp, t_max, lam_inf, epsilons, beta_inf, beta_eps
     )
     records = []
     for i, e in enumerate(epsilons):
@@ -232,5 +226,5 @@ def thermalization_time(
         # chi_inf = 0: the asymptotic temperature is infinite and beta(t)
         # only decays as 1/sqrt(t), so no finite horizon certifies the scan.
         return _report(epsilon, t_max, t_max, c)
-    _, (last,) = _last_violations(decomp, e0, t_max, lam_inf, [], beta_inf, [epsilon])
+    _, (last,) = _last_violations(params, decomp, t_max, lam_inf, [], beta_inf, [epsilon])
     return _report(epsilon, last, t_max, c)

@@ -19,7 +19,6 @@ from cyclewalk import (
     averaged_trajectory_closed,
     chi_of_density,
     chi_reference,
-    coin_density,
     decompose,
     decompose_localized,
     f_g_h,
@@ -52,24 +51,52 @@ def bloch_points(rng, count=20):
     ]
 
 
+def bloch_batch(rng, n, theta):
+    """The localized starts of :func:`bloch_points` as (B, N) amplitude arrays."""
+    states = [localized_initial_state(WalkParams(n, theta, g, p)) for g, p in bloch_points(rng)]
+    return states, np.stack([s.a for s in states]), np.stack([s.b for s in states])
+
+
+def step_batch(a, b, theta):
+    """:func:`step` applied to each row of (B, N) amplitude arrays."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (
+        np.roll(a, -1, axis=-1) * c + np.roll(b, -1, axis=-1) * s,
+        np.roll(a, 1, axis=-1) * s - np.roll(b, 1, axis=-1) * c,
+    )
+
+
+def test_batched_step_is_walk_step():
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 16):
+        for theta in (0.0, *THETAS, math.pi / 2):
+            states, a, b = bloch_batch(rng, n, theta)
+            for _ in range(n + 2):
+                a, b = step_batch(a, b, theta)
+                states = [step(state, theta) for state in states]
+                assert np.array_equal(a, np.stack([state.a for state in states]))
+                assert np.array_equal(b, np.stack([state.b for state in states]))
+
+
 def test_spectral_direct_equivalence():
     rng = np.random.default_rng(1)
     worst = 0.0
     ts = np.arange(501)
     for n in range(3, 17):
         for theta in THETAS:
-            for gamma, phi in bloch_points(rng):
-                params = WalkParams(n, theta, gamma, phi)
-                state = localized_initial_state(params)
-                dec = decompose(state, theta)
-                a_all, b_all = amplitudes_trajectory(dec, ts)
-                for t in ts:
-                    worst = max(
-                        worst,
-                        float(np.abs(a_all[t] - state.a).max()),
-                        float(np.abs(b_all[t] - state.b).max()),
-                    )
-                    state = step(state, theta)
+            states, a, b = bloch_batch(rng, n, theta)
+            # (T, B, N): row t holds every start's closed-form amplitudes at t
+            a_all, b_all = (
+                np.stack(x, axis=1)
+                for x in zip(*(amplitudes_trajectory(decompose(s, theta), ts) for s in states))
+            )
+            for t in ts:
+                worst = max(
+                    worst,
+                    float(np.abs(a_all[t] - a).max()),
+                    float(np.abs(b_all[t] - b).max()),
+                )
+                a, b = step_batch(a, b, theta)
     verdict("spectral/direct equivalence", worst < 1e-10, f"max dev {worst:.3e}")
 
 
@@ -79,25 +106,26 @@ def test_closed_form_average_matches_numeric():
     ts = np.arange(1, 201)
     for n in range(3, 17):
         for theta in THETAS:
-            for gamma, phi in bloch_points(rng):
-                params = WalkParams(n, theta, gamma, phi)
-                state = localized_initial_state(params)
-                dec = decompose(state, theta)
-                pl_closed, pr_closed, q_closed = averaged_trajectory_closed(dec, ts)
-                acc_l = acc_r = 0.0
-                acc_q = 0.0j
-                for t in ts:
-                    rho = coin_density(state)
-                    acc_l += rho.p_left
-                    acc_r += rho.p_right
-                    acc_q += rho.q
-                    worst = max(
-                        worst,
-                        abs(acc_l / t - pl_closed[t - 1]),
-                        abs(acc_r / t - pr_closed[t - 1]),
-                        abs(acc_q / t - q_closed[t - 1]),
-                    )
-                    state = step(state, theta)
+            states, a, b = bloch_batch(rng, n, theta)
+            # (B, T) each
+            pl_closed, pr_closed, q_closed = (
+                np.stack(x)
+                for x in zip(*(averaged_trajectory_closed(decompose(s, theta), ts) for s in states))
+            )
+            acc_l = acc_r = 0.0
+            acc_q = 0.0j
+            for t in ts:
+                # coin_density of every start
+                acc_l = acc_l + np.sum(np.abs(a) ** 2, axis=-1)
+                acc_r = acc_r + np.sum(np.abs(b) ** 2, axis=-1)
+                acc_q = acc_q + np.sum(a * np.conj(b), axis=-1)
+                worst = max(
+                    worst,
+                    float(np.abs(acc_l / t - pl_closed[:, t - 1]).max()),
+                    float(np.abs(acc_r / t - pr_closed[:, t - 1]).max()),
+                    float(np.abs(acc_q / t - q_closed[:, t - 1]).max()),
+                )
+                a, b = step_batch(a, b, theta)
     verdict("closed-form average vs numeric", worst < 1e-10, f"max dev {worst:.3e}")
 
 
@@ -229,14 +257,11 @@ def test_mixing_time_scaling():
 
 def test_eigenvalue_beta_linearization():
     params = WalkParams(100, **FIG3)
-    dec = decompose_localized(params)
-    lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
-    xs, ys = [], []
-    for _, lam_plus, beta in _lambda_beta_series(dec, params.energy_scale, 10**3, 10**5):
-        xs.append((beta - beta_inf) / c)
-        ys.append(lam_plus - lam_inf)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    lam_inf, beta_inf, c = _asymptotics(decompose_localized(params), params.energy_scale)
+    lam_plus, beta = _lambda_beta_series(params, 10**5)
+    # t = 10^3..10^5
+    x = (beta[10**3 - 1 :] - beta_inf) / c
+    y = lam_plus[10**3 - 1 :] - lam_inf
     slope = float(np.dot(x, y) / np.dot(x, x))
     verdict(
         "eigenvalue/beta linearization slope",

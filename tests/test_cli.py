@@ -302,6 +302,7 @@ class TestConfigFile:
         (None, ["markov", "--e0", "0"]),
         (None, ["isotherms", "--e0", "-1", "--grid", "3x3"]),
         (None, ["simulate", "--t-max", "-1"]),
+        (None, ["simulate", "--t-max", "100000000"]),
         (None, ["mixing-sweep", "--n-range", "a:b"]),
         (None, ["mixing-sweep", "--n-range", "1:9:0"]),
         (None, ["mixing-sweep", "--n", "5", "--epsilon", "nan", "--t-max", "100"]),
@@ -310,9 +311,9 @@ class TestConfigFile:
         (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
-         "simulate-t-max-negative", "n-range-not-integers", "n-range-zero-step",
-         "mixing-sweep-epsilon-nan", "markov-epsilon-nan", "isotherms-e0-inf",
-         "isotherms-theta-zero"],
+         "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
+         "n-range-zero-step", "mixing-sweep-epsilon-nan", "markov-epsilon-nan",
+         "isotherms-e0-inf", "isotherms-theta-zero"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:

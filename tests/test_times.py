@@ -20,6 +20,7 @@ from cyclewalk import (
 )
 from cyclewalk.thermo import envelope_constant
 from cyclewalk.times import _asymptotics, _horizon, _lambda_beta_series, convergence_sweep
+from cyclewalk.walk import MAX_STEPS
 
 FIG3_PARAMS = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
 
@@ -130,15 +131,11 @@ class TestThermalizationTime:
 def test_linearization_slope():
     # eigenvalue deviation vs (1/c) * beta deviation: slope 1 for large t
     params = WalkParams(100, **FIG3_PARAMS)
-    records = convergence_sweep(params, [1e-2], 10)  # warm nothing; direct series below
-    dec = decompose_localized(params)
-    lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
-    xs, ys = [], []
-    for ts, lam_plus, beta in _lambda_beta_series(dec, params.energy_scale, 1000, 100000):
-        xs.append((beta - beta_inf) / c)
-        ys.append(lam_plus - lam_inf)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    lam_inf, beta_inf, c = _asymptotics(decompose_localized(params), params.energy_scale)
+    lam_plus, beta = _lambda_beta_series(params, 100000)
+    # t = 1000..100000
+    x = (beta[999:] - beta_inf) / c
+    y = lam_plus[999:] - lam_inf
     slope = float(np.dot(x, y) / np.dot(x, x))
     assert abs(slope - 1.0) < 0.05
 
@@ -175,13 +172,13 @@ def test_one_decomposition_per_sweep(monkeypatch):
 def test_scan_stops_at_horizon(monkeypatch):
     # the envelope horizon of these thresholds is 14,401, far below t_max
     scanned = []
-    closed = cyclewalk.times.averaged_trajectory_closed
+    series = cyclewalk.times.coin_trajectory
 
-    def counting(decomp, times):
-        scanned.append(len(times))
-        return closed(decomp, times)
+    def counting(state0, theta, t_max):
+        scanned.append(t_max + 1)
+        return series(state0, theta, t_max)
 
-    monkeypatch.setattr(cyclewalk.times, "averaged_trajectory_closed", counting)
+    monkeypatch.setattr(cyclewalk.times, "coin_trajectory", counting)
     recs = convergence_sweep(WalkParams(100, **FIG3_PARAMS), [1e-2, 1e-3, 1e-4], 10**5)
     assert sum(scanned) <= 15_000
     taus = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"]) for r in recs]
@@ -192,6 +189,13 @@ def test_tiny_epsilon_scans_to_t_max():
     # K/delta overflows (or delta underflows) here: the horizon is infinite
     (rec,) = convergence_sweep(WalkParams(5, **FIG3_PARAMS), [5e-324], 10)
     assert (rec["tau_mix"], rec["tau_therm"], rec["satisfied"]) == (11, 11, False)
+
+
+def test_series_beyond_step_ceiling_raises():
+    # an infinite horizon leaves t_max as the end; the averages up to
+    # t = MAX_STEPS + 1 need MAX_STEPS steps, one more step is refused
+    with pytest.raises(ParameterError):
+        convergence_sweep(WalkParams(5, **FIG3_PARAMS), [5e-324], MAX_STEPS + 2)
 
 
 def _last_violation(dev: np.ndarray, eps: float) -> int:
