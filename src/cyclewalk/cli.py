@@ -10,37 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _oracle
 from .errors import CycleWalkError, NonThermalizingError, ParameterError
-from .markov import (
-    MarkovState,
-    markov_beta,
-    markov_solution,
-    markov_step,
-    markov_thermalization_time,
-)
-from .spectral import amplitudes_at, coin_trajectory, decompose
+from .markov import MarkovState, markov_beta, markov_solution, markov_thermalization_time
+from .spectral import coin_trajectory
 from .thermo import (
-    asymptotic_density,
-    asymptotic_density_localized,
-    averaged_density_closed,
-    averaged_density_numeric,
     beta_of_chi,
-    chi_isotherm,
     chi_isotherm_grid,
-    chi_of_density,
     chi_of_entries,
     chi_reference,
     entropy_of_chi,
     running_chi,
 )
 from .times import convergence_sweep
-from .walk import WalkParams, evolve, localized_initial_state
+from .walk import WalkParams, localized_initial_state
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -246,84 +235,30 @@ def cmd_markov(config: ExperimentConfig) -> int:
 
 
 def cmd_selftest(config: ExperimentConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-        if not ok:
-            failures += 1
-
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(3, 13))
-        theta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
-        params = WalkParams(
-            n, theta, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
-        )
-        state = localized_initial_state(params)
-        dec = decompose(state, theta)
-        t = int(rng.integers(0, 300))
-        direct = evolve(state, theta, t)
-        closed = amplitudes_at(dec, t)
-        worst = max(
-            worst,
-            float(np.abs(direct.a - closed.a).max()),
-            float(np.abs(direct.b - closed.b).max()),
-        )
-    check("spectral closed form matches direct iteration", worst < 1e-10, f"max dev {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(3, 10))
-        theta = float(rng.uniform(0.1, math.pi / 2 - 0.05))
-        params = WalkParams(
-            n, theta, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
-        )
-        dec = decompose(localized_initial_state(params), theta)
-        for t in (1, 7, 60):
-            closed = averaged_density_closed(dec, t)
-            numeric = averaged_density_numeric(params, t)
-            worst = max(
-                worst,
-                abs(closed.p_left - numeric.p_left),
-                abs(closed.q - numeric.q),
-            )
-    check("closed-form time average matches numeric average", worst < 1e-10, f"max dev {worst:.2e}")
-
-    worst = worst_chi = 0.0
-    for _ in range(20):
-        n = int(rng.integers(3, 13))
-        theta = float(rng.uniform(0.1, math.pi / 2 - 0.05))
-        params = WalkParams(
-            n, theta, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
-        )
-        spectral_limit = asymptotic_density(decompose(localized_initial_state(params), theta))
-        closed = asymptotic_density_localized(params)
-        worst = max(
-            worst,
-            abs(spectral_limit.p_right - closed.p_right),
-            abs(spectral_limit.q - closed.q),
-        )
-        worst_chi = max(worst_chi, abs(chi_of_density(spectral_limit) - chi_isotherm(params)))
-    check("localized asymptotics match the spectral limit", worst < 1e-10, f"max dev {worst:.2e}")
-    check("isotherm map matches the asymptotic chi", worst_chi < 1e-10, f"max dev {worst_chi:.2e}")
-
-    worst = 0.0
-    for _ in range(10):
-        theta = float(rng.uniform(0, math.pi / 2))
-        p0 = float(rng.uniform(0, 1))
-        state = MarkovState(p0, 1 - p0)
-        walked = state
-        for t in range(50):
-            sol = markov_solution(state, theta, t)
-            worst = max(worst, abs(sol.p_left - walked.p_left))
-            walked = markov_step(walked, theta)
-    check("classical closed solution matches iterated chain", worst < 1e-13, f"max dev {worst:.2e}")
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {5 - failures}/5 checks passed")
-    return EXIT_OK if failures == 0 else EXIT_VALIDATION
+    # stdlib random: importing numpy.random would take more memory than the checks
+    rng = random.Random(config.seed)
+    cycles = [(rng.randint(3, 12), rng.uniform(0.1, math.pi / 2 - 0.05)) for _ in range(4)]
+    starts = [[WalkParams(n, th, *bp) for bp in _oracle.bloch_points(rng, 5)] for n, th in cycles]
+    walks = [([localized_initial_state(p) for p in group], group[0].theta) for group in starts]
+    chains = [(rng.uniform(0, math.pi / 2), rng.uniform(0, 1)) for _ in range(10)]
+    results = [
+        ("coin series matches direct iteration",
+         max(_oracle.series_vs_direct(*walk, 200) for walk in walks), 1e-10),
+        ("spectral closed form matches direct iteration",
+         max(_oracle.closed_amplitudes_vs_direct(*walk, 200) for walk in walks), 1e-10),
+        ("closed-form time average matches direct average",
+         max(_oracle.closed_average_vs_direct(*walk, 200) for walk in walks), 1e-10),
+        ("localized asymptotics and isotherm match the spectral limit",
+         max(_oracle.localized_vs_spectral([p for group in starts for p in group])), 1e-10),
+        ("classical closed solution matches iterated chain",
+         _oracle.markov_vs_iterated(chains, 49), 1e-13),
+    ]
+    passed = 0
+    for name, worst, bound in results:
+        passed += worst < bound
+        print(f"{'PASS' if worst < bound else 'FAIL'}  {name}  (max dev {worst:.2e})")
+    print(f"{'OK' if passed == len(results) else 'FAILED'}: {passed}/{len(results)} checks passed")
+    return EXIT_OK if passed == len(results) else EXIT_VALIDATION
 
 
 _COMMANDS = {
@@ -408,6 +343,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ParameterError("epsilon list must be non-empty")
     if config.t_max is not None and config.t_max < 0:
         raise ParameterError(f"t_max must be non-negative, got {config.t_max}")
+    if config.seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {config.seed}")
     # every command reads its walk parameters from the same domain
     WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
     return config

@@ -7,10 +7,15 @@ converges, but its running (Cesaro) average does; matching the eigenvalues
 of the averaged matrix to the Gibbs weights of a two-level system with gap
 ``2 * energy_scale`` assigns the walk a temperature.
 
-Everything here has two routes: numeric averaging of the directly iterated
-walk, and exact closed forms built on :mod:`cyclewalk.spectral`.  The key
-scalar is ``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature
-(maximally mixed coin), chi = 1/4 a pure coin at zero temperature.
+The CLI reads running averages from one route, the
+:func:`cyclewalk.spectral.coin_trajectory` series through
+:func:`running_chi`, and their limits from closed forms
+(:func:`asymptotic_density`, :func:`chi_isotherm_grid`).  The averaged
+alpha/beta closed forms (``averaged_*_closed``) and the numeric average of
+the directly iterated walk (:func:`averaged_density_numeric`) are oracles
+that the tests and ``cyclewalk selftest`` compare against.  The key scalar
+is ``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature (maximally
+mixed coin), chi = 1/4 a pure coin at zero temperature.
 """
 
 from __future__ import annotations

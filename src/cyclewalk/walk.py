@@ -17,7 +17,7 @@ probability is conserved to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,12 +109,19 @@ def localized_initial_state(params: WalkParams) -> WalkState:
     return WalkState(a, b, time=0)
 
 
+def step_arrays(a: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """One step of amplitude arrays whose last axis runs over the sites;
+    (B, N) arrays step B walks on one cycle at once."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (
+        np.roll(a, -1, axis=-1) * c + np.roll(b, -1, axis=-1) * s,
+        np.roll(a, 1, axis=-1) * s - np.roll(b, 1, axis=-1) * c,
+    )
+
+
 def step(state: WalkState, theta: float) -> WalkState:
     """Advance the walk by one unitary step with coin bias ``theta``."""
-    c, s = math.cos(theta), math.sin(theta)
-    a_new = np.roll(state.a, -1) * c + np.roll(state.b, -1) * s
-    b_new = np.roll(state.a, 1) * s - np.roll(state.b, 1) * c
-    return WalkState(a_new, b_new, time=state.time + 1)
+    return WalkState(*step_arrays(state.a, state.b, theta), time=state.time + 1)
 
 
 def evolve(state: WalkState, theta: float, steps: int) -> WalkState:

@@ -13,18 +13,15 @@ from cyclewalk import (
     MarkovState,
     NonThermalizingError,
     WalkParams,
-    amplitudes_trajectory,
     asymptotic_density,
     asymptotic_density_localized,
     averaged_trajectory_closed,
     chi_of_density,
     chi_reference,
-    decompose,
     decompose_localized,
     f_g_h,
     hadamard_f_closed,
     localized_initial_state,
-    markov_solution,
     markov_step,
     markov_thermalization_time,
     mixing_time,
@@ -32,6 +29,14 @@ from cyclewalk import (
     temperature_from_chi,
     thermalization_time,
     transient_temperature,
+)
+from cyclewalk._oracle import (
+    bloch_points,
+    closed_amplitudes_vs_direct,
+    closed_average_vs_direct,
+    direct_series,
+    localized_vs_spectral,
+    markov_vs_iterated,
 )
 from cyclewalk.times import _asymptotics, _lambda_beta_series
 
@@ -44,88 +49,39 @@ def verdict(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def bloch_points(rng, count=20):
-    return [
-        (float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-        for _ in range(count)
-    ]
-
-
-def bloch_batch(rng, n, theta):
-    """The localized starts of :func:`bloch_points` as (B, N) amplitude arrays."""
-    states = [localized_initial_state(WalkParams(n, theta, g, p)) for g, p in bloch_points(rng)]
-    return states, np.stack([s.a for s in states]), np.stack([s.b for s in states])
-
-
-def step_batch(a, b, theta):
-    """:func:`step` applied to each row of (B, N) amplitude arrays."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (
-        np.roll(a, -1, axis=-1) * c + np.roll(b, -1, axis=-1) * s,
-        np.roll(a, 1, axis=-1) * s - np.roll(b, 1, axis=-1) * c,
-    )
+def bloch_states(rng, n, theta):
+    """The localized starts at :func:`bloch_points` on one cycle."""
+    return [localized_initial_state(WalkParams(n, theta, g, p)) for g, p in bloch_points(rng)]
 
 
 def test_batched_step_is_walk_step():
     rng = np.random.default_rng(5)
     for n in (3, 4, 16):
         for theta in (0.0, *THETAS, math.pi / 2):
-            states, a, b = bloch_batch(rng, n, theta)
-            for _ in range(n + 2):
-                a, b = step_batch(a, b, theta)
-                states = [step(state, theta) for state in states]
+            states = bloch_states(rng, n, theta)
+            for a, b in zip(*direct_series(states, theta, n + 2)):
                 assert np.array_equal(a, np.stack([state.a for state in states]))
                 assert np.array_equal(b, np.stack([state.b for state in states]))
+                states = [step(state, theta) for state in states]
 
 
 def test_spectral_direct_equivalence():
     rng = np.random.default_rng(1)
-    worst = 0.0
-    ts = np.arange(501)
-    for n in range(3, 17):
-        for theta in THETAS:
-            states, a, b = bloch_batch(rng, n, theta)
-            # (T, B, N): row t holds every start's closed-form amplitudes at t
-            a_all, b_all = (
-                np.stack(x, axis=1)
-                for x in zip(*(amplitudes_trajectory(decompose(s, theta), ts) for s in states))
-            )
-            for t in ts:
-                worst = max(
-                    worst,
-                    float(np.abs(a_all[t] - a).max()),
-                    float(np.abs(b_all[t] - b).max()),
-                )
-                a, b = step_batch(a, b, theta)
+    worst = max(
+        closed_amplitudes_vs_direct(bloch_states(rng, n, theta), theta, 500)
+        for n in range(3, 17)
+        for theta in THETAS
+    )
     verdict("spectral/direct equivalence", worst < 1e-10, f"max dev {worst:.3e}")
 
 
 def test_closed_form_average_matches_numeric():
     rng = np.random.default_rng(2)
-    worst = 0.0
-    ts = np.arange(1, 201)
-    for n in range(3, 17):
-        for theta in THETAS:
-            states, a, b = bloch_batch(rng, n, theta)
-            # (B, T) each
-            pl_closed, pr_closed, q_closed = (
-                np.stack(x)
-                for x in zip(*(averaged_trajectory_closed(decompose(s, theta), ts) for s in states))
-            )
-            acc_l = acc_r = 0.0
-            acc_q = 0.0j
-            for t in ts:
-                # coin_density of every start
-                acc_l = acc_l + np.sum(np.abs(a) ** 2, axis=-1)
-                acc_r = acc_r + np.sum(np.abs(b) ** 2, axis=-1)
-                acc_q = acc_q + np.sum(a * np.conj(b), axis=-1)
-                worst = max(
-                    worst,
-                    float(np.abs(acc_l / t - pl_closed[:, t - 1]).max()),
-                    float(np.abs(acc_r / t - pr_closed[:, t - 1]).max()),
-                    float(np.abs(acc_q / t - q_closed[:, t - 1]).max()),
-                )
-                a, b = step_batch(a, b, theta)
+    worst = max(
+        closed_average_vs_direct(bloch_states(rng, n, theta), theta, 200)
+        for n in range(3, 17)
+        for theta in THETAS
+    )
     verdict("closed-form average vs numeric", worst < 1e-10, f"max dev {worst:.3e}")
 
 
@@ -145,19 +101,13 @@ def test_hadamard_lattice_sums():
 
 def test_localized_asymptotics_match_spectral():
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for n in (3, 5, 8, 100):
-        for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-            for gamma, phi in bloch_points(rng):
-                params = WalkParams(n, theta, gamma, phi)
-                closed = asymptotic_density_localized(params)
-                oracle = asymptotic_density(decompose_localized(params))
-                worst = max(
-                    worst,
-                    abs(closed.p_left - oracle.p_left),
-                    abs(closed.p_right - oracle.p_right),
-                    abs(closed.q - oracle.q),
-                )
+    params = [
+        WalkParams(n, theta, gamma, phi)
+        for n in (3, 5, 8, 100)
+        for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
+        for gamma, phi in bloch_points(rng)
+    ]
+    worst, _ = localized_vs_spectral(params)
     verdict("localized asymptotics vs spectral", worst < 1e-10, f"max dev {worst:.3e}")
 
 
@@ -272,16 +222,8 @@ def test_eigenvalue_beta_linearization():
 
 def test_markov_suite():
     rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(5):
-        theta = float(rng.uniform(0, math.pi / 2))
-        p0 = float(rng.uniform(0, 1))
-        start = MarkovState(p0, 1 - p0)
-        walked = start
-        for t in range(0, 1001):
-            sol = markov_solution(start, theta, t)
-            worst = max(worst, abs(sol.p_left - walked.p_left))
-            walked = markov_step(walked, theta)
+    chains = [(rng.uniform(0, math.pi / 2), rng.uniform(0, 1)) for _ in range(5)]
+    worst = markov_vs_iterated(chains, 1000)
     ok_solution = worst < 1e-14
 
     one_step = markov_step(MarkovState(1.0, 0.0), math.pi / 4)

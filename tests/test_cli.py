@@ -15,7 +15,7 @@ from cyclewalk import (
     localized_initial_state,
     step,
 )
-from cyclewalk import cli
+from cyclewalk import _oracle, cli
 from cyclewalk.cli import (
     EXIT_OK,
     EXIT_UNSATISFIED,
@@ -309,11 +309,12 @@ class TestConfigFile:
         (None, ["markov", "--epsilon", "nan"]),
         (None, ["isotherms", "--e0", "inf", "--grid", "3x3"]),
         (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
+        (None, ["selftest", "--seed", "-1"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
          "n-range-zero-step", "mixing-sweep-epsilon-nan", "markov-epsilon-nan",
-         "isotherms-e0-inf", "isotherms-theta-zero"],
+         "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:
@@ -327,6 +328,19 @@ def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = run(["selftest", "--seed", "7"], capsys)
-    assert code == EXIT_OK
-    assert "5/5 checks passed" in out
+    for seed in range(4):
+        code, out, _ = run(["selftest", "--seed", str(seed)], capsys)
+        lines = out.splitlines()
+        assert code == EXIT_OK
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 5
+        assert lines[-1] == "OK: 5/5 checks passed"
+
+
+def test_selftest_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(_oracle, "closed_average_vs_direct", lambda *args: 1.0)
+    code, out, _ = run(["selftest", "--seed", "0"], capsys)
+    lines = out.splitlines()
+    assert code == EXIT_VALIDATION
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS", "PASS", "FAIL", "PASS", "PASS"]
+    assert "(max dev 1.00e+00)" in lines[2]
+    assert lines[-1] == "FAILED: 4/5 checks passed"

@@ -13,6 +13,7 @@ from cyclewalk import (
     markov_step,
     markov_thermalization_time,
 )
+from cyclewalk._oracle import markov_vs_iterated
 
 
 class TestMarkovStep:
@@ -51,16 +52,8 @@ class TestMarkovSolution:
         assert abs(out.p_left - 0.3) < 1e-15
 
     def test_matches_iteration(self, rng):
-        for _ in range(5):
-            theta = float(rng.uniform(0, math.pi / 2))
-            p0 = float(rng.uniform(0, 1))
-            state = MarkovState(p0, 1 - p0)
-            walked = state
-            for t in range(0, 1001):
-                sol = markov_solution(state, theta, t)
-                assert abs(sol.p_left - walked.p_left) < 1e-14
-                assert abs(sol.p_right - walked.p_right) < 1e-14
-                walked = markov_step(walked, theta)
+        chains = [(rng.uniform(0, math.pi / 2), rng.uniform(0, 1)) for _ in range(5)]
+        assert markov_vs_iterated(chains, 1000) < 1e-14
 
     def test_long_time_limit(self):
         out = markov_solution(MarkovState(0.9, 0.1), 0.6, 10**6)

@@ -35,6 +35,7 @@ from cyclewalk import (
     temperature_from_chi,
     transient_temperature,
 )
+from cyclewalk._oracle import bloch_points, localized_vs_spectral
 
 from conftest import random_state
 
@@ -260,19 +261,14 @@ class TestLocalizedAsymptotics:
         assert abs(rho.q - (-(4 - 2 * math.sqrt(2)) / 8)) < 1e-4
 
     def test_matches_spectral_limit(self, rng):
-        for n in (3, 5, 8, 16):
-            for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-                for _ in range(3):
-                    params = WalkParams(
-                        n,
-                        theta,
-                        float(rng.uniform(0, math.pi)),
-                        float(rng.uniform(0, 2 * math.pi)),
-                    )
-                    closed = asymptotic_density_localized(params)
-                    spectral = asymptotic_density(decompose_localized(params))
-                    assert abs(closed.p_right - spectral.p_right) < 1e-10
-                    assert abs(closed.q - spectral.q) < 1e-10
+        params = [
+            WalkParams(n, theta, gamma, phi)
+            for n in (3, 5, 8, 16)
+            for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
+            for gamma, phi in bloch_points(rng, 3)
+        ]
+        worst, _ = localized_vs_spectral(params)
+        assert worst < 1e-10
 
     def test_antipodal_symmetry(self):
         p1 = WalkParams(9, 0.8, gamma=0.4, phi=1.2)
