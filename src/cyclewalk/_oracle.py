@@ -3,8 +3,9 @@
 Each check compares one route to a quantity with an independent one (direct
 iteration, the spectral limit, the iterated chain) and returns its worst
 absolute deviation; the callers draw the inputs and hold the bounds.  The
-walk checks take states at time 0 on one cycle and step them together
-through :func:`direct_series`.
+walk checks take states at time 0 on one cycle and ``direct``, their
+:func:`direct_series`; :func:`direct_densities` streams the coin densities
+of the same walk in O(B N) memory, for walks too long to store.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .thermo import (
     chi_of_density,
     decompose_localized,
 )
-from .walk import WalkParams, WalkState, step_arrays
+from .walk import WalkParams, WalkState, coin_entries, iterate_arrays
 
 
 def bloch_points(rng, count: int = 20) -> list[tuple[float, float]]:
@@ -35,28 +36,24 @@ def bloch_points(rng, count: int = 20) -> list[tuple[float, float]]:
     ]
 
 
-def direct_series(
-    states: list[WalkState], theta: float, t_max: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk(states: list[WalkState], theta: float, t_max: int):
+    """The (B, N) amplitudes of B states on one cycle after 0..t_max steps."""
+    a, b = np.stack([s.a for s in states]), np.stack([s.b for s in states])
+    return iterate_arrays(a, b, theta, t_max)
+
+
+def direct_series(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
     """(t_max + 1, B, N) amplitudes (a, b) of B states on one cycle; row t
     holds every state after t direct steps."""
-    a = np.empty((t_max + 1, len(states), states[0].n_sites), complex)
-    b = np.empty_like(a)
-    a[0], b[0] = [s.a for s in states], [s.b for s in states]
-    for t in range(t_max):
-        a[t + 1], b[t + 1] = step_arrays(a[t], b[t], theta)
-    return a, b
+    a, b = zip(*_walk(states, theta, t_max))
+    return np.stack(a), np.stack(b)
 
 
-def _direct_densities(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
-    """Coin density entries (p_left, p_right, q) of the directly stepped
-    states, each (t_max + 1, B)."""
-    a, b = direct_series(states, theta, t_max)
-    return (
-        np.sum(np.abs(a) ** 2, axis=-1),
-        np.sum(np.abs(b) ** 2, axis=-1),
-        np.sum(a * np.conj(b), axis=-1),
-    )
+def direct_densities(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
+    """Coin density entries (p_left, p_right, q), each (t_max + 1, B), of
+    the walk of :func:`direct_series`, summed one step at a time."""
+    entries = [coin_entries(*amplitudes) for amplitudes in _walk(states, theta, t_max)]
+    return tuple(np.array(x) for x in zip(*entries))
 
 
 def _worst(per_state, direct) -> float:
@@ -66,26 +63,26 @@ def _worst(per_state, direct) -> float:
     return max(float(np.abs(x - y).max()) for x, y in zip(stacked, direct))
 
 
-def series_vs_direct(states: list[WalkState], theta: float, t_max: int) -> float:
-    """:func:`coin_trajectory` against the directly stepped densities, t = 0..t_max."""
-    series = (coin_trajectory(s, theta, t_max) for s in states)
-    return _worst(series, _direct_densities(states, theta, t_max))
+def series_vs_direct(states: list[WalkState], theta: float, direct) -> float:
+    """:func:`coin_trajectory` against the densities of ``direct``."""
+    series = (coin_trajectory(s, theta, len(direct[0]) - 1) for s in states)
+    return _worst(series, coin_entries(*direct))
 
 
-def closed_amplitudes_vs_direct(states: list[WalkState], theta: float, t_max: int) -> float:
-    """:func:`amplitudes_trajectory` against direct stepping, t = 0..t_max."""
-    ts = np.arange(t_max + 1)
+def closed_amplitudes_vs_direct(states: list[WalkState], theta: float, direct) -> float:
+    """:func:`amplitudes_trajectory` against ``direct``."""
+    ts = np.arange(len(direct[0]))
     closed = (amplitudes_trajectory(decompose(s, theta), ts) for s in states)
-    return _worst(closed, direct_series(states, theta, t_max))
+    return _worst(closed, direct)
 
 
-def closed_average_vs_direct(states: list[WalkState], theta: float, t_max: int) -> float:
+def closed_average_vs_direct(states: list[WalkState], theta: float, direct) -> float:
     """:func:`averaged_trajectory_closed` against running averages of the
-    directly stepped densities, t = 1..t_max (steps 0..t-1)."""
-    ts = np.arange(1, t_max + 1)
+    densities of ``direct``: the average at t = 1..T takes rows 0..t-1."""
+    ts = np.arange(1, len(direct[0]))
     closed = (averaged_trajectory_closed(decompose(s, theta), ts) for s in states)
-    direct = _direct_densities(states, theta, t_max - 1)
-    return _worst(closed, (np.cumsum(x, axis=0) / ts[:, None] for x in direct))
+    densities = coin_entries(direct[0][:-1], direct[1][:-1])
+    return _worst(closed, (np.cumsum(x, axis=0) / ts[:, None] for x in densities))
 
 
 def localized_vs_spectral(params: list[WalkParams]) -> tuple[float, float]:

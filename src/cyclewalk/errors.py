@@ -13,7 +13,7 @@ class DegenerateSpectrumError(CycleWalkError):
     """A mode phase sits exactly on the branch cut (cos(omega_k) = 0).
 
     Happens only for theta = 0 on a cycle whose length is divisible by 4;
-    direct iteration remains available for those parameters.
+    :func:`~cyclewalk.spectral.coin_trajectory` still covers those parameters.
     """
 
 

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonThermalizingError, ParameterError
-
-_DEFAULT_SCAN_HORIZON = 10**6
+from .walk import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def markov_thermalization_time(
     epsilon: float,
     *,
     e0: float = 1.0,
-    t_max: int = _DEFAULT_SCAN_HORIZON,
+    t_max: int = MAX_STEPS,
 ) -> tuple[float, int]:
     """Classical thermalization time: (log-formula estimate, empirical scan).
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ParameterError
-from .walk import MAX_STEPS, WalkState, evolve, step
+from .walk import MAX_STEPS, WalkState, coin_entries, evolve, step
 
 # cos(omega_k) below this is treated as an exact degeneracy (theta = 0 on a
 # cycle divisible by 4); the two-frequency ansatz is singular there.
@@ -93,8 +93,8 @@ def decompose(state0: WalkState, theta: float) -> SpectralDecomposition:
     if np.any(np.abs(cos_omega) < _DEGENERACY_TOL):
         raise DegenerateSpectrumError(
             "cos(omega_k) = 0 for some mode; the closed-form coefficients are "
-            "singular (theta = 0 with n_sites divisible by 4). Use direct "
-            "iteration instead."
+            "singular (theta = 0 with n_sites divisible by 4). coin_trajectory "
+            "still gives the coin density series."
         )
 
     state1 = step(state0, theta)
@@ -249,8 +249,8 @@ def coin_trajectory(
     t_max above ``MAX_STEPS`` (10^6, the ceiling of :func:`evolve`) raises
     :class:`ParameterError` before anything is allocated.  The roundoff
     grows with C, not with t_max, because M^B comes from
-    :func:`_power_of_walk`.  Row t = 0 is summed over the sites, as
-    :func:`cyclewalk.thermo.coin_density` does.
+    :func:`_power_of_walk`.  Row t = 0 is summed over the sites by
+    :func:`cyclewalk.walk.coin_entries`, as in :func:`cyclewalk.thermo.coin_density`.
     """
     if not 0 <= t_max <= MAX_STEPS:
         raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
@@ -293,7 +293,5 @@ def coin_trajectory(
     p_left, p_right, q = series[0], series[1], series[2] + 1j * series[3]
     # a localized start keeps its exactly pure coin at t = 0, where the
     # temperature reading is most sensitive to roundoff
-    p_left[0] = np.sum(np.abs(state0.a) ** 2)
-    p_right[0] = np.sum(np.abs(state0.b) ** 2)
-    q[0] = np.sum(state0.a * np.conj(state0.b))
+    p_left[0], p_right[0], q[0] = coin_entries(state0.a, state0.b)
     return p_left, p_right, q

@@ -33,7 +33,7 @@ from .errors import (
     UndefinedAverageError,
 )
 from .spectral import SpectralDecomposition, decompose
-from .walk import WalkParams, WalkState, localized_initial_state, step
+from .walk import WalkParams, WalkState, coin_entries, iterate_arrays, localized_initial_state
 
 _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-12
@@ -79,10 +79,8 @@ class ThermoState:
 
 def coin_density(state: WalkState) -> CoinDensity:
     """Trace the position out of a pure walk state."""
-    p_left = float(np.sum(np.abs(state.a) ** 2))
-    p_right = float(np.sum(np.abs(state.b) ** 2))
-    q = complex(np.sum(state.a * np.conj(state.b)))
-    return CoinDensity(p_left, p_right, q)
+    p_left, p_right, q = coin_entries(state.a, state.b)
+    return CoinDensity(float(p_left), float(p_right), complex(q))
 
 
 def chi_of_density(rho: CoinDensity) -> float:
@@ -151,15 +149,11 @@ def averaged_density_numeric(params: WalkParams, t: int) -> CoinDensity:
     if t < 1:
         raise UndefinedAverageError("time average needs t >= 1")
     state = localized_initial_state(params)
-    p_left = p_right = 0.0
-    q = 0.0 + 0.0j
-    for _ in range(t):
-        rho = coin_density(state)
-        p_left += rho.p_left
-        p_right += rho.p_right
-        q += rho.q
-        state = step(state, params.theta)
-    return CoinDensity(p_left / t, p_right / t, q / t)
+    total = np.zeros(3, complex)
+    for a, b in iterate_arrays(state.a, state.b, params.theta, t - 1):
+        total += coin_entries(a, b)
+    p_left, p_right, q = total.tolist()
+    return CoinDensity(p_left.real / t, p_right.real / t, q / t)
 
 
 def _oscillation_denominator(decomp: SpectralDecomposition) -> np.ndarray:

@@ -3,9 +3,9 @@
 The walker lives on N sites with periodic boundary and carries a two-state
 coin (chirality).  A state is a pair of complex amplitude vectors
 ``(a, b)``: ``a[k]`` is the left-chirality amplitude at site ``k`` and
-``b[k]`` the right-chirality one.  One time step rotates the coin by the
-bias angle ``theta`` and shifts the two chirality channels in opposite
-directions around the cycle:
+``b[k]`` the right-chirality one.  One time step applies the coin
+[[cos(theta), sin(theta)], [sin(theta), -cos(theta)]] on every site, then
+shifts the two chirality channels in opposite directions around the cycle:
 
     a'[k] =  a[k+1] cos(theta) + b[k+1] sin(theta)
     b'[k] =  a[k-1] sin(theta) - b[k-1] cos(theta)
@@ -110,13 +110,24 @@ def localized_initial_state(params: WalkParams) -> WalkState:
 
 
 def step_arrays(a: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One step of amplitude arrays whose last axis runs over the sites;
-    (B, N) arrays step B walks on one cycle at once."""
+    """One step, coin then shift, of amplitude arrays whose last axis runs
+    over the sites; (B, N) arrays step B walks on one cycle at once."""
     c, s = math.cos(theta), math.sin(theta)
-    return (
-        np.roll(a, -1, axis=-1) * c + np.roll(b, -1, axis=-1) * s,
-        np.roll(a, 1, axis=-1) * s - np.roll(b, 1, axis=-1) * c,
-    )
+    return np.roll(a * c + b * s, -1, axis=-1), np.roll(a * s - b * c, 1, axis=-1)
+
+
+def iterate_arrays(a: np.ndarray, b: np.ndarray, theta: float, steps: int):
+    """Yield (a, b) after 0, 1, ..., ``steps`` steps of :func:`step_arrays`;
+    the arrays have any leading shape, with the sites on the last axis."""
+    yield a, b
+    for _ in range(steps):
+        a, b = step_arrays(a, b, theta)
+        yield a, b
+
+
+def coin_entries(a: np.ndarray, b: np.ndarray):
+    """Coin density entries (p_left, p_right, q) of amplitude arrays, summed over the last axis."""
+    return tuple(np.sum(x, axis=-1) for x in (np.abs(a) ** 2, np.abs(b) ** 2, a * np.conj(b)))
 
 
 def step(state: WalkState, theta: float) -> WalkState:
@@ -126,10 +137,8 @@ def step(state: WalkState, theta: float) -> WalkState:
 
 def evolve(state: WalkState, theta: float, steps: int) -> WalkState:
     """Apply :func:`step` exactly ``steps`` times."""
-    if steps < 0:
-        raise ParameterError(f"steps must be non-negative, got {steps}")
-    if steps > MAX_STEPS:
-        raise ParameterError(f"steps exceeds the {MAX_STEPS} iteration ceiling")
-    for _ in range(steps):
-        state = step(state, theta)
-    return state
+    if not 0 <= steps <= MAX_STEPS:
+        raise ParameterError(f"steps must lie in [0, {MAX_STEPS}], got {steps}")
+    for a, b in iterate_arrays(state.a, state.b, theta, steps):
+        pass
+    return WalkState(a, b, time=state.time + steps)

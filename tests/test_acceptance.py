@@ -54,6 +54,12 @@ def bloch_states(rng, n, theta):
     return [localized_initial_state(WalkParams(n, theta, g, p)) for g, p in bloch_points(rng)]
 
 
+def bloch_walk(rng, n, theta, t_max):
+    """(states, theta, direct series) of :func:`bloch_states`, as the walk checks take them."""
+    states = bloch_states(rng, n, theta)
+    return states, theta, direct_series(states, theta, t_max)
+
+
 def test_batched_step_is_walk_step():
     rng = np.random.default_rng(5)
     for n in (3, 4, 16):
@@ -68,7 +74,7 @@ def test_batched_step_is_walk_step():
 def test_spectral_direct_equivalence():
     rng = np.random.default_rng(1)
     worst = max(
-        closed_amplitudes_vs_direct(bloch_states(rng, n, theta), theta, 500)
+        closed_amplitudes_vs_direct(*bloch_walk(rng, n, theta, 500))
         for n in range(3, 17)
         for theta in THETAS
     )
@@ -78,7 +84,7 @@ def test_spectral_direct_equivalence():
 def test_closed_form_average_matches_numeric():
     rng = np.random.default_rng(2)
     worst = max(
-        closed_average_vs_direct(bloch_states(rng, n, theta), theta, 200)
+        closed_average_vs_direct(*bloch_walk(rng, n, theta, 200))
         for n in range(3, 17)
         for theta in THETAS
     )

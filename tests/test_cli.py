@@ -10,10 +10,8 @@ from cyclewalk import (
     chi_isotherm,
     chi_of_density,
     chi_reference,
-    coin_density,
     entanglement_entropy,
     localized_initial_state,
-    step,
 )
 from cyclewalk import _oracle, cli
 from cyclewalk.cli import (
@@ -83,14 +81,15 @@ class TestSimulate:
         columns = lines[0].split(",")
         rows = [dict(zip(columns, map(float, line.split(",")))) for line in lines[1:]]
         assert len(rows) == 2001
-        # the same eight columns from a direct step loop
+        # the same eight columns from the densities of the direct walk
         params = WalkParams(5, math.pi / 4, math.pi / 3, math.pi / 6)
         beta_ref = math.atanh(2 * math.sqrt(chi_reference(5, math.pi / 4)))
-        state = localized_initial_state(params)
+        densities = _oracle.direct_densities([localized_initial_state(params)], math.pi / 4, 2000)
+        p_left, p_right, q = (x[:, 0].tolist() for x in densities)
         acc_l = acc_r = 0.0
         acc_q = 0.0j
         for t, row in enumerate(rows):
-            rho = coin_density(state)
+            rho = CoinDensity(p_left[t], p_right[t], q[t])
             acc_l, acc_r, acc_q = acc_l + rho.p_left, acc_r + rho.p_right, acc_q + rho.q
             chi = chi_of_density(CoinDensity(acc_l / (t + 1), acc_r / (t + 1), acc_q / (t + 1)))
             split = min(2 * math.sqrt(chi), 1.0)
@@ -107,7 +106,6 @@ class TestSimulate:
             for key, value in want.items():
                 assert abs(row[key] - value) <= 1e-12 * max(1.0, abs(value)), (t, key)
             assert abs(row["p_left"] + row["p_right"] - 1.0) <= 1e-12
-            state = step(state, math.pi / 4)
 
     def test_undefined_t0_fails_before_the_series(self, capsys, monkeypatch):
         calls = []
@@ -310,11 +308,13 @@ class TestConfigFile:
         (None, ["isotherms", "--e0", "inf", "--grid", "3x3"]),
         (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
         (None, ["selftest", "--seed", "-1"]),
+        (None, ["markov", "--t-max", "1000001"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
          "n-range-zero-step", "mixing-sweep-epsilon-nan", "markov-epsilon-nan",
-         "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative"],
+         "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative",
+         "markov-t-max-above-ceiling"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:
@@ -334,6 +334,18 @@ def test_selftest_passes(capsys):
         assert code == EXIT_OK
         assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 5
         assert lines[-1] == "OK: 5/5 checks passed"
+
+
+def test_selftest_walks_each_cycle_once(capsys, monkeypatch):
+    calls = []
+    direct_series = _oracle.direct_series
+    monkeypatch.setattr(
+        _oracle, "direct_series", lambda *args: calls.append(args) or direct_series(*args)
+    )
+    code, out, _ = run(["selftest", "--seed", "0"], capsys)
+    assert code == EXIT_OK
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS"] * 5
+    assert len(calls) == 4
 
 
 def test_selftest_reports_a_failed_check(capsys, monkeypatch):

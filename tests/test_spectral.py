@@ -22,6 +22,7 @@ from cyclewalk import (
     localized_initial_state,
     step,
 )
+from cyclewalk._oracle import direct_densities
 from cyclewalk.spectral import mode_values_at
 
 from conftest import random_state
@@ -200,22 +201,11 @@ def test_spectral_direct_equivalence_property(n, theta, t, seed):
     assert np.abs(closed.b - direct.b).max() < 1e-10
 
 
-def direct_coin_series(s0, theta, t_max):
-    """Oracle: (p_left, p_right, q) of a step/coin_density loop over t = 0..t_max."""
-    rows = []
-    for _ in range(t_max + 1):
-        rho = coin_density(s0)
-        rows.append((rho.p_left, rho.p_right, rho.q))
-        s0 = step(s0, theta)
-    p_left, p_right, q = np.array(rows).T
-    return p_left.real, p_right.real, q
-
-
 def assert_matches_direct(s0, theta, t_max, tol=1e-10):
     series = coin_trajectory(s0, theta, t_max)
-    for got, want in zip(series, direct_coin_series(s0, theta, t_max)):
+    for got, want in zip(series, direct_densities([s0], theta, t_max)):
         assert got.shape == (t_max + 1,)
-        assert np.abs(got - want).max() < tol
+        assert np.abs(got - want[:, 0]).max() < tol
 
 
 class TestCoinTrajectory:

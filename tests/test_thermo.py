@@ -35,7 +35,7 @@ from cyclewalk import (
     temperature_from_chi,
     transient_temperature,
 )
-from cyclewalk._oracle import bloch_points, localized_vs_spectral
+from cyclewalk._oracle import bloch_points, direct_densities, localized_vs_spectral
 
 from conftest import random_state
 
@@ -205,16 +205,10 @@ class TestAsymptoticDensity:
         # Independent oracle: least-squares fit rho_avg(t) = rho_inf + A/t
         # over a late window of directly iterated averages.
         params = WalkParams(3, math.pi / 4, math.pi / 3, math.pi / 6)
-        state = localized_initial_state(params)
         horizon = 4000
-        acc = np.zeros(3, dtype=complex)
-        series = np.empty((horizon, 3), dtype=complex)
-        for t in range(1, horizon + 1):
-            rho = coin_density(state)
-            acc += (rho.p_left, rho.p_right, rho.q)
-            series[t - 1] = acc / t
-            state = step(state, params.theta)
+        densities = direct_densities([localized_initial_state(params)], params.theta, horizon - 1)
         ts = np.arange(1, horizon + 1)
+        series = np.cumsum(np.hstack(densities), axis=0) / ts[:, None]
         window = ts >= 2000
         design = np.vstack([np.ones(window.sum()), 1.0 / ts[window]]).T
         intercept = np.linalg.lstsq(design, series[window], rcond=None)[0][0]

@@ -85,6 +85,18 @@ class TestStep:
         assert abs(out.b[1] + 1.0) < 1e-15
         assert np.sum(np.abs(out.a)) < 1e-15
 
+    def test_matches_site_formula(self, rng):
+        # a'[k] = a[k+1] cos + b[k+1] sin, b'[k] = a[k-1] sin - b[k-1] cos
+        for n in (3, 4, 9):
+            for theta in (0.0, math.pi / 6, math.pi / 4, 1.3, math.pi / 2):
+                s = random_state(rng, n)
+                out = step(s, theta)
+                c, si = math.cos(theta), math.sin(theta)
+                for k in range(n):
+                    up, down = (k + 1) % n, (k - 1) % n
+                    assert abs(out.a[k] - (s.a[up] * c + s.b[up] * si)) < 1e-15
+                    assert abs(out.b[k] - (s.a[down] * si - s.b[down] * c)) < 1e-15
+
     def test_norm_preserved_random(self, rng):
         for n in (3, 4, 9):
             s = random_state(rng, n)
