@@ -1,8 +1,9 @@
 """Command-line driver: walk simulations and sweeps as CSV/JSON datasets.
 
-Subcommands: simulate, isotherms, mixing-sweep, markov, selftest.  All
-output is deterministic (identical config gives byte-identical files) and
-carries a commented header with the resolved configuration.
+Subcommands: simulate, isotherms, mixing-sweep, markov, selftest.  Each
+takes only the settings it reads (``_COMMANDS``).  All output is
+deterministic (identical config gives byte-identical files) and carries a
+commented header with the command and those settings, defaults resolved.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,31 +36,24 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_UNSATISFIED = 2
 
-
-@dataclass
-class ExperimentConfig:
-    """Resolved parameters of one CLI run."""
-
-    command: str
-    n: int = 3
-    n_range: list[int] | None = None
-    theta: float = math.pi / 4
-    gamma: float = math.pi / 3
-    phi: float = math.pi / 6
-    epsilon: list[float] | None = None
-    t_max: int | None = None
-    e0: float = 1.0
-    fmt: str = "csv"
-    out: str | None = None
-    grid: tuple[int, int] = (181, 181)
-    seed: int = 0
-
-    def echo(self) -> dict:
-        d = asdict(self)
-        # the destination path is not part of the experiment; dropping it
-        # keeps outputs byte-identical wherever they are written
-        d.pop("out")
-        return d
+# Every setting a subcommand can read: its default, the JSON types --config
+# accepts for it (matched exactly, so that true is not an integer; list
+# entries are integers, numbers for epsilon) and its argparse keywords.
+_NUMBER = (int, float)
+_SETTINGS = {
+    "n": (3, (int,), {"type": int}),
+    "n_range": (None, (str, list), {"help": "start:stop[:step], inclusive"}),
+    "theta": (math.pi / 4, _NUMBER, {"type": float}),
+    "gamma": (math.pi / 3, _NUMBER, {"type": float}),
+    "phi": (math.pi / 6, _NUMBER, {"type": float}),
+    "epsilon": (None, (list,), {"type": float, "action": "append"}),
+    "t_max": (None, (int,), {"type": int}),
+    "e0": (1.0, _NUMBER, {"type": float}),
+    "grid": ((181, 181), (str, list), {"help": "gamma x phi resolution, e.g. 181x181"}),
+    "format": ("csv", (str,), {"choices": ("csv", "json")}),
+    "out": (None, (str,), {}),
+    "seed": (0, (int,), {"type": int}),
+}
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -87,16 +81,20 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
+
+
+def _echo(config: SimpleNamespace) -> dict:
+    # the destination path is not part of the experiment; dropping it
+    # keeps outputs byte-identical wherever they are written
+    return {key: value for key, value in vars(config).items() if key != "out"}
 
 
 def _csv_lines(config, columns, rows, summary):
     """The lines of a CSV dataset, each with its newline, one at a time."""
     yield f"# cyclewalk {__version__}\n"
-    yield "# config: " + json.dumps(config.echo(), sort_keys=True) + "\n"
+    yield "# config: " + json.dumps(_echo(config), sort_keys=True) + "\n"
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(columns) + "\n"
@@ -109,12 +107,12 @@ def _write_dataset(config, columns, rows, summary=None):
 
     ``rows`` is iterated once; CSV writes each row as it comes.
     """
-    if config.fmt == "csv":
+    if config.format == "csv":
         chunks = _csv_lines(config, columns, rows, summary)
     else:
         payload = {
             "version": __version__,
-            "config": config.echo(),
+            "config": _echo(config),
             "records": list(rows),
         }
         if summary is not None:
@@ -127,7 +125,7 @@ def _write_dataset(config, columns, rows, summary=None):
         sys.stdout.writelines(chunks)
 
 
-def _beta_ref(config: ExperimentConfig) -> float:
+def _beta_ref(config: SimpleNamespace) -> float:
     """Inverse temperature of T0, the temperature of the gamma = pi start
     (see :func:`cyclewalk.thermo.chi_reference`); T/T0 needs it finite."""
     beta_ref = beta_of_chi(chi_reference(config.n, config.theta), config.e0)
@@ -136,22 +134,22 @@ def _beta_ref(config: ExperimentConfig) -> float:
     return beta_ref
 
 
-def _t_over_t0(config: ExperimentConfig, beta_ref: float, chi) -> np.ndarray:
+def _t_over_t0(config: SimpleNamespace, beta_ref: float, chi) -> np.ndarray:
     """T/T0 for an array of chi values."""
     with np.errstate(divide="ignore"):
         return beta_ref / beta_of_chi(np.minimum(chi, 0.25), config.e0)
 
 
-def cmd_simulate(config: ExperimentConfig) -> int:
-    t_max = 500 if config.t_max is None else config.t_max
+def cmd_simulate(config: SimpleNamespace) -> int:
     params = WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
     beta_ref = _beta_ref(config)
-    p_left, p_right, q = coin_trajectory(localized_initial_state(params), config.theta, t_max)
+    state = localized_initial_state(params)
+    p_left, p_right, q = coin_trajectory(state, config.theta, config.t_max)
     # row t averages steps 0..t inclusive (t + 1 terms)
     chi_avg = running_chi(p_left, p_right, q)
     columns = ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"]
     cells = (
-        np.arange(t_max + 1),
+        np.arange(config.t_max + 1),
         p_left,
         p_right,
         q.real,
@@ -165,7 +163,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_isotherms(config: ExperimentConfig) -> int:
+def cmd_isotherms(config: SimpleNamespace) -> int:
     n_gamma, n_phi = config.grid
     gammas = np.linspace(0.0, math.pi, n_gamma)
     phis = np.linspace(-math.pi / 2, math.pi / 2, n_phi)
@@ -178,14 +176,11 @@ def cmd_isotherms(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_mixing_sweep(config: ExperimentConfig) -> int:
-    t_max = 10**5 if config.t_max is None else config.t_max
-    epsilons = config.epsilon or [1e-2, 1e-3, 1e-4]
-    n_values = config.n_range or [config.n]
+def cmd_mixing_sweep(config: SimpleNamespace) -> int:
     rows = []
-    for n in n_values:
+    for n in config.n_range or [config.n]:
         params = WalkParams(n, config.theta, config.gamma, config.phi, config.e0)
-        rows.extend(convergence_sweep(params, epsilons, t_max))
+        rows.extend(convergence_sweep(params, config.epsilon, config.t_max))
     any_unsatisfied = not all(rec["satisfied"] for rec in rows)
     _write_dataset(
         config,
@@ -195,23 +190,24 @@ def cmd_mixing_sweep(config: ExperimentConfig) -> int:
     )
     if any_unsatisfied:
         print(
-            f"warning: some scans still violated their threshold at t_max={t_max}",
+            f"warning: some scans still violated their threshold at t_max={config.t_max}",
             file=sys.stderr,
         )
         return EXIT_UNSATISFIED
     return EXIT_OK
 
 
-def cmd_markov(config: ExperimentConfig) -> int:
-    t_max = 100 if config.t_max is None else config.t_max
-    if t_max > MAX_STEPS:
-        raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
-    epsilon = (config.epsilon or [1e-4])[0]
+def cmd_markov(config: SimpleNamespace) -> int:
+    if config.t_max > MAX_STEPS:
+        raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {config.t_max}")
+    if len(config.epsilon) > 1:
+        raise ParameterError(f"markov reads one epsilon, got {config.epsilon}")
+    epsilon = config.epsilon[0]
     # the Bloch polar angle sets the classical start: p_left = cos^2(gamma/2)
     p_left0 = math.cos(config.gamma / 2) ** 2
     initial = MarkovState(p_left0, 1.0 - p_left0)
     rows = []
-    for t in range(t_max + 1):
+    for t in range(config.t_max + 1):
         st = markov_solution(initial, config.theta, t)
         rows.append(
             {
@@ -236,7 +232,7 @@ def cmd_markov(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(config: ExperimentConfig) -> int:
+def cmd_selftest(config: SimpleNamespace) -> int:
     # stdlib random: importing numpy.random would take more memory than the checks
     rng = random.Random(config.seed)
     cycles = [(rng.randint(3, 12), rng.uniform(0.1, math.pi / 2 - 0.05)) for _ in range(4)]
@@ -264,102 +260,106 @@ def cmd_selftest(config: ExperimentConfig) -> int:
     return EXIT_OK if passed == len(results) else EXIT_VALIDATION
 
 
+# The settings each subcommand reads, in --help order, and the defaults it
+# gives to settings that have none of their own.  This table alone sets a
+# command's flags, the keys its --config accepts and its header's echo.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "isotherms": cmd_isotherms,
-    "mixing-sweep": cmd_mixing_sweep,
-    "markov": cmd_markov,
-    "selftest": cmd_selftest,
+    "simulate": (cmd_simulate, "n theta gamma phi t_max e0 format out", {"t_max": 500}),
+    "isotherms": (cmd_isotherms, "n theta e0 grid format out", {}),
+    "mixing-sweep": (
+        cmd_mixing_sweep,
+        "n n_range theta gamma phi epsilon t_max e0 format out",
+        {"t_max": 10**5, "epsilon": [1e-2, 1e-3, 1e-4]},
+    ),
+    "markov": (
+        cmd_markov, "theta gamma epsilon t_max e0 format out", {"t_max": 100, "epsilon": [1e-4]}
+    ),
+    "selftest": (cmd_selftest, "seed", {}),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ParameterError where argparse would exit with status 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclewalk",
         description="Coined quantum walks on N-cycles: simulations and sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, settings, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-range", help="start:stop[:step], inclusive")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--phi", type=float)
-        p.add_argument("--epsilon", type=float, action="append")
-        p.add_argument("--t-max", type=int)
-        p.add_argument("--e0", type=float)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        p.add_argument("--out")
-        p.add_argument("--grid", help="gamma x phi resolution, e.g. 181x181")
-        p.add_argument("--seed", type=int)
+        for key in settings.split():
+            p.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][2])
     return parser
 
 
-# The JSON types of --config values, matched exactly so that true is not an
-# integer; list entries are integers (numbers for epsilon).
-_NUMBER, _NONE = (int, float), type(None)
-_CONFIG_TYPES = {
-    "n": (int,), "seed": (int,), "t_max": (int, _NONE), "fmt": (str,), "out": (str, _NONE),
-    "theta": _NUMBER, "gamma": _NUMBER, "phi": _NUMBER, "e0": _NUMBER,
-    "epsilon": (list, _NONE), "n_range": (str, list, _NONE), "grid": (str, list),
-}
-
-
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file and the flags, and reject any invalid value."""
+def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """Merge the defaults, the config file and the flags, in that order, and
+    reject any invalid value.  A null in the file leaves the default."""
+    _, settings, command_defaults = _COMMANDS[args.command]
+    settings = settings.split()
     file_values: dict = {}
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ParameterError("the config file must hold a JSON object")
-    config = ExperimentConfig(command=args.command)
+    values = {}
     for key, value in file_values.items():
         key = key.replace("-", "_")
-        if key == "format":
-            key = "fmt"
-        if key not in _CONFIG_TYPES:
-            raise ParameterError(f"unknown config key {key!r}")
+        if key not in settings:
+            raise ParameterError(f"unknown config key {key!r} for {args.command}")
         each = _NUMBER if key == "epsilon" else (int,)
         items = value if type(value) is list else []
-        if type(value) not in _CONFIG_TYPES[key] or any(type(x) not in each for x in items):
+        if type(value) not in (*_SETTINGS[key][1], type(None)) or any(
+            type(x) not in each for x in items
+        ):
             raise ParameterError(f"config key {key!r} has the wrong type: {value!r}")
-        setattr(config, key, value)
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, key, value)
-    if isinstance(config.n_range, str):
-        config.n_range = _parse_n_range(config.n_range)
-    if isinstance(config.grid, str):
+            values[key] = value
+    values.update((key, getattr(args, key)) for key in settings if getattr(args, key) is not None)
+    defaults = {key: _SETTINGS[key][0] for key in settings} | command_defaults
+    if "n_range" in values:  # the range replaces n
+        if "n" in values:
+            raise ParameterError("n and n_range exclude each other")
+        defaults["n"] = None
+    values = defaults | values
+    if isinstance(values.get("n_range"), str):
+        values["n_range"] = _parse_n_range(values["n_range"])
+    grid = values.get("grid")
+    if isinstance(grid, str):
         try:
-            config.grid = [int(x) for x in config.grid.lower().split("x")]
+            values["grid"] = grid = [int(x) for x in grid.lower().split("x")]
         except ValueError as exc:
-            raise ParameterError(f"grid must look like 181x181, got {config.grid!r}") from exc
-    if len(config.grid) != 2 or min(config.grid) < 2:
+            raise ParameterError(f"grid must look like 181x181, got {grid!r}") from exc
+    if grid is not None and (len(grid) != 2 or min(grid) < 2):
         raise ParameterError("grid must be two resolutions >= 2")
-    if config.fmt not in ("csv", "json"):
-        raise ParameterError(f"format must be csv or json, got {config.fmt!r}")
-    if config.epsilon is not None and not config.epsilon:
+    if values.get("format", "csv") not in ("csv", "json"):
+        raise ParameterError(f"format must be csv or json, got {values['format']!r}")
+    if values.get("epsilon") == []:
         raise ParameterError("epsilon list must be non-empty")
-    if config.t_max is not None and config.t_max < 0:
-        raise ParameterError(f"t_max must be non-negative, got {config.t_max}")
-    if config.seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {config.seed}")
-    # every command reads its walk parameters from the same domain
-    WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
-    return config
+    if values.get("t_max", 0) < 0:
+        raise ParameterError(f"t_max must be non-negative, got {values['t_max']}")
+    if values.get("seed", 0) < 0:
+        raise ParameterError(f"seed must be non-negative, got {values['seed']}")
+    # the walk parameters a command reads lie in one domain
+    walk = ("n", "theta", "gamma", "phi", "e0")
+    WalkParams(*(_SETTINGS[k][0] if values.get(k) is None else values[k] for k in walk))
+    return SimpleNamespace(command=args.command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
-    except (CycleWalkError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_resolve_config(args))
+    except (CycleWalkError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

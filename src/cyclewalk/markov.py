@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonThermalizingError, ParameterError
-from .walk import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,13 @@ def markov_thermalization_time(
     epsilon: float,
     *,
     e0: float = 1.0,
-    t_max: int = MAX_STEPS,
 ) -> tuple[float, int]:
-    """Classical thermalization time: (log-formula estimate, empirical scan).
+    """Classical thermalization time: (log-formula estimate, exact time).
 
-    The formula is (ln(eps) - ln(|dp0|)) / ln(|cos(2*theta)|); the empirical
-    value is the last-violation-plus-one scan of e0 * |beta_m(t)| over
-    t = 1..t_max.  theta = pi/4 kills the memory of the start in a single
-    step; theta = 0 and theta = pi/2 never converge.
+    The formula is (ln(eps) - ln(|dp0|)) / ln(|cos(2*theta)|); the exact
+    time is the first t >= 1 with e0 * |beta_m(t)| <= eps.  theta = pi/4
+    kills the memory of the start in a single step; theta = 0 and
+    theta = pi/2 never converge.
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
@@ -105,13 +103,18 @@ def markov_thermalization_time(
         )
     if cos2t == 0.0:
         return 0.0, 1
-    formula = (math.log(epsilon) - math.log(abs(dp0))) / math.log(abs(cos2t))
-    last_violation = 0
-    for t in range(1, t_max + 1):
-        if e0 * abs(markov_beta(initial, theta, t, e0)) > epsilon:
-            last_violation = t
-        elif t > formula + 2:
-            # |beta_m| decays monotonically in |cos(2*theta)|^t; once past
-            # the formula estimate no later violation can occur.
-            break
-    return formula, last_violation + 1
+    log_decay = math.log(abs(cos2t))
+    formula = (math.log(epsilon) - math.log(abs(dp0))) / log_decay
+
+    def violated(t: int) -> bool:
+        return e0 * abs(markov_beta(initial, theta, t, e0)) > epsilon
+
+    # e0 * |beta_m(t)| = |atanh(cos(2*theta)^t * dp0)| decreases monotonically
+    # in t, so start where |cos(2*theta)^t * dp0| = tanh(eps) and step to the
+    # boundary of the predicate itself.
+    t = max(1, math.ceil((math.log(math.tanh(epsilon)) - math.log(abs(dp0))) / log_decay))
+    while violated(t):
+        t += 1
+    while t > 1 and not violated(t - 1):
+        t -= 1
+    return formula, t

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,12 +310,24 @@ class TestConfigFile:
         (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
         (None, ["selftest", "--seed", "-1"]),
         (None, ["markov", "--t-max", "1000001"]),
+        (None, ["simulate", "--grid", "3x3"]),
+        (None, ["isotherms", "--t-max", "5"]),
+        (None, ["markov", "--n", "5"]),
+        (None, ["selftest", "--out", "x.csv"]),
+        (None, ["simulate", "--n", "abc"]),
+        (None, ["simulate", "--bogus", "1"]),
+        (None, []),
+        ({"grid": [3, 3]}, ["simulate"]),
+        (None, ["mixing-sweep", "--n", "5", "--n-range", "3:9"]),
+        (None, ["markov", "--epsilon", "1e-3", "--epsilon", "1e-4"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
          "n-range-zero-step", "mixing-sweep-epsilon-nan", "markov-epsilon-nan",
          "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative",
-         "markov-t-max-above-ceiling"],
+         "markov-t-max-above-ceiling", "simulate-grid", "isotherms-t-max", "markov-n",
+         "selftest-out", "simulate-n-not-integer", "simulate-unknown-flag", "no-command",
+         "config-simulate-grid", "n-with-n-range", "markov-two-epsilons"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:
@@ -325,6 +338,68 @@ def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ")
     assert out == ""
+
+
+# the flags of each subcommand's --help, in order: exactly the settings it reads
+FLAGS = {
+    "simulate": "--config --n --theta --gamma --phi --t-max --e0 --format --out",
+    "isotherms": "--config --n --theta --e0 --grid --format --out",
+    "mixing-sweep": "--config --n --n-range --theta --gamma --phi --epsilon --t-max --e0 "
+                    "--format --out",
+    "markov": "--config --theta --gamma --epsilon --t-max --e0 --format --out",
+    "selftest": "--config --seed",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_help_lists_the_settings_read(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^  (--[\w-]+)", out, re.MULTILINE) == FLAGS[command].split()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "4", "--t-max", "5"],
+        ["isotherms", "--n", "5", "--grid", "3x4", "--format", "json"],
+        ["mixing-sweep", "--n-range", "10:20:10", "--epsilon", "1e-2", "--t-max", "2000"],
+        ["mixing-sweep", "--n", "10", "--format", "json"],
+        ["markov", "--theta", "1.0", "--gamma", "0.5"],
+    ],
+)
+def test_header_config_reproduces_the_run(capsys, tmp_path, argv):
+    code, out, _ = run(argv, capsys)
+    if out.startswith("{"):
+        config = json.loads(out)["config"]
+    else:
+        config = json.loads(out.splitlines()[1].removeprefix("# config: "))
+    # the command and every setting it reads, defaults resolved; no path
+    keys = [flag[2:].replace("-", "_") for flag in FLAGS[argv[0]].split()]
+    assert sorted(config) == sorted(["command", *keys[1:-1]])
+    assert all(config[key] is not None for key in ("t_max", "epsilon") if key in config)
+    assert config.pop("command") == argv[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run([argv[0], "--config", str(path)], capsys)[:2] == (code, out)
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    def chi_isotherm_grid(*args):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+    monkeypatch.setattr(cli, "chi_isotherm_grid", chi_isotherm_grid)
+    code, out, err = run(["isotherms", "--grid", "3x3"], capsys)
+    assert code == EXIT_VALIDATION
+    assert err == "error: Unable to allocate 6.71 GiB for an array\n"
+    assert out == ""
+
+
+def test_fmt_writes_infinities():
+    assert cli._fmt(math.inf) == "inf"
+    assert cli._fmt(-math.inf) == "-inf"
 
 
 def test_selftest_passes(capsys):

@@ -135,3 +135,11 @@ class TestMarkovThermalizationTime:
                     MarkovState(0.9, 0.1), theta, eps
                 )
                 assert abs(empirical - formula) <= 1.5
+
+    def test_slow_chain_reaches_its_boundary(self):
+        # theta = 1e-4 thermalizes after about 4.6e8 steps
+        initial, theta, eps = MarkovState(1.0, 0.0), 1e-4, 1e-4
+        formula, tau = markov_thermalization_time(initial, theta, eps)
+        assert abs(markov_beta(initial, theta, tau - 1, 1.0)) > eps
+        assert abs(markov_beta(initial, theta, tau, 1.0)) <= eps
+        assert abs(tau - formula) <= 1.5
