@@ -143,8 +143,7 @@ def _t_over_t0(config: SimpleNamespace, beta_ref: float, chi) -> np.ndarray:
 def cmd_simulate(config: SimpleNamespace) -> int:
     params = WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
     beta_ref = _beta_ref(config)
-    state = localized_initial_state(params)
-    p_left, p_right, q = coin_trajectory(state, config.theta, config.t_max)
+    p_left, p_right, q = coin_trajectory(localized_initial_state(params), config.theta, config.t_max)
     # row t averages steps 0..t inclusive (t + 1 terms)
     chi_avg = running_chi(p_left, p_right, q)
     columns = ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"]
@@ -344,6 +343,8 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         raise ParameterError(f"format must be csv or json, got {values['format']!r}")
     if values.get("epsilon") == []:
         raise ParameterError("epsilon list must be non-empty")
+    if values.get("n_range") == []:
+        raise ParameterError("n_range list must be non-empty")
     if values.get("t_max", 0) < 0:
         raise ParameterError(f"t_max must be non-negative, got {values['t_max']}")
     if values.get("seed", 0) < 0:

@@ -86,9 +86,9 @@ def markov_thermalization_time(
     """Classical thermalization time: (log-formula estimate, exact time).
 
     The formula is (ln(eps) - ln(|dp0|)) / ln(|cos(2*theta)|); the exact
-    time is the first t >= 1 with e0 * |beta_m(t)| <= eps.  theta = pi/4
-    kills the memory of the start in a single step; theta = 0 and
-    theta = pi/2 never converge.
+    time is last_violation + 1, the last violation being the last t >= 1
+    with e0 * |beta_m(t)| > eps.  theta = pi/4 kills the memory of the
+    start in a single step; theta = 0 and theta = pi/2 never converge.
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
@@ -109,12 +109,20 @@ def markov_thermalization_time(
     def violated(t: int) -> bool:
         return e0 * abs(markov_beta(initial, theta, t, e0)) > epsilon
 
-    # e0 * |beta_m(t)| = |atanh(cos(2*theta)^t * dp0)| decreases monotonically
-    # in t, so start where |cos(2*theta)^t * dp0| = tanh(eps) and step to the
-    # boundary of the predicate itself.
-    t = max(1, math.ceil((math.log(math.tanh(epsilon)) - math.log(abs(dp0))) / log_decay))
-    while violated(t):
-        t += 1
-    while t > 1 and not violated(t - 1):
-        t -= 1
-    return formula, t
+    # e0 * |beta_m(t)| = |atanh(cos(2*theta)^t * dp0)| decreases in t, but in
+    # floats only along one parity of t, where x keeps its sign.  Rounding can
+    # put the boundary far from where |x| = tanh(eps) (~1e8 steps for a slow
+    # chain at tiny eps), so per parity double from that estimate, then bisect.
+    estimate = math.ceil((math.log(math.tanh(epsilon)) - math.log(abs(dp0))) / log_decay)
+
+    def last_violated(parity: int) -> int:
+        hi = max(0, (estimate - parity) // 2)  # t = 2 * k + parity
+        while violated(2 * hi + parity):
+            hi = 2 * hi + 1
+        lo = -1  # violated at k = lo, or lo = -1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if violated(2 * mid + parity) else (lo, mid)
+        return 2 * lo + parity
+
+    return formula, max(0, last_violated(1), last_violated(2)) + 1

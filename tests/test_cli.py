@@ -320,6 +320,7 @@ class TestConfigFile:
         ({"grid": [3, 3]}, ["simulate"]),
         (None, ["mixing-sweep", "--n", "5", "--n-range", "3:9"]),
         (None, ["markov", "--epsilon", "1e-3", "--epsilon", "1e-4"]),
+        ({"n_range": []}, ["mixing-sweep"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
@@ -327,7 +328,8 @@ class TestConfigFile:
          "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative",
          "markov-t-max-above-ceiling", "simulate-grid", "isotherms-t-max", "markov-n",
          "selftest-out", "simulate-n-not-integer", "simulate-unknown-flag", "no-command",
-         "config-simulate-grid", "n-with-n-range", "markov-two-epsilons"],
+         "config-simulate-grid", "n-with-n-range", "markov-two-epsilons",
+         "config-n-range-empty"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:

@@ -143,3 +143,27 @@ class TestMarkovThermalizationTime:
         assert abs(markov_beta(initial, theta, tau - 1, 1.0)) > eps
         assert abs(markov_beta(initial, theta, tau, 1.0)) <= eps
         assert abs(tau - formula) <= 1.5
+
+    @pytest.mark.parametrize("theta, eps", [(1e-4, 1e-20), (3e-8, 1e-10)])
+    def test_boundary_far_from_estimate(self, theta, eps):
+        # rounding puts the float boundary ~1e8 steps from the tanh(eps) estimate
+        initial = MarkovState(1.0, 0.0)
+        _, tau = markov_thermalization_time(initial, theta, eps)
+        assert abs(markov_beta(initial, theta, tau - 1, 1.0)) > eps
+        assert abs(markov_beta(initial, theta, tau, 1.0)) <= eps
+
+    @pytest.mark.parametrize(
+        "theta, p_left, eps, e0",
+        [(1.074151304307987, 0.40400824631164955, 7.222716555847893e-17, 0.14562918521212806),
+         (1.4891879476552945, 0.8599465287952899, 8.594870883743752e-16, 0.46279682488393836)],
+    )
+    def test_flipping_chain_is_last_violation_plus_one(self, theta, p_left, eps, e0):
+        # x alternates sign, so rounding lets e0 * |beta_m| dip below eps and
+        # rise above it again before tau
+        initial = MarkovState(p_left, 1 - p_left)
+        _, tau = markov_thermalization_time(initial, theta, eps, e0=e0)
+        violations = [
+            t for t in range(1, 2 * tau + 10)
+            if e0 * abs(markov_beta(initial, theta, t, e0)) > eps
+        ]
+        assert tau == violations[-1] + 1
