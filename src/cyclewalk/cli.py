@@ -91,33 +91,52 @@ def _echo(config: SimpleNamespace) -> dict:
     return {key: value for key, value in vars(config).items() if key != "out"}
 
 
-def _csv_lines(config, columns, rows, summary):
+def _csv_lines(config, table, summary):
     """The lines of a CSV dataset, each with its newline, one at a time."""
     yield f"# cyclewalk {__version__}\n"
     yield "# config: " + json.dumps(_echo(config), sort_keys=True) + "\n"
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
-    yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(_fmt(row[c]) for c in columns) + "\n"
+    yield ",".join(table) + "\n"
+    # one % conversion per column formats float and int cells in C, as _fmt would
+    kinds = [set(map(type, column)) for column in table.values()]
+    formats = ["%.17g" if k <= {float} else "%d" if k <= {int} else "%s" for k in kinds]
+    columns = [map(_fmt, c) if f == "%s" else c for f, c in zip(formats, table.values())]
+    yield from map((",".join(formats) + "\n").__mod__, zip(*columns))
 
 
-def _write_dataset(config, columns, rows, summary=None):
-    """Emit rows as CSV (commented header) or JSON to config.out / stdout.
+_BLOCK = 4096  # JSON records encoded per json.dumps call of a column
 
-    ``rows`` is iterated once; CSV writes each row as it comes.
+
+def _json_chunks(config, table, summary):
+    """The text of a JSON dataset, in pieces of at most _BLOCK records.
+
+    json.dumps with an indent runs the pure-Python encoder, so each block of
+    a column goes through the C encoder as one flat list.  Number, bool and
+    None cells read the same there, and ", " splits them: no cell is a string.
     """
-    if config.format == "csv":
-        chunks = _csv_lines(config, columns, rows, summary)
-    else:
-        payload = {
-            "version": __version__,
-            "config": _echo(config),
-            "records": list(rows),
-        }
-        if summary is not None:
-            payload["summary"] = summary
-        chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
+    cell_types = set().union(*(map(type, column) for column in table.values()))
+    if not all(issubclass(t, (int, float, type(None))) for t in cell_types):
+        raise TypeError(f"dataset cells must be numbers, bools or None, got {cell_types}")
+    # "\0" marks where the records go: no config or summary string holds it
+    payload = {"version": __version__, "config": _echo(config), "records": "\0"}
+    if summary is not None:
+        payload["summary"] = summary
+    head, tail = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps("\0"))
+    keys = sorted(table)
+    record = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in keys) + "\n    }"
+    n_rows = len(table[keys[0]])
+    yield head + ("[\n" if n_rows else "[]")
+    for start in range(0, n_rows, _BLOCK):
+        cells = (json.dumps(table[k][start : start + _BLOCK])[1:-1].split(", ") for k in keys)
+        yield ",\n" * (start > 0) + ",\n".join(map(record.__mod__, zip(*cells)))
+    yield "\n  ]" * (n_rows > 0) + tail + "\n"
+
+
+def _write_dataset(config, table, summary=None):
+    """Stream a {column: list} table as CSV (commented header) or JSON to
+    config.out / stdout."""
+    chunks = (_csv_lines if config.format == "csv" else _json_chunks)(config, table, summary)
     if config.out:
         with open(config.out, "w") as fh:
             fh.writelines(chunks)
@@ -146,19 +165,17 @@ def cmd_simulate(config: SimpleNamespace) -> int:
     p_left, p_right, q = coin_trajectory(localized_initial_state(params), config.theta, config.t_max)
     # row t averages steps 0..t inclusive (t + 1 terms)
     chi_avg = running_chi(p_left, p_right, q)
-    columns = ["t", "p_left", "p_right", "re_q", "im_q", "entropy", "lambda_plus_avg", "t_over_t0"]
-    cells = (
-        np.arange(config.t_max + 1),
-        p_left,
-        p_right,
-        q.real,
-        q.imag,
-        entropy_of_chi(chi_of_entries(p_left, p_right, q)),
-        0.5 + np.sqrt(chi_avg),
-        _t_over_t0(config, beta_ref, chi_avg),
-    )
-    rows = (dict(zip(columns, cell)) for cell in zip(*(a.tolist() for a in cells)))
-    _write_dataset(config, columns, rows)
+    columns = {
+        "t": np.arange(config.t_max + 1),
+        "p_left": p_left,
+        "p_right": p_right,
+        "re_q": q.real,
+        "im_q": q.imag,
+        "entropy": entropy_of_chi(chi_of_entries(p_left, p_right, q)),
+        "lambda_plus_avg": 0.5 + np.sqrt(chi_avg),
+        "t_over_t0": _t_over_t0(config, beta_ref, chi_avg),
+    }
+    _write_dataset(config, {key: a.tolist() for key, a in columns.items()})
     return EXIT_OK
 
 
@@ -168,10 +185,9 @@ def cmd_isotherms(config: SimpleNamespace) -> int:
     phis = np.linspace(-math.pi / 2, math.pi / 2, n_phi)
     gg, pp = np.meshgrid(gammas, phis, indexing="ij")
     chi = chi_isotherm_grid(config.n, config.theta, gg, pp)
-    columns = ["gamma", "phi", "chi", "t_over_t0"]
-    cells = (gg, pp, chi, _t_over_t0(config, _beta_ref(config), chi))
-    rows = (dict(zip(columns, cell)) for cell in zip(*(a.ravel().tolist() for a in cells)))
-    _write_dataset(config, columns, rows)
+    t_over_t0 = _t_over_t0(config, _beta_ref(config), chi)
+    columns = {"gamma": gg, "phi": pp, "chi": chi, "t_over_t0": t_over_t0}
+    _write_dataset(config, {key: a.ravel().tolist() for key, a in columns.items()})
     return EXIT_OK
 
 
@@ -181,12 +197,9 @@ def cmd_mixing_sweep(config: SimpleNamespace) -> int:
         params = WalkParams(n, config.theta, config.gamma, config.phi, config.e0)
         rows.extend(convergence_sweep(params, config.epsilon, config.t_max))
     any_unsatisfied = not all(rec["satisfied"] for rec in rows)
-    _write_dataset(
-        config,
-        ["n", "epsilon", "tau_mix", "tau_therm", "c", "tau_therm_scaled", "satisfied"],
-        rows,
-        summary={"unsatisfied_horizon": any_unsatisfied},
-    )
+    columns = ["n", "epsilon", "tau_mix", "tau_therm", "c", "tau_therm_scaled", "satisfied"]
+    table = {key: [rec[key] for rec in rows] for key in columns}
+    _write_dataset(config, table, summary={"unsatisfied_horizon": any_unsatisfied})
     if any_unsatisfied:
         print(
             f"warning: some scans still violated their threshold at t_max={config.t_max}",
@@ -205,17 +218,14 @@ def cmd_markov(config: SimpleNamespace) -> int:
     # the Bloch polar angle sets the classical start: p_left = cos^2(gamma/2)
     p_left0 = math.cos(config.gamma / 2) ** 2
     initial = MarkovState(p_left0, 1.0 - p_left0)
-    rows = []
-    for t in range(config.t_max + 1):
-        st = markov_solution(initial, config.theta, t)
-        rows.append(
-            {
-                "t": t,
-                "p_left": st.p_left,
-                "p_right": st.p_right,
-                "beta_m": markov_beta(initial, config.theta, t, config.e0),
-            }
-        )
+    times = range(config.t_max + 1)
+    states = [markov_solution(initial, config.theta, t) for t in times]
+    table = {
+        "t": list(times),
+        "p_left": [st.p_left for st in states],
+        "p_right": [st.p_right for st in states],
+        "beta_m": [markov_beta(initial, config.theta, t, config.e0) for t in times],
+    }
     try:
         formula, empirical = markov_thermalization_time(
             initial, config.theta, epsilon, e0=config.e0
@@ -227,7 +237,7 @@ def cmd_markov(config: SimpleNamespace) -> int:
     except NonThermalizingError as exc:
         label = "flip-flop" if math.cos(2 * config.theta) < 0 else "frozen"
         summary = {"outcome": f"non-thermalizing ({label})", "detail": str(exc)}
-    _write_dataset(config, ["t", "p_left", "p_right", "beta_m"], rows, summary=summary)
+    _write_dataset(config, table, summary=summary)
     return EXIT_OK
 
 
@@ -339,6 +349,8 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
             raise ParameterError(f"grid must look like 181x181, got {grid!r}") from exc
     if grid is not None and (len(grid) != 2 or min(grid) < 2):
         raise ParameterError("grid must be two resolutions >= 2")
+    if grid is not None and grid[0] * grid[1] > MAX_STEPS:
+        raise ParameterError(f"grid must have at most {MAX_STEPS} points, got {grid[0]}x{grid[1]}")
     if values.get("format", "csv") not in ("csv", "json"):
         raise ParameterError(f"format must be csv or json, got {values['format']!r}")
     if values.get("epsilon") == []:

@@ -64,16 +64,17 @@ def markov_solution(initial: MarkovState, theta: float, t: int) -> MarkovState:
 def markov_beta(initial: MarkovState, theta: float, t: int, e0: float) -> float:
     """Transient inverse temperature of the chain at step t.
 
-    beta_m(t) = ln((1 + x) / (1 - x)) / (2*e0) with
-    x = cos(2*theta)^t * (p_left(0) - p_right(0)).  |x| = 1 (a fully
-    polarized start at t = 0) gives a signed infinity.
+    beta_m(t) = atanh(x) / e0, which is ln((1 + x) / (1 - x)) / (2*e0) without
+    its loss of digits at small x, with x = cos(2*theta)^t * (p_left(0) -
+    p_right(0)).  |x| = 1 (a fully polarized start at t = 0) gives a signed
+    infinity.
     """
     if t < 0:
         raise ParameterError(f"t must be non-negative, got {t}")
     x = math.cos(2 * theta) ** t * (initial.p_left - initial.p_right)
     if abs(x) >= 1.0:
         return math.copysign(math.inf, x)
-    return math.log((1 + x) / (1 - x)) / (2 * e0)
+    return math.atanh(x) / e0
 
 
 def markov_thermalization_time(
@@ -111,8 +112,8 @@ def markov_thermalization_time(
 
     # e0 * |beta_m(t)| = |atanh(cos(2*theta)^t * dp0)| decreases in t, but in
     # floats only along one parity of t, where x keeps its sign.  Rounding can
-    # put the boundary far from where |x| = tanh(eps) (~1e8 steps for a slow
-    # chain at tiny eps), so per parity double from that estimate, then bisect.
+    # move the boundary off where |x| = tanh(eps), so per parity double from
+    # that estimate, then bisect.
     estimate = math.ceil((math.log(math.tanh(epsilon)) - math.log(abs(dp0))) / log_decay)
 
     def last_violated(parity: int) -> int:

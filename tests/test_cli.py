@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclewalk import (
     CoinDensity,
@@ -14,7 +19,7 @@ from cyclewalk import (
     entanglement_entropy,
     localized_initial_state,
 )
-from cyclewalk import _oracle, cli
+from cyclewalk import __version__, _oracle, cli
 from cyclewalk.cli import (
     EXIT_OK,
     EXIT_UNSATISFIED,
@@ -321,6 +326,7 @@ class TestConfigFile:
         (None, ["mixing-sweep", "--n", "5", "--n-range", "3:9"]),
         (None, ["markov", "--epsilon", "1e-3", "--epsilon", "1e-4"]),
         ({"n_range": []}, ["mixing-sweep"]),
+        (None, ["isotherms", "--grid", "30000x30000"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
@@ -329,7 +335,7 @@ class TestConfigFile:
          "markov-t-max-above-ceiling", "simulate-grid", "isotherms-t-max", "markov-n",
          "selftest-out", "simulate-n-not-integer", "simulate-unknown-flag", "no-command",
          "config-simulate-grid", "n-with-n-range", "markov-two-epsilons",
-         "config-n-range-empty"],
+         "config-n-range-empty", "isotherms-grid-above-ceiling"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:
@@ -402,6 +408,76 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
 def test_fmt_writes_infinities():
     assert cli._fmt(math.inf) == "inf"
     assert cli._fmt(-math.inf) == "-inf"
+
+
+def reference_dataset(config, table, summary):
+    """The per-cell writer the streamed one replaced: one _fmt call per CSV
+    cell, one dict per JSON record and json.dumps with an indent."""
+    rows = list(zip(*table.values()))
+    if config.format == "json":
+        payload = {"version": __version__, "config": cli._echo(config),
+                   "records": [dict(zip(table, row)) for row in rows]}
+        if summary is not None:
+            payload["summary"] = summary
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    echo = json.dumps(cli._echo(config), sort_keys=True)
+    lines = [f"# cyclewalk {__version__}", f"# config: {echo}"]
+    lines += [f"# {key}: {cli._fmt(value)}" for key, value in (summary or {}).items()]
+    lines.append(",".join(table))
+    lines += [",".join(cli._fmt(cell) for cell in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def written(config, table, summary):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_dataset(config, table, summary)
+    return out.getvalue()
+
+
+FLOATS = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308])
+INTS = st.integers(-(2**64), 2**64) | st.sampled_from([2**53 + 1, -(2**53) - 1])
+CELLS = {  # the cells of one column: uniform kinds take the C conversions
+    "float": FLOATS,
+    "int": INTS,
+    "bool": st.booleans(),
+    "int_or_none": INTS | st.none(),
+    "mixed": FLOATS | INTS | st.booleans() | st.none(),
+}
+
+
+@st.composite
+def tables(draw):
+    """A {column: list} table whose rows cycle through a few drawn cells per
+    column, so that the row counts around a JSON block stay cheap to draw."""
+    rows = draw(st.sampled_from([0, 1, 2, cli._BLOCK, cli._BLOCK + 1]))
+    names = draw(st.permutations(["t", "p_left", "beta_m", "satisfied", "tau_therm"]))
+    table = {}
+    for name in names[: draw(st.integers(1, len(names)))]:
+        cells = draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))], min_size=1, max_size=6))
+        table[name] = [cells[i % len(cells)] for i in range(rows)]
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=tables(),
+    fmt=st.sampled_from(["csv", "json"]),
+    summary=st.sampled_from([None, {"unsatisfied_horizon": True},
+                             {"outcome": "thermalizing", "formula": 0.1, "empirical": 2}]),
+)
+@example(table={"t": [], "beta_m": []}, fmt="json", summary=None)
+@example(table={"beta_m": [math.inf, math.nan, -0.0, None, 2**60, True]}, fmt="json",
+         summary=None)
+def test_writer_matches_the_per_cell_writer(table, fmt, summary):
+    config = SimpleNamespace(command="markov", t_max=3, epsilon=[1e-4], format=fmt, out=None)
+    assert written(config, table, summary) == reference_dataset(config, table, summary)
+
+
+def test_json_writer_rejects_string_cells():
+    config = SimpleNamespace(command="markov", format="json", out=None)
+    with pytest.raises(TypeError):
+        written(config, {"t": [0, 1], "outcome": [1.5, "a, b"]}, None)
 
 
 def test_selftest_passes(capsys):

@@ -146,11 +146,24 @@ class TestMarkovThermalizationTime:
 
     @pytest.mark.parametrize("theta, eps", [(1e-4, 1e-20), (3e-8, 1e-10)])
     def test_boundary_far_from_estimate(self, theta, eps):
-        # rounding puts the float boundary ~1e8 steps from the tanh(eps) estimate
+        # a slow chain at tiny eps: the search must land on the float boundary
         initial = MarkovState(1.0, 0.0)
         _, tau = markov_thermalization_time(initial, theta, eps)
         assert abs(markov_beta(initial, theta, tau - 1, 1.0)) > eps
         assert abs(markov_beta(initial, theta, tau, 1.0)) <= eps
+
+    @pytest.mark.parametrize(
+        "theta, p_left, eps, e0, expected",
+        [(1.5683544390988073, 0.5000000000275323, 2.007818660848513e-12, 0.010322439820290208,
+          277675),
+         (1e-4, 1.0, 1e-20, 1.0, 2302585084)],
+    )
+    def test_time_is_ceil_of_formula(self, theta, p_left, eps, e0, expected):
+        # beta_m = atanh(x) / e0 keeps its relative precision at small x, so
+        # rounding does not move the boundary off ceil(formula)
+        initial = MarkovState(p_left, 1 - p_left)
+        formula, empirical = markov_thermalization_time(initial, theta, eps, e0=e0)
+        assert empirical == math.ceil(formula) == expected
 
     @pytest.mark.parametrize(
         "theta, p_left, eps, e0",
