@@ -13,13 +13,14 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, _oracle
 from .errors import CycleWalkError, NonThermalizingError, ParameterError
-from .markov import MarkovState, markov_beta, markov_solution, markov_thermalization_time
+from .markov import MarkovState, beta_of_imbalance, markov_imbalances, markov_thermalization_time
 from .spectral import coin_trajectory
 from .thermo import (
     beta_of_chi,
@@ -91,6 +92,42 @@ def _echo(config: SimpleNamespace) -> dict:
     return {key: value for key, value in vars(config).items() if key != "out"}
 
 
+@dataclass(frozen=True)
+class _Factored:
+    """A float column as an array of values and, per cell, the index of its
+    value.  The writer formats each value once and gathers the cells' text,
+    so a column with few distinct values costs few float conversions."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def spelled(self, spell) -> list[str]:
+        """The cells' text, ``spell`` turning the list of values into theirs."""
+        return np.array(spell(self.values.tolist()), dtype=object)[self.index].tolist()
+
+
+def _factored(array) -> _Factored:
+    """Factor a float array by bit pattern, not by value: -0.0 and 0.0, and
+    NaNs of different payloads, stay apart, so the text stays the same."""
+    bits, index = np.unique(
+        np.asarray(array, dtype=np.float64).ravel().view(np.uint64), return_inverse=True
+    )
+    return _Factored(bits.view(np.float64), index)
+
+
+def _csv_spell(values: list[float]) -> list[str]:
+    # "%.17g" for every value at once: one C-level % over a joined template
+    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+
+
+def _json_spell(values: list) -> list[str]:
+    # a flat list through the C encoder; no number, bool or None spells ", "
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def _csv_lines(config, table, summary):
     """The lines of a CSV dataset, each with its newline, one at a time."""
     yield f"# cyclewalk {__version__}\n"
@@ -98,24 +135,33 @@ def _csv_lines(config, table, summary):
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(table) + "\n"
-    # one % conversion per column formats float and int cells in C, as _fmt would
-    kinds = [set(map(type, column)) for column in table.values()]
-    formats = ["%.17g" if k <= {float} else "%d" if k <= {int} else "%s" for k in kinds]
-    columns = [map(_fmt, c) if f == "%s" else c for f, c in zip(formats, table.values())]
+    # one % conversion per column formats float and int cells in C, as _fmt
+    # would; a factored column arrives as text
+    formats, columns = [], []
+    for column in table.values():
+        if isinstance(column, _Factored):
+            formats.append("%s")
+            columns.append(column.spelled(_csv_spell))
+            continue
+        kind = set(map(type, column))
+        formats.append("%.17g" if kind <= {float} else "%d" if kind <= {int} else "%s")
+        columns.append(map(_fmt, column) if formats[-1] == "%s" else column)
     yield from map((",".join(formats) + "\n").__mod__, zip(*columns))
 
 
-_BLOCK = 4096  # JSON records encoded per json.dumps call of a column
+_BLOCK = 4096  # JSON records encoded per json.dumps call of a plain column
 
 
 def _json_chunks(config, table, summary):
     """The text of a JSON dataset, in pieces of at most _BLOCK records.
 
     json.dumps with an indent runs the pure-Python encoder, so each block of
-    a column goes through the C encoder as one flat list.  Number, bool and
-    None cells read the same there, and ", " splits them: no cell is a string.
+    a plain column goes through the C encoder as one flat list, and a
+    factored column's values go through it once.  Number, bool and None
+    cells read the same there, and ", " splits them: no cell is a string.
     """
-    cell_types = set().union(*(map(type, column) for column in table.values()))
+    plain = [column for column in table.values() if not isinstance(column, _Factored)]
+    cell_types = set().union(*(map(type, column) for column in plain))
     if not all(issubclass(t, (int, float, type(None))) for t in cell_types):
         raise TypeError(f"dataset cells must be numbers, bools or None, got {cell_types}")
     # "\0" marks where the records go: no config or summary string holds it
@@ -125,17 +171,22 @@ def _json_chunks(config, table, summary):
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps("\0"))
     keys = sorted(table)
     record = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in keys) + "\n    }"
+    texts = {k: table[k].spelled(_json_spell) for k in keys if isinstance(table[k], _Factored)}
     n_rows = len(table[keys[0]])
     yield head + ("[\n" if n_rows else "[]")
     for start in range(0, n_rows, _BLOCK):
-        cells = (json.dumps(table[k][start : start + _BLOCK])[1:-1].split(", ") for k in keys)
+        cells = (
+            texts[k][start : start + _BLOCK] if k in texts
+            else _json_spell(table[k][start : start + _BLOCK])
+            for k in keys
+        )
         yield ",\n" * (start > 0) + ",\n".join(map(record.__mod__, zip(*cells)))
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 
 
 def _write_dataset(config, table, summary=None):
-    """Stream a {column: list} table as CSV (commented header) or JSON to
-    config.out / stdout."""
+    """Stream a {column: list or _Factored} table as CSV (commented header)
+    or JSON to config.out / stdout."""
     chunks = (_csv_lines if config.format == "csv" else _json_chunks)(config, table, summary)
     if config.out:
         with open(config.out, "w") as fh:
@@ -186,8 +237,9 @@ def cmd_isotherms(config: SimpleNamespace) -> int:
     gg, pp = np.meshgrid(gammas, phis, indexing="ij")
     chi = chi_isotherm_grid(config.n, config.theta, gg, pp)
     t_over_t0 = _t_over_t0(config, _beta_ref(config), chi)
+    # a grid repeats each gamma and phi, and chi (so T/T0) is even in phi
     columns = {"gamma": gg, "phi": pp, "chi": chi, "t_over_t0": t_over_t0}
-    _write_dataset(config, {key: a.ravel().tolist() for key, a in columns.items()})
+    _write_dataset(config, {key: _factored(a) for key, a in columns.items()})
     return EXIT_OK
 
 
@@ -218,13 +270,14 @@ def cmd_markov(config: SimpleNamespace) -> int:
     # the Bloch polar angle sets the classical start: p_left = cos^2(gamma/2)
     p_left0 = math.cos(config.gamma / 2) ** 2
     initial = MarkovState(p_left0, 1.0 - p_left0)
-    times = range(config.t_max + 1)
-    states = [markov_solution(initial, config.theta, t) for t in times]
+    # x = p_left - p_right tends to 0 and underflows, so its values repeat
+    x = _factored(markov_imbalances(initial, config.theta, config.t_max))
+    beta_m = [beta_of_imbalance(v, config.e0) for v in x.values.tolist()]
     table = {
-        "t": list(times),
-        "p_left": [st.p_left for st in states],
-        "p_right": [st.p_right for st in states],
-        "beta_m": [markov_beta(initial, config.theta, t, config.e0) for t in times],
+        "t": list(range(config.t_max + 1)),
+        "p_left": _Factored((1.0 + x.values) / 2, x.index),
+        "p_right": _Factored((1.0 - x.values) / 2, x.index),
+        "beta_m": _Factored(np.array(beta_m), x.index),
     }
     try:
         formula, empirical = markov_thermalization_time(
@@ -364,6 +417,10 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     # the walk parameters a command reads lie in one domain
     walk = ("n", "theta", "gamma", "phi", "e0")
     WalkParams(*(_SETTINGS[k][0] if values.get(k) is None else values[k] for k in walk))
+    # a cycle takes arrays of n entries: the ceiling of the steps and grid points
+    n_max = max(values.get("n_range") or [values.get("n") or 0])
+    if n_max > MAX_STEPS:
+        raise ParameterError(f"n must be at most {MAX_STEPS}, got {n_max}")
     return SimpleNamespace(command=args.command, **values)
 
 

@@ -61,20 +61,31 @@ def markov_solution(initial: MarkovState, theta: float, t: int) -> MarkovState:
     return MarkovState((1.0 + d) / 2, (1.0 - d) / 2, time=initial.time + t)
 
 
-def markov_beta(initial: MarkovState, theta: float, t: int, e0: float) -> float:
-    """Transient inverse temperature of the chain at step t.
+def markov_imbalances(initial: MarkovState, theta: float, t_max: int) -> list[float]:
+    """x(t) = p_left(t) - p_right(t) for t = 0, ..., t_max, each as
+    :func:`markov_solution` computes it."""
+    decay, dp0 = math.cos(2 * theta), initial.p_left - initial.p_right
+    return [decay**t * dp0 for t in range(t_max + 1)]
 
-    beta_m(t) = atanh(x) / e0, which is ln((1 + x) / (1 - x)) / (2*e0) without
-    its loss of digits at small x, with x = cos(2*theta)^t * (p_left(0) -
-    p_right(0)).  |x| = 1 (a fully polarized start at t = 0) gives a signed
+
+def beta_of_imbalance(x: float, e0: float) -> float:
+    """Inverse temperature of a chain state with imbalance x = p_left - p_right.
+
+    atanh(x) / e0, which is ln((1 + x) / (1 - x)) / (2*e0) without its loss
+    of digits at small x.  |x| = 1 (a fully polarized state) gives a signed
     infinity.
     """
-    if t < 0:
-        raise ParameterError(f"t must be non-negative, got {t}")
-    x = math.cos(2 * theta) ** t * (initial.p_left - initial.p_right)
     if abs(x) >= 1.0:
         return math.copysign(math.inf, x)
     return math.atanh(x) / e0
+
+
+def markov_beta(initial: MarkovState, theta: float, t: int, e0: float) -> float:
+    """Transient inverse temperature of the chain at step t:
+    :func:`beta_of_imbalance` of x = cos(2*theta)^t * (p_left(0) - p_right(0))."""
+    if t < 0:
+        raise ParameterError(f"t must be non-negative, got {t}")
+    return beta_of_imbalance(math.cos(2 * theta) ** t * (initial.p_left - initial.p_right), e0)
 
 
 def markov_thermalization_time(

@@ -113,7 +113,16 @@ def step_arrays(a: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray,
     """One step, coin then shift, of amplitude arrays whose last axis runs
     over the sites; (B, N) arrays step B walks on one cycle at once."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.roll(a * c + b * s, -1, axis=-1), np.roll(a * s - b * c, 1, axis=-1)
+    # the shift moves up one site left and down one site right: the slices
+    # np.roll assigns, without its axis and shift bookkeeping on every step;
+    # each coin output is shifted before the next is made
+    up = a * c + b * s
+    left = np.empty_like(up)
+    left[..., :-1], left[..., -1] = up[..., 1:], up[..., 0]
+    down = a * s - b * c
+    right = np.empty_like(down)
+    right[..., 1:], right[..., 0] = down[..., :-1], down[..., -1]
+    return left, right
 
 
 def iterate_arrays(a: np.ndarray, b: np.ndarray, theta: float, steps: int):

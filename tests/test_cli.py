@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from cyclewalk import (
     CoinDensity,
+    MarkovState,
     WalkParams,
     chi_isotherm,
     chi_of_density,
     chi_reference,
     entanglement_entropy,
     localized_initial_state,
+    markov_beta,
+    markov_solution,
 )
 from cyclewalk import __version__, _oracle, cli
 from cyclewalk.cli import (
@@ -275,6 +278,24 @@ class TestMarkovCommand:
         assert summary["empirical"] == 14
         assert abs(summary["formula"] - 13.2877) < 1e-3
 
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 3, 0.01, 1.5])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_rows_are_the_closed_solution_bit_for_bit(self, capsys, theta, gamma):
+        # the columns come from one factored series; each row must read as
+        # markov_solution and markov_beta compute it alone, -0.0 and inf included
+        argv = ["markov", "--theta", repr(theta), "--gamma", repr(gamma), "--t-max", "3000",
+                "--e0", "0.7"]
+        _, out, _ = run(argv, capsys)
+        initial = MarkovState(math.cos(gamma / 2) ** 2, 1.0 - math.cos(gamma / 2) ** 2)
+        rows = [line.split(",") for line in data_lines(out)[1:]]
+        assert len(rows) == 3001
+        for t, p_left, p_right, beta_m in rows:
+            state = markov_solution(initial, theta, int(t))
+            expected = (state.p_left, state.p_right, markov_beta(initial, theta, int(t), 0.7))
+            assert [float(x).hex() for x in (p_left, p_right, beta_m)] == [
+                x.hex() for x in expected
+            ]
+
 
 class TestConfigFile:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -327,6 +348,11 @@ class TestConfigFile:
         (None, ["markov", "--epsilon", "1e-3", "--epsilon", "1e-4"]),
         ({"n_range": []}, ["mixing-sweep"]),
         (None, ["isotherms", "--grid", "30000x30000"]),
+        (None, ["simulate", "--n", "1000001", "--t-max", "3"]),
+        (None, ["mixing-sweep", "--n", "1000001", "--t-max", "3"]),
+        (None, ["mixing-sweep", "--n-range", "3:2000003:1000000", "--t-max", "3"]),
+        ({"n_range": [5, 1000001]}, ["mixing-sweep", "--t-max", "3"]),
+        (None, ["isotherms", "--n", "1000001", "--grid", "3x3"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
@@ -335,7 +361,9 @@ class TestConfigFile:
          "markov-t-max-above-ceiling", "simulate-grid", "isotherms-t-max", "markov-n",
          "selftest-out", "simulate-n-not-integer", "simulate-unknown-flag", "no-command",
          "config-simulate-grid", "n-with-n-range", "markov-two-epsilons",
-         "config-n-range-empty", "isotherms-grid-above-ceiling"],
+         "config-n-range-empty", "isotherms-grid-above-ceiling", "simulate-n-above-ceiling",
+         "mixing-sweep-n-above-ceiling", "n-range-above-ceiling", "config-n-range-above-ceiling",
+         "isotherms-n-above-ceiling"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:
@@ -436,6 +464,10 @@ def written(config, table, summary):
 
 
 FLOATS = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308])
+# a NaN whose payload differs from math.nan's: factored apart, spelled alike
+OTHER_NAN = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+# few values, so that a factored column repeats them; 0.0 sits beside -0.0
+FACTORED = st.sampled_from([0.0, -0.0, 0.5, math.nan, OTHER_NAN, math.inf, -math.inf, 5e-324])
 INTS = st.integers(-(2**64), 2**64) | st.sampled_from([2**53 + 1, -(2**53) - 1])
 CELLS = {  # the cells of one column: uniform kinds take the C conversions
     "float": FLOATS,
@@ -448,15 +480,33 @@ CELLS = {  # the cells of one column: uniform kinds take the C conversions
 
 @st.composite
 def tables(draw):
-    """A {column: list} table whose rows cycle through a few drawn cells per
-    column, so that the row counts around a JSON block stay cheap to draw."""
-    rows = draw(st.sampled_from([0, 1, 2, cli._BLOCK, cli._BLOCK + 1]))
+    """A {column: list or _Factored} table whose rows cycle through a few
+    drawn cells per column, so that the row counts around a JSON block stay
+    cheap to draw.  A factored column comes from _factored, or holds its
+    drawn cells as values, repeats included, as markov's beta_m column can."""
+    rows = draw(st.sampled_from([0, 1, 2, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1]))
     names = draw(st.permutations(["t", "p_left", "beta_m", "satisfied", "tau_therm"]))
     table = {}
     for name in names[: draw(st.integers(1, len(names)))]:
-        cells = draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))], min_size=1, max_size=6))
-        table[name] = [cells[i % len(cells)] for i in range(rows)]
+        kind = draw(st.sampled_from([*sorted(CELLS), "factored"]))
+        cells = draw(st.lists(FACTORED | FLOATS if kind == "factored" else CELLS[kind],
+                              min_size=1, max_size=6))
+        index = np.arange(rows) % len(cells)
+        if kind != "factored":
+            table[name] = [cells[i] for i in index]
+        elif draw(st.booleans()):
+            table[name] = cli._factored(np.array(cells)[index])
+        else:
+            table[name] = cli._Factored(np.array(cells), index)
     return table
+
+
+def materialized(table):
+    """The table with each factored column as the plain list of its cells."""
+    return {
+        key: column.values[column.index].tolist() if isinstance(column, cli._Factored) else column
+        for key, column in table.items()
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,9 +519,22 @@ def tables(draw):
 @example(table={"t": [], "beta_m": []}, fmt="json", summary=None)
 @example(table={"beta_m": [math.inf, math.nan, -0.0, None, 2**60, True]}, fmt="json",
          summary=None)
+@example(table={"beta_m": cli._Factored(np.array([-0.0, 0.0, math.inf]), np.array([0, 1, 2, 1, 0])),
+                "t": [0, 1, 2, 3, 4]}, fmt="csv", summary=None)
+@example(table={"chi": cli._factored(np.arange(cli._BLOCK + 1) % 3 / 2)}, fmt="json", summary=None)
 def test_writer_matches_the_per_cell_writer(table, fmt, summary):
     config = SimpleNamespace(command="markov", t_max=3, epsilon=[1e-4], format=fmt, out=None)
-    assert written(config, table, summary) == reference_dataset(config, table, summary)
+    expected = reference_dataset(config, materialized(table), summary)
+    assert written(config, table, summary) == expected
+
+
+def test_factored_tells_values_apart_by_bit_pattern():
+    column = cli._factored([0.0, -0.0, math.nan, OTHER_NAN, 0.0, math.nan, -0.0])
+    assert len(column) == 7
+    assert len(column.values) == 4
+    assert column.values[column.index].tobytes() == np.array(
+        [0.0, -0.0, math.nan, OTHER_NAN, 0.0, math.nan, -0.0]
+    ).tobytes()
 
 
 def test_json_writer_rejects_string_cells():

@@ -17,6 +17,8 @@ from cyclewalk import (
     step,
 )
 
+from cyclewalk.walk import step_arrays
+
 from conftest import random_state
 
 SQRT_HALF = math.sqrt(2) / 2
@@ -96,6 +98,16 @@ class TestStep:
                     up, down = (k + 1) % n, (k - 1) % n
                     assert abs(out.a[k] - (s.a[up] * c + s.b[up] * si)) < 1e-15
                     assert abs(out.b[k] - (s.a[down] * si - s.b[down] * c)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (5, 7), (2, 3, 4), (733,)])
+    def test_step_arrays_is_the_rolled_coin(self, rng, shape):
+        # the shift is a permutation: bit for bit the np.roll of the coin's output
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        c, si = math.cos(0.7), math.sin(0.7)
+        left, right = step_arrays(a, b, 0.7)
+        assert left.tobytes() == np.roll(a * c + b * si, -1, axis=-1).tobytes()
+        assert right.tobytes() == np.roll(a * si - b * c, 1, axis=-1).tobytes()
 
     def test_norm_preserved_random(self, rng):
         for n in (3, 4, 9):
