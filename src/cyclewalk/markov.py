@@ -63,9 +63,17 @@ def markov_solution(initial: MarkovState, theta: float, t: int) -> MarkovState:
 
 def markov_imbalances(initial: MarkovState, theta: float, t_max: int) -> list[float]:
     """x(t) = p_left(t) - p_right(t) for t = 0, ..., t_max, each as
-    :func:`markov_solution` computes it."""
+    :func:`markov_solution` computes it.  |cos(2*theta)^t| falls with t, so
+    once x underflows to a signed zero the rest is that zero, alternating in
+    sign if cos(2*theta) < 0, and is filled in, not computed."""
     decay, dp0 = math.cos(2 * theta), initial.p_left - initial.p_right
-    return [decay**t * dp0 for t in range(t_max + 1)]
+    x = []
+    for t in range(t_max + 1):
+        x.append(decay**t * dp0)
+        if x[-1] == 0.0:
+            zeros = [-x[-1], x[-1]] if decay < 0 else [x[-1], x[-1]]
+            return x + zeros * ((t_max - t) // 2) + zeros[: (t_max - t) % 2]
+    return x
 
 
 def beta_of_imbalance(x: float, e0: float) -> float:

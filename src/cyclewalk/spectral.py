@@ -17,8 +17,9 @@ the mode values at arbitrary time in O(N), the site amplitudes through one
 FFT in O(N log N) time and O(N) memory, and exact time averages.
 
 The coin density at every step of a run (:func:`coin_trajectory`) comes
-instead from powers of each mode's 2x2 transfer matrix, which stay accurate
-where the two-frequency coefficients are singular.
+instead from rotations of the modes' Bloch vectors, folded over two exact
+mode symmetries; they stay accurate where the two-frequency coefficients
+are singular, and keep the trace exact.
 """
 
 from __future__ import annotations
@@ -159,41 +160,40 @@ def amplitudes_trajectory(
 _WORK_ELEMENTS = 2**15
 
 
-def _times(y, x):
-    """(a, b) of the product Y X of two powers of one step matrix.
-
-    Every power M^j of the step matrix has the form [[a, b], [s conj(b),
-    -s conj(a)]] with s = (-1)^(j+1) (det M = -1); ``y`` is (a, b) and ``x``
-    is (a, b, s).  The components broadcast.
-    """
-    (ya, yb), (xa, xb, xs) = y, x
-    return ya * xa + yb * (xs * xb.conj()), ya * xb - yb * (xs * xa.conj())
-
-
-def _matvec(v, x):
-    """X v for a mode pair ``v`` = (v_L, v_R) and X = (a, b, s) as in :func:`_times`."""
-    xa, xb, xs = x
-    return xa * v[0] + xb * v[1], (xs * xb.conj()) * v[0] - (xs * xa.conj()) * v[1]
-
-
-def _fill_powers(out, x, apply):
-    """Fill row j of the component arrays ``out`` with X^j applied to row 0.
-
-    Doubling: each pass extends the filled rows [0, m) to [0, 2m) with
-    ``apply(rows, X^m)`` and squares X^m (a square has s = -1), so the
-    Python steps are logarithmic in the row count.
-    """
-    rows, m = len(out[0]), 1
-    while m < rows:
-        n = min(m, rows - m)
-        for dst, src in zip(out, apply(tuple(comp[:n] for comp in out), x)):
-            dst[m : m + n] = src
-        x, m = (*_times(x[:2], x), -1.0), 2 * m
-    return out
-
-
 def _abs2(x):
     return x.real**2 + x.imag**2
+
+
+def _rotation(a, b, sign):
+    """R = Ad(X) as a (3, 3, ...) array: X rho X^dagger turns the Bloch vector
+    (x, y, z) of rho by R, for X = [[a, b], [s conj(b), -s conj(a)]].
+
+    Products of rounded step matrices carry |a|^2 + |b|^2 != 1, as
+    fl(cos theta)^2 + fl(sin theta)^2 != 1, and R scales with it; dividing
+    by it keeps R a rotation to roundoff.  The components broadcast.
+    """
+    ab, cross, diff, total = a * b, a * b.conj(), b * b - a * a, a * a + b * b
+    rot = np.array([
+        [sign * diff.real, -sign * total.imag, 2 * sign * ab.real],
+        [-sign * diff.imag, -sign * total.real, -2 * sign * ab.imag],
+        [2 * cross.real, 2 * cross.imag, _abs2(a) - _abs2(b)],
+    ])
+    return rot / (_abs2(a) + _abs2(b))
+
+
+def _fill_powers(out, x):
+    """Fill row j of ``out`` (rows, 3, c, K) with X^j applied to row 0, for
+    the K rotations ``x`` (3, 3, K).
+
+    Doubling: each pass extends the filled rows [0, m) to [0, 2m) with
+    X^m and squares X^m, so the Python steps are logarithmic in the rows.
+    """
+    rows, m = len(out), 1
+    while m < rows:
+        n = min(m, rows - m)
+        out[m : m + n] = np.einsum("ilk,...lck->...ick", x, out[:n])
+        x, m = np.einsum("ilk,ljk->ijk", x, x), 2 * m
+    return out
 
 
 def _power_of_walk(theta: float, n_sites: int, t: int):
@@ -225,73 +225,86 @@ def coin_trajectory(
 
     In the unitary Fourier basis one step acts on mode k as the 2x2 matrix
     M_k = diag(z_k, conj(z_k)) @ [[cos theta, sin theta], [sin theta,
-    -cos theta]] with z_k = exp(2*pi*i*k/N), so the mode pair at time t is
-    u_k(t) = M_k^t v_k(0).  By Parseval p_left(t) = sum_k |u_{k,L}(t)|^2,
-    p_right(t) = sum_k |u_{k,R}(t)|^2 and q(t) = sum_k u_{k,L} conj(u_{k,R}),
-    so no inverse transform is needed.  The powers are plain products of
-    unitaries, accurate at every theta (theta = 0 included), unlike the
-    two-frequency coefficients of :func:`decompose`.
+    -cos theta]] with z_k = exp(2*pi*i*k/N).  By Parseval the coin density
+    is the sum of the mode densities v_k v_k^dagger, so no inverse transform
+    is needed.  Mode k's density has weight w_k = |v_L|^2 + |v_R|^2 and
+    Bloch vector s_k = (2 Re v_L conj(v_R), -2 Im v_L conj(v_R), |v_L|^2 -
+    |v_R|^2), and a step turns s_k by the rotation R_k = Ad(M_k) (see
+    :func:`_rotation`).  So r(t) = sum_k R_k^t s_k and, with W = sum_k w_k
+    constant in t,
+
+        p_left = (W + r_z) / 2,  p_right = (W - r_z) / 2,  q = (r_x - i r_y) / 2,
+
+    whose trace is W at every t, to roundoff.  The powers are plain
+    products of rotations, accurate at every theta (theta = 0 included),
+    unlike the two-frequency coefficients of :func:`decompose`.
+
+    Two exact symmetries cut the modes.  For even N, M_{k+N/2} = -M_k, so
+    both share R_k and their vectors are summed first, leaving m = N/2 modes
+    (m = N for odd N).  Mode k's partner (m - k) mod m has the matrix
+    +-conj(M_k), so the rotation F R_k F with F = diag(1, -1, 1).  With S
+    and S_p their summed vectors, r_x and r_z read R_k^t (S + F S_p) and
+    r_y reads R_k^t (S - F S_p); k = 0 and m/2 are their own partners
+    (S_p = 0).  That leaves floor(m/2) + 1 modes.
 
     Baby-step/giant-step: with t = c*B + j and B = ceil(sqrt(t_max + 1)),
-    the baby powers M^j = (a, b, s) (j < B, see :func:`_times`) and the
-    giant states v_c = M^{cB} v(0) give, with w = conj(v_L) v_R,
-
-        p_left = |a|^2 |v_L|^2 + |b|^2 |v_R|^2 + 2 Re(conj(a) b w),
-        p_right = |b|^2 |v_L|^2 + |a|^2 |v_R|^2 - 2 Re(conj(a) b w),
-        q = s (a b (|v_L|^2 - |v_R|^2) + (b^2 - a^2) Re w + i (b^2 + a^2) Im w),
-
-    each summed over the modes.  Per block of modes these sums are real
-    matrix products of giant features (C = ceil((t_max + 1) / B) rows) and
-    baby weights (B columns), so Python runs O(log t_max) steps per block
-    and the O(N t_max) arithmetic runs in BLAS.  Every per-block array
-    stays under ``_WORK_ELEMENTS`` float64 values; the other arrays hold
-    one value per mode or are the returned series of O(t_max) values, so
-    t_max above ``MAX_STEPS`` (10^6, the ceiling of :func:`evolve`) raises
+    the baby rotations R^j (j < B) and the giant vectors G^c (S +- F S_p),
+    with G = Ad(M^B) and c < C = ceil((t_max + 1) / B), give each component
+    of r as a real matrix product per block of modes.  That is 9 products
+    per mode per time point: about 9 N t_max flops for odd N and
+    4.5 N t_max for even N, against 28 N t_max for the complex mode pairs
+    of all N modes.  Python runs O(log t_max) steps per block and the
+    arithmetic runs in BLAS.  Every per-block array stays under
+    ``_WORK_ELEMENTS`` float64 values; the other arrays hold a few values
+    per mode or are the returned series of O(t_max) values, so t_max above
+    ``MAX_STEPS`` (10^6, the ceiling of :func:`evolve`) raises
     :class:`ParameterError` before anything is allocated.  The roundoff
     grows with C, not with t_max, because M^B comes from
     :func:`_power_of_walk`.  Row t = 0 is summed over the sites by
-    :func:`cyclewalk.walk.coin_entries`, as in :func:`cyclewalk.thermo.coin_density`.
+    :func:`cyclewalk.walk.coin_entries`, as in
+    :func:`cyclewalk.thermo.coin_density`, and W is its trace.
     """
     if not 0 <= t_max <= MAX_STEPS:
         raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
     n_times = t_max + 1
     n_baby = math.isqrt(n_times - 1) + 1
     n_giant = -(-n_times // n_baby)
-    block = max(1, _WORK_ELEMENTS // (4 * n_baby))
+    block = max(1, _WORK_ELEMENTS // (9 * n_baby))
     n = state0.n_sites
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    c, s = math.cos(theta), math.sin(theta)
-    sign = np.where(np.arange(n_baby) % 2, 1.0, -1.0)[:, None]
     v_l, v_r = fourier_coefficients(state0)
+    cross = 2 * v_l * v_r.conj()
+    # fold mode k + N/2 onto k (even N), then pair k with m - k
+    m = n // 2 if n % 2 == 0 else n
+    bloch = np.stack([cross.real, -cross.imag, _abs2(v_l) - _abs2(v_r)])
+    bloch = bloch.reshape(3, -1, m).sum(axis=1)
+    reps = np.arange(m // 2 + 1)
+    partner = bloch[:, -reps % m] * [[1.0], [-1.0], [1.0]]
+    partner[:, reps == -reps % m] = 0.0
+    u = np.stack([bloch[:, reps] + partner, bloch[:, reps] - partner], axis=1)
+    z = np.exp(2j * np.pi * reps / n)
+    rot = _rotation(z * math.cos(theta), z * math.sin(theta), 1.0)
     giant_a, giant_b, giant_sign = _power_of_walk(theta, n, n_baby)
-    # acc[o, c, j]: entry o (p_left, p_right, Re q, Im q) at t = c*B + j
-    acc = np.zeros((4, n_giant, n_baby))
-    for lo in range(0, n, block):
+    giant_rot = _rotation(giant_a[reps], giant_b[reps], giant_sign)
+    # acc[o, c, j]: component o (x, y, z) of r at t = c*B + j
+    acc = np.zeros((3, n_giant, n_baby))
+    for lo in range(0, reps.size, block):
         modes = slice(lo, lo + block)
         k = z[modes].size
-        baby = (np.empty((n_baby, k), complex), np.empty((n_baby, k), complex))
-        baby[0][0], baby[1][0] = 1.0, 0.0
-        a, b = _fill_powers(baby, (z[modes] * c, z[modes] * s, 1.0), _times)
-        giant = (np.empty((n_giant, k), complex), np.empty((n_giant, k), complex))
-        giant[0][0], giant[1][0] = v_l[modes], v_r[modes]
-        giant_step = (giant_a[modes], giant_b[modes], giant_sign)
-        g_l, g_r = _fill_powers(giant, giant_step, _matvec)
-        n_l, n_r, w = _abs2(g_l), _abs2(g_r), g_l.conj() * g_r
-        # p_right takes the weights of p_left with the features swapped and
-        # the cross terms negated
-        h = a.conj() * b
-        weights = np.stack([_abs2(a), _abs2(b), 2 * h.real, -2 * h.imag], axis=1)
-        weights = weights.reshape(n_baby, 4 * k)
-        for out, features in zip(acc, ([n_l, n_r, w.real, w.imag], [n_r, n_l, -w.real, -w.imag])):
-            out += np.stack(features, axis=1).reshape(n_giant, 4 * k) @ weights.T
-        u, a2, b2 = sign * a * b, a * a, b * b
-        d, e = sign * (b2 - a2), sign * (b2 + a2)
-        features = np.stack([n_l - n_r, w.real, w.imag], axis=1).reshape(n_giant, 3 * k)
-        for out, weights in zip(acc[2:], ([u.real, d.real, -e.imag], [u.imag, d.imag, e.real])):
-            out += features @ np.stack(weights, axis=1).reshape(n_baby, 3 * k).T
-    series = acc.reshape(4, -1)[:, :n_times]
-    p_left, p_right, q = series[0], series[1], series[2] + 1j * series[3]
+        baby = np.empty((n_baby, 3, 3, k))
+        baby[0] = np.eye(3)[:, :, None]
+        _fill_powers(baby, rot[..., modes])
+        giant = np.empty((n_giant, 3, 2, k))
+        giant[0] = u[..., modes]
+        _fill_powers(giant, giant_rot[..., modes])
+        # r_x and r_z read S + F S_p, r_y reads S - F S_p
+        for row, (out, column) in enumerate(zip(acc, (0, 1, 0))):
+            features = giant[:, :, column].reshape(n_giant, 3 * k)
+            out += features @ baby[:, row].reshape(n_baby, 3 * k).T
+    r_x, r_y, r_z = acc.reshape(3, -1)[:, :n_times]
     # a localized start keeps its exactly pure coin at t = 0, where the
     # temperature reading is most sensitive to roundoff
-    p_left[0], p_right[0], q[0] = coin_entries(state0.a, state0.b)
+    start = coin_entries(state0.a, state0.b)
+    weight = start[0] + start[1]
+    p_left, p_right, q = (weight + r_z) / 2, (weight - r_z) / 2, (r_x - 1j * r_y) / 2
+    p_left[0], p_right[0], q[0] = start
     return p_left, p_right, q

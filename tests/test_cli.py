@@ -233,6 +233,32 @@ class TestMixingSweep:
         recs = json.loads(out)["records"]
         assert [r["n"] for r in recs] == [10, 20, 30]
 
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (
+                ["--n-range", "100:300:100", "--t-max", "100000"],
+                [
+                    (100, 14, 42, 14), (100, 146, 518, 146), (100, 1730, 5429, 1730),
+                    (200, 14, 42, 14), (200, 146, 437, 146), (200, 1642, 4847, 1642),
+                    (300, 14, 42, 14), (300, 138, 422, 138), (300, 1571, 4810, 1571),
+                ],
+            ),
+            (
+                ["--n", "4096", "--t-max", "2000", "--epsilon", "1e-2", "--epsilon", "1e-3"],
+                [(4096, 14, 42, 14), (4096, 138, 378, 138)],
+            ),
+        ],
+    )
+    def test_fig3_times_are_pinned(self, capsys, argv, rows):
+        # (n, tau_mix, tau_therm, tau_therm_scaled) at the paper's start and
+        # epsilon = 1e-2, 1e-3 (, 1e-4), so a change to the coin series
+        # cannot move a time unnoticed
+        _, out, _ = run(["mixing-sweep", *argv], capsys)
+        header, *lines = [line.split(",") for line in data_lines(out)]
+        columns = [header.index(c) for c in ("n", "tau_mix", "tau_therm", "tau_therm_scaled")]
+        assert [tuple(int(line[i]) for i in columns) for line in lines] == rows
+
     def test_unsatisfied_horizon_exit_two(self, capsys):
         code, _, err = run(
             ["mixing-sweep", "--n", "20", "--epsilon", "1e-6", "--t-max", "10"],

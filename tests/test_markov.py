@@ -14,6 +14,7 @@ from cyclewalk import (
     markov_thermalization_time,
 )
 from cyclewalk._oracle import markov_vs_iterated
+from cyclewalk.markov import markov_imbalances
 
 
 class TestMarkovStep:
@@ -180,3 +181,19 @@ class TestMarkovThermalizationTime:
             if e0 * abs(markov_beta(initial, theta, t, e0)) > eps
         ]
         assert tau == violations[-1] + 1
+
+
+@pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 3, 1.2, 1.5])
+@pytest.mark.parametrize("p_left", [1.0, 0.3, 0.5])
+def test_imbalances_fill_the_underflowed_tail(theta, p_left):
+    # from p_left = 1, x underflows to a signed zero at t = 2151, 1075 and
+    # 2447 (theta = 1.5 only at 74,085, past t_max); the tail after it is
+    # filled in, alternating in sign where cos(2 theta) < 0, and must read
+    # as the per-t formula does
+    initial = MarkovState(p_left, 1.0 - p_left)
+    decay, dp0 = math.cos(2 * theta), initial.p_left - initial.p_right
+    t_max = 3001
+    expected = [decay**t * dp0 for t in range(t_max + 1)]
+    assert [x.hex() for x in markov_imbalances(initial, theta, t_max)] == [
+        x.hex() for x in expected
+    ]

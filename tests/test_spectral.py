@@ -24,6 +24,7 @@ from cyclewalk import (
 )
 from cyclewalk._oracle import direct_densities
 from cyclewalk.spectral import mode_values_at
+from cyclewalk.walk import coin_entries
 
 from conftest import random_state
 
@@ -253,3 +254,62 @@ class TestCoinTrajectory:
 def test_coin_trajectory_direct_equivalence_property(n, theta, t_max, seed):
     # theta = 0 and 1e-6 at N = 12 are where the two-frequency closed form fails
     assert_matches_direct(random_state(np.random.default_rng(seed), n), theta, t_max)
+
+
+def edge_start(rng, n, start):
+    """A normalized random state on all sites, on the odd sites only, or on
+    one site away from the origin."""
+    s0 = random_state(rng, n)
+    sites = np.arange(n)
+    keep = {"random": sites >= 0, "odd sites": sites % 2 == 1, "off origin": sites == n - 2}[start]
+    a, b = s0.a * keep, s0.b * keep
+    norm = math.sqrt(np.sum(np.abs(a) ** 2 + np.abs(b) ** 2))
+    return WalkState(a / norm, b / norm)
+
+
+@pytest.mark.parametrize("start", ["random", "odd sites", "off origin"])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 0.9])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
+def test_mode_symmetry_edge_cases(rng, n, theta, start):
+    # odd N has no fold; N = 2 (mod 4) folds to an odd number of modes, with
+    # one self-paired mode, and 4 | N to an even number, with two
+    assert_matches_direct(edge_start(rng, n, start), theta, 60)
+
+
+@pytest.mark.parametrize("start", ["random", "localized"])
+def test_trace_is_the_norm_at_every_step(rng, start):
+    # the trace is the constant weight of the modes, so it carries none of
+    # the norm drift of fl(cos theta)^2 + fl(sin theta)^2 != 1 over 10^4 steps
+    if start == "random":
+        s0 = random_state(rng, 1000)
+    else:
+        s0 = localized_initial_state(WalkParams(1000, math.pi / 4, math.pi / 3, math.pi / 6))
+    p_left, p_right, _ = coin_trajectory(s0, math.pi / 4, 10**4)
+    assert np.abs(p_left + p_right - s0.norm_squared).max() <= 1e-15
+
+
+def long_double_densities(s0, theta, t_max):
+    """Oracle: (p_left, p_right, q) of direct steps in long double, whose
+    coin takes cos and sin of theta in long double, so it is unitary to
+    about 1e-19 per step."""
+    c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
+    a, b = s0.a.astype(np.clongdouble), s0.b.astype(np.clongdouble)
+    rows = []
+    for _ in range(t_max + 1):
+        rows.append(coin_entries(a, b))
+        a, b = np.roll(a * c + b * s, -1), np.roll(a * s - b * c, 1)
+    return np.array(rows).T
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="long double is no wider than double on this platform, so the "
+    "oracle's coin would carry the same norm drift as the one under test",
+)
+def test_matches_a_unitary_long_double_walk(rng):
+    # a double stepper shares the drift of fl(cos theta)^2 + fl(sin theta)^2
+    # != 1; the rotations are normalized and stay closer to the unitary walk
+    s0 = random_state(rng, 64)
+    want = long_double_densities(s0, 0.7, 2000)
+    for got, exact in zip(coin_trajectory(s0, 0.7, 2000), want):
+        assert np.abs(got - exact).max() < 5e-14
