@@ -128,28 +128,55 @@ def _json_spell(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
+_BLOCK = 4096  # rows per joined block of text, and per json.dumps of a plain column
+
+
+def _joined_blocks(cells, n_rows, seps, end):
+    """The rows as text, _BLOCK rows per string, from cells whose text is
+    known: ``cells(start, stop)`` gives each column's texts for those rows,
+    ``seps[i]`` follows column i's cell and ``end`` follows the last cell.
+    One join per block over a list whose strided slices hold the columns."""
+    k = len(seps)
+    pattern = [x for sep in seps for x in (None, sep)]
+    for start in range(0, n_rows, _BLOCK):
+        stop = min(start + _BLOCK, n_rows)
+        out = pattern * (stop - start)
+        for i, texts in enumerate(cells(start, stop)):
+            out[2 * i :: 2 * k] = texts
+        if stop == n_rows:
+            out[-1] = end
+        yield "".join(out)
+
+
 def _csv_lines(config, table, summary):
-    """The lines of a CSV dataset, each with its newline, one at a time."""
+    """The text of a CSV dataset: header lines, then rows one at a time or,
+    when every cell is text or an int, in blocks of _BLOCK rows."""
     yield f"# cyclewalk {__version__}\n"
     yield "# config: " + json.dumps(_echo(config), sort_keys=True) + "\n"
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(table) + "\n"
-    # one % conversion per column formats float and int cells in C, as _fmt
+    columns = list(table.values())
+    # None marks a factored column, spelled here once
+    kinds = [None if isinstance(c, _Factored) else set(map(type, c)) for c in columns]
+    columns = [c.spelled(_csv_spell) if kind is None else c for c, kind in zip(columns, kinds)]
+    if all(kind is None or kind <= {int} for kind in kinds):
+        # str spells an int as _fmt does
+        yield from _joined_blocks(
+            lambda a, b: (map(str, c[a:b]) if kind else c[a:b] for c, kind in zip(columns, kinds)),
+            len(columns[0]), [","] * (len(columns) - 1) + ["\n"], "\n",
+        )
+        return
+    # one % conversion per row formats float and int columns in C, as _fmt
     # would; a factored column arrives as text
-    formats, columns = [], []
-    for column in table.values():
-        if isinstance(column, _Factored):
-            formats.append("%s")
-            columns.append(column.spelled(_csv_spell))
-            continue
-        kind = set(map(type, column))
-        formats.append("%.17g" if kind <= {float} else "%d" if kind <= {int} else "%s")
-        columns.append(map(_fmt, column) if formats[-1] == "%s" else column)
+    formats = [
+        "%s" if kind is None else "%.17g" if kind <= {float} else "%d" if kind <= {int} else "%s"
+        for kind in kinds
+    ]
+    columns = [
+        map(_fmt, c) if kind and f == "%s" else c for c, kind, f in zip(columns, kinds, formats)
+    ]
     yield from map((",".join(formats) + "\n").__mod__, zip(*columns))
-
-
-_BLOCK = 4096  # JSON records encoded per json.dumps call of a plain column
 
 
 def _json_chunks(config, table, summary):
@@ -169,18 +196,18 @@ def _json_chunks(config, table, summary):
     if summary is not None:
         payload["summary"] = summary
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps("\0"))
-    keys = sorted(table)
-    record = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in keys) + "\n    }"
-    texts = {k: table[k].spelled(_json_spell) for k in keys if isinstance(table[k], _Factored)}
-    n_rows = len(table[keys[0]])
-    yield head + ("[\n" if n_rows else "[]")
-    for start in range(0, n_rows, _BLOCK):
-        cells = (
-            texts[k][start : start + _BLOCK] if k in texts
-            else _json_spell(table[k][start : start + _BLOCK])
-            for k in keys
-        )
-        yield ",\n" * (start > 0) + ",\n".join(map(record.__mod__, zip(*cells)))
+    names = sorted(table)
+    factored = [isinstance(table[k], _Factored) for k in names]
+    columns = [table[k].spelled(_json_spell) if f else table[k] for k, f in zip(names, factored)]
+    keys = [json.dumps(k) for k in names]
+    n_rows = len(columns[0])
+    # a record's first key follows the previous record's closing brace
+    seps = [f",\n      {k}: " for k in keys[1:]] + ["\n    },\n    {\n      " + keys[0] + ": "]
+    yield head + (f"[\n    {{\n      {keys[0]}: " if n_rows else "[]")
+    yield from _joined_blocks(
+        lambda a, b: (c[a:b] if f else _json_spell(c[a:b]) for c, f in zip(columns, factored)),
+        n_rows, seps, "\n    }",
+    )
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 
 
@@ -234,12 +261,18 @@ def cmd_isotherms(config: SimpleNamespace) -> int:
     n_gamma, n_phi = config.grid
     gammas = np.linspace(0.0, math.pi, n_gamma)
     phis = np.linspace(-math.pi / 2, math.pi / 2, n_phi)
-    gg, pp = np.meshgrid(gammas, phis, indexing="ij")
-    chi = chi_isotherm_grid(config.n, config.theta, gg, pp)
-    t_over_t0 = _t_over_t0(config, _beta_ref(config), chi)
-    # a grid repeats each gamma and phi, and chi (so T/T0) is even in phi
-    columns = {"gamma": gg, "phi": pp, "chi": chi, "t_over_t0": t_over_t0}
-    _write_dataset(config, {key: _factored(a) for key, a in columns.items()})
+    # row-major over (gamma, phi): the grid gives the gamma and phi columns
+    # their index, and chi, even in phi, repeats its values
+    chi = _factored(chi_isotherm_grid(config.n, config.theta, gammas[:, None], phis[None, :]))
+    # T/T0 is a function of chi, and rounds some neighbouring chi alike
+    t_over_t0 = _factored(_t_over_t0(config, _beta_ref(config), chi.values))
+    table = {
+        "gamma": _Factored(gammas, np.repeat(np.arange(n_gamma), n_phi)),
+        "phi": _Factored(phis, np.tile(np.arange(n_phi), n_gamma)),
+        "chi": chi,
+        "t_over_t0": _Factored(t_over_t0.values, t_over_t0.index[chi.index]),
+    }
+    _write_dataset(config, table)
     return EXIT_OK
 
 
@@ -347,16 +380,18 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser, with the flags of ``command`` only, or of every command
+    when ``command`` is None."""
     parser = _Parser(
         prog="cyclewalk",
         description="Coined quantum walks on N-cycles: simulations and sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, settings, _) in _COMMANDS.items():
+    for name in _COMMANDS if command is None else [command]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for key in settings.split():
+        for key in _COMMANDS[name][1].split():
             p.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][2])
     return parser
 
@@ -425,8 +460,12 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # only a command's own flags are built; any argv whose first token names
+    # no command ends in help or an error that lists every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         return _COMMANDS[args.command][0](_resolve_config(args))
     except (CycleWalkError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

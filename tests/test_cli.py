@@ -192,6 +192,35 @@ class TestIsotherms:
         code, _, err = run(["isotherms", "--grid", "1x5"], capsys)
         assert code == EXIT_VALIDATION
 
+    @staticmethod
+    def reference_isotherms(config):
+        """The command as it was before its columns came from the grid's
+        structure: a meshgrid, then each of the four columns factored."""
+        n_gamma, n_phi = config.grid
+        gammas = np.linspace(0.0, math.pi, n_gamma)
+        phis = np.linspace(-math.pi / 2, math.pi / 2, n_phi)
+        gg, pp = np.meshgrid(gammas, phis, indexing="ij")
+        chi = cli.chi_isotherm_grid(config.n, config.theta, gg, pp)
+        t_over_t0 = cli._t_over_t0(config, cli._beta_ref(config), chi)
+        columns = {"gamma": gg, "phi": pp, "chi": chi, "t_over_t0": t_over_t0}
+        cli._write_dataset(config, {key: cli._factored(a) for key, a in columns.items()})
+
+    @pytest.mark.parametrize("grid", ["2x2", "3x5", "37x53", "181x181"])
+    @pytest.mark.parametrize(
+        "settings",
+        [["--n", "100", "--theta", repr(math.pi / 4)], ["--n", "7", "--theta", "0.3"],
+         ["--n", "7", "--theta", "0.3", "--e0", "2.5"]],
+        ids=["paper", "small-cycle", "e0"],
+    )
+    def test_bytes_match_the_meshgrid_command(self, capsys, grid, settings):
+        for fmt in ("csv", "json"):
+            argv = ["isotherms", *settings, "--grid", grid, "--format", fmt]
+            code, out, _ = run(argv, capsys)
+            assert code == EXIT_OK
+            config = cli._resolve_config(cli._build_parser(None).parse_args(argv))
+            self.reference_isotherms(config)
+            assert out == capsys.readouterr().out
+
 
 class TestMixingSweep:
     def test_columns_and_cross_check(self, capsys):
@@ -422,6 +451,42 @@ def test_help_lists_the_settings_read(capsys, command):
     assert re.findall(r"^  (--[\w-]+)", out, re.MULTILINE) == FLAGS[command].split()
 
 
+def full_parser_help(argv, capsys):
+    """What the parser of every command prints for ``argv`` (a --help)."""
+    with pytest.raises(SystemExit):
+        cli._build_parser(None).parse_args(argv)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], *([command] for command in FLAGS)], ids=["top", *FLAGS])
+def test_help_is_that_of_the_parser_of_every_command(capsys, argv):
+    expected = full_parser_help([*argv, "--help"], capsys)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected
+    if not argv:
+        assert "{simulate,isotherms,mixing-sweep,markov,selftest}" in expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--grid", "3x3"], ["bogus"], ["bogus", "simulate"], ["-x", "markov"]]
+)
+def test_parser_errors_are_those_of_the_parser_of_every_command(capsys, argv):
+    with pytest.raises(cli.ParameterError) as error:
+        cli._build_parser(None).parse_args(argv)
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert (out, err) == ("", f"error: {error.value}\n")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["markov", "--theta", "1.0", "--t-max", "7"]
+    expected = run(argv, capsys)
+    monkeypatch.setattr("sys.argv", ["cyclewalk", *argv])
+    assert run(None, capsys) == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -535,6 +600,17 @@ def materialized(table):
     }
 
 
+# markov's table over _BLOCK + 2 rows: an int column beside factored columns
+# that share one index
+_X = cli._factored(np.array([1.0, 0.5, -0.25, 0.0, -0.0])[np.minimum(np.arange(cli._BLOCK + 2), 4)])
+MARKOV_SHAPE = {
+    "t": list(range(cli._BLOCK + 2)),
+    "p_left": cli._Factored((1.0 + _X.values) / 2, _X.index),
+    "p_right": cli._Factored((1.0 - _X.values) / 2, _X.index),
+    "beta_m": cli._Factored(np.array([math.inf, 0.5, -0.25, 0.0, -0.0]), _X.index),
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     table=tables(),
@@ -548,6 +624,19 @@ def materialized(table):
 @example(table={"beta_m": cli._Factored(np.array([-0.0, 0.0, math.inf]), np.array([0, 1, 2, 1, 0])),
                 "t": [0, 1, 2, 3, 4]}, fmt="csv", summary=None)
 @example(table={"chi": cli._factored(np.arange(cli._BLOCK + 1) % 3 / 2)}, fmt="json", summary=None)
+# the joined blocks: every column factored or all ints, across a block
+@example(table={"gamma": cli._factored(np.arange(cli._BLOCK + 1) // 7 / 3),
+                "chi": cli._factored(np.arange(cli._BLOCK + 1) % 3 / 2)}, fmt="csv", summary=None)
+@example(table=MARKOV_SHAPE, fmt="csv", summary={"outcome": "thermalizing"})
+@example(table=MARKOV_SHAPE, fmt="json", summary={"outcome": "thermalizing"})
+@example(table={"satisfied": [t % 2 == 0 for t in MARKOV_SHAPE["t"]], **MARKOV_SHAPE}, fmt="csv",
+         summary=None)
+@example(table={"satisfied": [t % 2 == 0 for t in MARKOV_SHAPE["t"]], **MARKOV_SHAPE}, fmt="json",
+         summary=None)
+@example(table={**MARKOV_SHAPE, "t": [(2**64 + 1, -(2**70), 0)[t % 3] for t in MARKOV_SHAPE["t"]]},
+         fmt="csv", summary=None)
+@example(table={**MARKOV_SHAPE, "t": [(2**64 + 1, -(2**70), 0)[t % 3] for t in MARKOV_SHAPE["t"]]},
+         fmt="json", summary=None)
 def test_writer_matches_the_per_cell_writer(table, fmt, summary):
     config = SimpleNamespace(command="markov", t_max=3, epsilon=[1e-4], format=fmt, out=None)
     expected = reference_dataset(config, materialized(table), summary)
