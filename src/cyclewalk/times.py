@@ -7,20 +7,25 @@ averaged density; the thermalization time measures the inverse temperature
 beta.  The two deviations are asymptotically proportional with constant
 c = 2*cosh^2(beta_inf * e0).
 
+Both read one series, d(t) = lambda+(t) - lambda+_inf: every threshold is
+a band [lo, hi] that d must stay in.  A mixing threshold epsilon is
+[-epsilon, epsilon].  Since tanh(e0*beta) = |r| = 2*lambda+ - 1,
+e0*|beta(t) - beta_inf| > epsilon exactly when d(t) leaves [lo, hi], with
+lo, hi = (tanh(e0*beta_inf -+ epsilon) - r_inf)/2.  At t = 1 the average
+is a pure coin (beta = inf) read at its largest finite split 1 - 2**-53,
+so a beta threshold is violated there when
+atanh(1 - 2**-53) - e0*beta_inf > epsilon.
+
 The scan need not run to ``t_max``.  The Bloch vector of the average obeys
 |r(t) - r_inf| <= K/t with a constant K that does not grow with N
-(:func:`cyclewalk.thermo.envelope_constant`).  Since lambda+ = (1 + |r|)/2,
-a lambda+ threshold epsilon cannot be violated once K/t < 2*epsilon.  Since
-tanh(e0*beta) = |r|, the mean-value theorem gives
-e0*|beta - beta_inf| <= delta / (1 - (r_inf + delta)^2) whenever
-|r - r_inf| <= delta, so a beta threshold epsilon cannot be violated once
-K/t is below the root delta of that bound set equal to epsilon.  With the
-smallest delta over all thresholds, shrunk by a relative 1e-9 to absorb
-the roundoff of the computed series, no violation can occur at or after
-the horizon t* = floor(K/delta) + 1, and the scan covers only
-[1, min(t*, t_max)].  Every reported value is the one a scan over all of
-[1, t_max] gives.  ``satisfied`` still means "not violated at t_max"; it
-is a proof of convergence only when t* <= t_max.
+(:func:`cyclewalk.thermo.envelope_constant`), so |d(t)| <= K/(2t) and no
+band is left once K/t < delta = 2*min(hi, -lo).  With the smallest delta,
+shrunk by a relative 1e-9 to absorb the roundoff of the computed series,
+no violation can occur at or after the horizon t* = floor(K/delta) + 1,
+and the scan covers only [1, min(t*, t_max)].  Every reported value is
+the one a scan over all of [1, t_max] gives.  ``satisfied`` still means
+"not violated at t_max"; it is a proof of convergence only when
+t* <= t_max.
 
 The averages are running sums of the coin series that ``simulate`` reads,
 from :func:`cyclewalk.spectral.coin_trajectory`.  That series stops at
@@ -40,7 +45,6 @@ from .spectral import SpectralDecomposition, coin_trajectory
 from .thermo import (
     CoinDensity,
     asymptotic_density,
-    beta_of_chi,
     chi_of_density,
     decompose_localized,
     envelope_constant,
@@ -75,14 +79,8 @@ def density_seminorm(rho1: CoinDensity, rho2: CoinDensity) -> float:
     return abs(math.sqrt(chi_of_density(rho1)) - math.sqrt(chi_of_density(rho2)))
 
 
-def _lambda_beta_series(params: WalkParams, t_end: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_plus, beta) of the averages over steps 0..t-1, for t = 1..t_end."""
-    series = coin_trajectory(localized_initial_state(params), params.theta, t_end - 1)
-    chi = running_chi(*series)
-    # the t = 1 average is a pure coin (beta = inf); capping its split at
-    # 1 - 1e-16 keeps beta(1) finite, so a large beta threshold holds at t = 1
-    beta = beta_of_chi(np.minimum(chi, 0.25 * (1.0 - 1e-16) ** 2), params.energy_scale)
-    return 0.5 + np.sqrt(chi), beta
+# e0*beta of the one-term average, a pure coin (module docstring)
+_PURE_COIN_E0_BETA = math.atanh(1.0 - 2.0**-53)
 
 
 def _asymptotics(decomp: SpectralDecomposition, e0: float) -> tuple[float, float, float]:
@@ -92,26 +90,19 @@ def _asymptotics(decomp: SpectralDecomposition, e0: float) -> tuple[float, float
     return limit.lambda_plus, limit.beta, c
 
 
-def _horizon(
-    decomp: SpectralDecomposition,
-    lam_inf: float,
-    lam_eps: list[float],
-    beta_eps: list[float],
-) -> int | float:
-    """Envelope horizon t*: no threshold is violated at any t >= t*.
+def _beta_band(lam_inf: float, e0_beta_inf: float, e: float) -> tuple[float, float]:
+    """Band (lo, hi) of d = lambda+ - lam_inf in which e0*|beta - beta_inf| <= e."""
+    r_inf = 2.0 * lam_inf - 1.0
+    return 0.5 * (math.tanh(e0_beta_inf - e) - r_inf), 0.5 * (math.tanh(e0_beta_inf + e) - r_inf)
+
+
+def _horizon(decomp: SpectralDecomposition, bands: list[tuple[float, float]]) -> int | float:
+    """Envelope horizon t*: no band is left at any t >= t*.
 
     The bound is derived in the module docstring.  Returns inf when K/delta
-    is not a finite number.  ``beta_eps`` must be empty unless
-    0 < r_inf < 1.
+    is not a finite number.
     """
-    r_inf = 2.0 * lam_inf - 1.0
-    slack = 1.0 - r_inf**2
-    deltas = [2.0 * e for e in lam_eps]
-    for e in beta_eps:
-        # root of delta / (1 - (r_inf + delta)^2) = e, free of cancellation
-        b = 1.0 + 2.0 * e * r_inf
-        deltas.append(2.0 * e * slack / (b + math.sqrt(b * b + 4.0 * e * e * slack)))
-    delta = min(deltas) * (1.0 - 1e-9)
+    delta = min(2.0 * min(hi, -lo) for lo, hi in bands) * (1.0 - 1e-9)
     bound = envelope_constant(decomp) / delta if delta > 0.0 else math.inf
     return math.floor(bound) + 1 if bound < math.inf else math.inf
 
@@ -128,29 +119,28 @@ def _last_violations(
     decomp: SpectralDecomposition,
     t_max: int,
     lam_inf: float,
-    lam_eps: list[float],
-    beta_inf: float,
-    beta_eps: list[float],
-) -> tuple[list[int], list[int]]:
-    """Last t in 1..t_max violating each threshold, 0 where none does.
+    bands: list[tuple[float, float]],
+) -> list[int]:
+    """Last t in 1..t_max at which d(t) = lambda+(t) - lam_inf leaves each
+    band [lo, hi], 0 where none does.
 
-    A threshold e in ``lam_eps`` is violated when |lambda+(t) - lam_inf| > e,
-    one in ``beta_eps`` when e0*|beta(t) - beta_inf| > e.  All thresholds
-    share one series, which stops at the envelope horizon t* of ``decomp``
-    when that comes before t_max: no threshold can be violated from t* on,
-    so the result equals that of a scan over all of 1..t_max.
+    All bands share one series, which stops at the envelope horizon t* of
+    ``decomp`` when that comes before t_max: no band can be left from t*
+    on, so the result equals that of a scan over all of 1..t_max.
     """
-    t_end = min(t_max, _horizon(decomp, lam_inf, lam_eps, beta_eps))
-    lam_plus, beta = _lambda_beta_series(params, t_end)
-    lam_dev = np.abs(lam_plus - lam_inf)
-    beta_dev = params.energy_scale * np.abs(beta - beta_inf)
-    return [_last_over(lam_dev, e) for e in lam_eps], [_last_over(beta_dev, e) for e in beta_eps]
+    t_end = min(t_max, _horizon(decomp, bands))
+    chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, t_end - 1))
+    dev = np.sqrt(chi, out=chi)  # in place: no second series-long array
+    dev += 0.5
+    dev -= lam_inf
+    # dev[i] is the deviation at t = i + 1
+    outside = [np.flatnonzero((dev < lo) | (dev > hi)) for lo, hi in bands]
+    return [int(bad[-1]) + 1 if bad.size else 0 for bad in outside]
 
 
-def _last_over(dev: np.ndarray, e: float) -> int:
-    """Last t with dev > e, where dev[i] is the deviation at t = i + 1; 0 if none."""
-    bad = np.flatnonzero(dev > e)
-    return int(bad[-1]) + 1 if bad.size else 0
+def _therm_last(last: int, epsilon: float, e0_beta_inf: float) -> int:
+    """``last`` of a beta band, with t = 1 decided by the pure coin (module docstring)."""
+    return last if last > 1 else int(_PURE_COIN_E0_BETA - e0_beta_inf > epsilon)
 
 
 def _report(
@@ -169,9 +159,9 @@ def _report(
 def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceReport:
     """Scan for the last t in 1..t_max with |lambda+(t) - lambda+(inf)| > epsilon."""
     _check_scan_args([epsilon], t_max)
-    decomp, e0 = decompose_localized(params), params.energy_scale
-    lam_inf, beta_inf, c = _asymptotics(decomp, e0)
-    (last,), _ = _last_violations(params, decomp, t_max, lam_inf, [epsilon], beta_inf, [])
+    decomp = decompose_localized(params)
+    lam_inf, _, c = _asymptotics(decomp, params.energy_scale)
+    (last,) = _last_violations(params, decomp, t_max, lam_inf, [(-epsilon, epsilon)])
     return _report(epsilon, last, t_max, c)
 
 
@@ -191,9 +181,10 @@ def convergence_sweep(
     lam_inf, beta_inf, c = _asymptotics(decomp, e0)
     beta_ok = beta_inf > 0.0 and not math.isinf(beta_inf)
     beta_eps = [*epsilons, *(c * e for e in epsilons)] if beta_ok else []
-    last_mix, last_beta = _last_violations(
-        params, decomp, t_max, lam_inf, epsilons, beta_inf, beta_eps
-    )
+    bands = [(-e, e) for e in epsilons] + [_beta_band(lam_inf, e0 * beta_inf, e) for e in beta_eps]
+    last = _last_violations(params, decomp, t_max, lam_inf, bands)
+    last_mix = last[: len(epsilons)]
+    last_beta = [_therm_last(k, e, e0 * beta_inf) for k, e in zip(last[len(epsilons) :], beta_eps)]
     records = []
     for i, e in enumerate(epsilons):
         records.append(
@@ -226,5 +217,6 @@ def thermalization_time(
         # chi_inf = 0: the asymptotic temperature is infinite and beta(t)
         # only decays as 1/sqrt(t), so no finite horizon certifies the scan.
         return _report(epsilon, t_max, t_max, c)
-    _, (last,) = _last_violations(params, decomp, t_max, lam_inf, [], beta_inf, [epsilon])
-    return _report(epsilon, last, t_max, c)
+    band = _beta_band(lam_inf, e0 * beta_inf, epsilon)
+    (last,) = _last_violations(params, decomp, t_max, lam_inf, [band])
+    return _report(epsilon, _therm_last(last, epsilon, e0 * beta_inf), t_max, c)

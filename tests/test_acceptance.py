@@ -38,7 +38,9 @@ from cyclewalk._oracle import (
     localized_vs_spectral,
     markov_vs_iterated,
 )
-from cyclewalk.times import _asymptotics, _lambda_beta_series
+from cyclewalk.spectral import coin_trajectory
+from cyclewalk.thermo import beta_of_chi, running_chi
+from cyclewalk.times import _asymptotics
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.3)
 FIG3 = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
@@ -214,7 +216,8 @@ def test_mixing_time_scaling():
 def test_eigenvalue_beta_linearization():
     params = WalkParams(100, **FIG3)
     lam_inf, beta_inf, c = _asymptotics(decompose_localized(params), params.energy_scale)
-    lam_plus, beta = _lambda_beta_series(params, 10**5)
+    chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, 10**5 - 1))
+    lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, params.energy_scale)
     # t = 10^3..10^5
     x = (beta[10**3 - 1 :] - beta_inf) / c
     y = lam_plus[10**3 - 1 :] - lam_inf

@@ -18,9 +18,10 @@ from cyclewalk import (
     mixing_time,
     thermalization_time,
 )
-from cyclewalk.thermo import envelope_constant
-from cyclewalk.times import _asymptotics, _horizon, _lambda_beta_series, convergence_sweep
-from cyclewalk.walk import MAX_STEPS
+from cyclewalk.spectral import coin_trajectory
+from cyclewalk.thermo import beta_of_chi, envelope_constant, running_chi
+from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
+from cyclewalk.walk import MAX_STEPS, localized_initial_state
 
 FIG3_PARAMS = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
 
@@ -99,10 +100,26 @@ class TestMixingTime:
 
 class TestThermalizationTime:
     def test_huge_epsilon_immediate(self):
-        # the single-term average is a pure coin, so beta(1) is clipped near
-        # atanh(1); only a threshold above that makes every t compliant
+        # the single-term average is a pure coin, read as e0*beta(1) =
+        # atanh(1 - 2**-53); only a threshold above that makes every t compliant
         report = thermalization_time(WalkParams(5, **FIG3_PARAMS), 25.0, 100)
         assert report.tau == 1
+
+    @pytest.mark.parametrize(
+        "gamma, phi",
+        [(math.pi / 3, math.pi / 6), (1.6212106872922651, 5.498651053948909)],
+        ids=["fig3", "chi1-below-quarter"],
+    )
+    def test_pure_coin_at_t1(self, gamma, phi):
+        # e0*beta(1) is read as atanh(1 - 2**-53) = 18.715 whatever the
+        # roundoff of chi(1); the second start's chi(1) is 1/4 - 8.3e-17,
+        # which alone would read as 18.37
+        params = WalkParams(5, math.pi / 4, gamma, phi)
+        e0_beta_inf = params.energy_scale * _asymptotics(
+            decompose_localized(params), params.energy_scale
+        )[1]
+        assert thermalization_time(params, 18.5 - e0_beta_inf, 100).tau == 2
+        assert thermalization_time(params, 18.8 - e0_beta_inf, 100).tau == 1
 
     def test_c_constant(self):
         params = WalkParams(20, **FIG3_PARAMS)
@@ -132,7 +149,8 @@ def test_linearization_slope():
     # eigenvalue deviation vs (1/c) * beta deviation: slope 1 for large t
     params = WalkParams(100, **FIG3_PARAMS)
     lam_inf, beta_inf, c = _asymptotics(decompose_localized(params), params.energy_scale)
-    lam_plus, beta = _lambda_beta_series(params, 100000)
+    chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, 99999))
+    lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, params.energy_scale)
     # t = 1000..100000
     x = (beta[999:] - beta_inf) / c
     y = lam_plus[999:] - lam_inf
@@ -140,19 +158,42 @@ def test_linearization_slope():
     assert abs(slope - 1.0) < 0.05
 
 
-def test_convergence_sweep_matches_individual_scans():
-    # the three scans share one code path, so pin the Fig. 3 values (the
-    # same at t_max = 1e5) as well as checking the scans against each other
-    params = WalkParams(100, **FIG3_PARAMS)
-    recs = convergence_sweep(params, [1e-2, 1e-3, 1e-4], 6000)
-    taus = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"]) for r in recs]
-    assert taus == [(14, 42, 14), (146, 518, 146), (1730, 5429, 1730)]
-    assert all(r["satisfied"] for r in recs)
+# the (gamma, phi) Bloch starts of the benchmark's seeds 0-3
+SEED_STARTS = {
+    "fig3": (math.pi / 3, math.pi / 6),
+    "seed1": (0.7506120838291039, 5.324583204732311),
+    "seed2": (2.719097182267897, 5.955375740432253),
+    "seed3": (1.0191726709033764, 3.4194930721172536),
+}
+# (tau_mix, tau_therm, tau_therm_scaled, satisfied) per epsilon; N = 100 scans
+# 1e-2, 1e-3, 1e-4 to t_max = 6000 (the Fig. 3 values are the same at 1e5),
+# N = 4096 scans 1e-2, 1e-3 to t_max = 2000
+SWEEP_PINS = {
+    ("fig3", 100): [(14, 42, 14, True), (146, 518, 146, True), (1730, 5429, 1730, True)],
+    ("seed1", 100): [(14, 30, 14, True), (113, 326, 113, True), (1446, 3765, 1446, True)],
+    ("seed2", 100): [(6, 15, 6, True), (75, 219, 75, True), (1108, 2613, 1108, True)],
+    ("seed3", 100): [(15, 31, 15, True), (154, 327, 154, True), (1663, 3559, 1663, True)],
+    ("fig3", 4096): [(14, 42, 14, True), (138, 378, 138, True)],
+    ("seed1", 4096): [(14, 30, 14, True), (102, 262, 102, True)],
+    ("seed2", 4096): [(6, 15, 6, True), (67, 131, 67, True)],
+    ("seed3", 4096): [(15, 31, 15, True), (131, 255, 131, True)],
+}
+
+
+@pytest.mark.parametrize("start, n", list(SWEEP_PINS), ids=[f"{s}-n{n}" for s, n in SWEEP_PINS])
+def test_convergence_sweep_matches_individual_scans(start, n):
+    # the three scans share one code path, so pin the values as well as
+    # checking the scans against each other
+    epsilons, t_max = ([1e-2, 1e-3, 1e-4], 6000) if n == 100 else ([1e-2, 1e-3], 2000)
+    params = WalkParams(n, math.pi / 4, *SEED_STARTS[start])
+    recs = convergence_sweep(params, epsilons, t_max)
+    rows = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"], r["satisfied"]) for r in recs]
+    assert rows == SWEEP_PINS[start, n]
     for rec in recs:
         eps = rec["epsilon"]
-        assert rec["tau_mix"] == mixing_time(params, eps, 6000).tau
-        assert rec["tau_therm"] == thermalization_time(params, eps, 6000).tau
-        scaled = thermalization_time(params, rec["c"] * eps, 6000).tau
+        assert rec["tau_mix"] == mixing_time(params, eps, t_max).tau
+        assert rec["tau_therm"] == thermalization_time(params, eps, t_max).tau
+        scaled = thermalization_time(params, rec["c"] * eps, t_max).tau
         assert rec["tau_therm_scaled"] == scaled
 
 
@@ -198,6 +239,19 @@ def test_series_beyond_step_ceiling_raises():
         convergence_sweep(WalkParams(5, **FIG3_PARAMS), [5e-324], MAX_STEPS + 2)
 
 
+def _mean_value_horizon(dec, lam_inf, lam_eps, beta_eps):
+    """t* from the mean-value bound e0*|beta - beta_inf| <= delta / (1 - (r_inf + delta)^2)."""
+    r_inf = 2.0 * lam_inf - 1.0
+    slack = 1.0 - r_inf**2
+    deltas = [2.0 * e for e in lam_eps]
+    for e in beta_eps:
+        # root of delta / (1 - (r_inf + delta)^2) = e, free of cancellation
+        b = 1.0 + 2.0 * e * r_inf
+        deltas.append(2.0 * e * slack / (b + math.sqrt(b * b + 4.0 * e * e * slack)))
+    bound = envelope_constant(dec) / (min(deltas) * (1.0 - 1e-9))
+    return math.floor(bound) + 1 if bound < math.inf else math.inf
+
+
 def _last_violation(dev: np.ndarray, eps: float) -> int:
     bad = np.nonzero(dev > eps)[0]
     return int(bad[-1]) + 1 if bad.size else 0
@@ -216,7 +270,12 @@ def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     dec = decompose_localized(params)
     lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
     beta_ok = 0.0 < beta_inf < math.inf
-    t_star = _horizon(dec, lam_inf, [eps], [eps, c * eps] if beta_ok else [])
+    beta_eps = [eps, c * eps] if beta_ok else []
+    e0_beta_inf = params.energy_scale * beta_inf
+    bands = [(-eps, eps)] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
+    t_star = _horizon(dec, bands)
+    # the exact band edge is at least the mean-value root, so t* only shrinks
+    assert t_star <= _mean_value_horizon(dec, lam_inf, [eps], beta_eps)
 
     # |r(t) - r_inf| <= K/t, with r_z = p_left - p_right and r_x - i r_y = 2q
     ts = np.arange(1, 4 * t_star + 1)
