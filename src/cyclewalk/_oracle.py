@@ -3,9 +3,12 @@
 Each check compares one route to a quantity with an independent one (direct
 iteration, the spectral limit, the iterated chain) and returns its worst
 absolute deviation; the callers draw the inputs and hold the bounds.  The
-walk checks take states at time 0 on one cycle and ``direct``, their
-:func:`direct_series`; :func:`direct_densities` streams the coin densities
-of the same walk in O(B N) memory, for walks too long to store.
+walk checks take the starts at time 0 on one cycle, or their spectral
+decompositions, and ``direct``, their :func:`direct_series`;
+:func:`direct_walks` walks several cycles in one stepping loop and
+:func:`direct_densities` streams the coin densities of one cycle's walk in
+O(B N) memory, for walks too long to store.  :func:`walk_checks` runs the
+four walk checks as ``selftest`` does.
 """
 
 from __future__ import annotations
@@ -15,16 +18,15 @@ import math
 import numpy as np
 
 from .markov import MarkovState, markov_solution, markov_step
-from .spectral import amplitudes_trajectory, coin_trajectory, decompose
+from .spectral import SpectralDecomposition, amplitudes_trajectory, coin_trajectory, decompose
 from .thermo import (
     asymptotic_density,
     asymptotic_density_localized,
     averaged_trajectory_closed,
     chi_isotherm,
     chi_of_density,
-    decompose_localized,
 )
-from .walk import WalkParams, WalkState, coin_entries, iterate_arrays
+from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
 
 
 def bloch_points(rng, count: int = 20) -> list[tuple[float, float]]:
@@ -39,7 +41,7 @@ def bloch_points(rng, count: int = 20) -> list[tuple[float, float]]:
 def _walk(states: list[WalkState], theta: float, t_max: int):
     """The (B, N) amplitudes of B states on one cycle after 0..t_max steps."""
     a, b = np.stack([s.a for s in states]), np.stack([s.b for s in states])
-    return iterate_arrays(a, b, theta, t_max)
+    return iterate_arrays(a, b, coin(theta), t_max)
 
 
 def direct_series(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
@@ -49,6 +51,31 @@ def direct_series(states: list[WalkState], theta: float, t_max: int) -> tuple[np
     return np.stack(a), np.stack(b)
 
 
+def direct_walks(walks: list[tuple[list[WalkState], float]], t_max: int) -> list[tuple]:
+    """The :func:`direct_series` of each (states, theta) of ``walks``, from
+    one stepping loop: every state is a cycle of its own on one flat site
+    axis, back to back, with its own coin."""
+    states = [s for group, _ in walks for s in group]
+    sizes = [s.n_sites for s in states]
+    last = np.cumsum(sizes) - 1
+    thetas = [theta for group, theta in walks for _ in group]
+    site_coin = tuple(np.repeat(x, sizes) for x in zip(*map(coin, thetas)))
+    a = np.concatenate([s.a for s in states])
+    b = np.concatenate([s.b for s in states])
+    # filled row by row: stacking a list of the rows would hold them twice
+    a_b = np.empty((2, t_max + 1, a.size), complex)
+    for t, row in enumerate(iterate_arrays(a, b, site_coin, t_max, (last + 1 - sizes, last))):
+        a_b[:, t] = row
+    a, b = a_b
+    series, lo = [], 0
+    for group, _ in walks:
+        hi = lo + sum(s.n_sites for s in group)
+        shape = (t_max + 1, len(group), -1)
+        series.append((a[:, lo:hi].reshape(shape), b[:, lo:hi].reshape(shape)))
+        lo = hi
+    return series
+
+
 def direct_densities(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
     """Coin density entries (p_left, p_right, q), each (t_max + 1, B), of
     the walk of :func:`direct_series`, summed one step at a time."""
@@ -56,42 +83,47 @@ def direct_densities(states: list[WalkState], theta: float, t_max: int) -> tuple
     return tuple(np.array(x) for x in zip(*entries))
 
 
-def _worst(per_state, direct) -> float:
-    """Largest deviation between per-state results, each a tuple of (T, ...)
-    arrays, and the (T, B, ...) direct arrays they correspond to."""
-    stacked = (np.stack(x, axis=1) for x in zip(*per_state))
-    return max(float(np.abs(x - y).max()) for x, y in zip(stacked, direct))
+def _worst(got, direct) -> float:
+    """Largest deviation between two tuples of (T, B, ...) arrays."""
+    return max(float(np.abs(x - y).max()) for x, y in zip(got, direct))
+
+
+def _stacked(per_state):
+    """Per-state results, each a tuple of (T, ...) arrays, as (T, B, ...) arrays."""
+    return [np.stack(x, axis=1) for x in zip(*per_state)]
 
 
 def series_vs_direct(states: list[WalkState], theta: float, direct) -> float:
-    """:func:`coin_trajectory` against the densities of ``direct``."""
-    series = (coin_trajectory(s, theta, len(direct[0]) - 1) for s in states)
-    return _worst(series, coin_entries(*direct))
+    """:func:`coin_trajectory` of the batch ``states`` against the densities of ``direct``."""
+    series = coin_trajectory(states, theta, len(direct[0]) - 1)
+    return _worst([x.T for x in series], coin_entries(*direct))
 
 
-def closed_amplitudes_vs_direct(states: list[WalkState], theta: float, direct) -> float:
-    """:func:`amplitudes_trajectory` against ``direct``."""
+def closed_amplitudes_vs_direct(decomps: list[SpectralDecomposition], direct) -> float:
+    """:func:`amplitudes_trajectory` of each start's decomposition against ``direct``."""
     ts = np.arange(len(direct[0]))
-    closed = (amplitudes_trajectory(decompose(s, theta), ts) for s in states)
-    return _worst(closed, direct)
+    return _worst(_stacked(amplitudes_trajectory(d, ts) for d in decomps), direct)
 
 
-def closed_average_vs_direct(states: list[WalkState], theta: float, direct) -> float:
+def closed_average_vs_direct(decomps: list[SpectralDecomposition], direct) -> float:
     """:func:`averaged_trajectory_closed` against running averages of the
     densities of ``direct``: the average at t = 1..T takes rows 0..t-1."""
     ts = np.arange(1, len(direct[0]))
-    closed = (averaged_trajectory_closed(decompose(s, theta), ts) for s in states)
+    closed = _stacked(averaged_trajectory_closed(d, ts) for d in decomps)
     densities = coin_entries(direct[0][:-1], direct[1][:-1])
-    return _worst(closed, (np.cumsum(x, axis=0) / ts[:, None] for x in densities))
+    return _worst(closed, [np.cumsum(x, axis=0) / ts[:, None] for x in densities])
 
 
-def localized_vs_spectral(params: list[WalkParams]) -> tuple[float, float]:
+def localized_vs_spectral(
+    params: list[WalkParams], decomps: list[SpectralDecomposition]
+) -> tuple[float, float]:
     """:func:`asymptotic_density_localized` and :func:`chi_isotherm` against
-    the spectral limit :func:`asymptotic_density`: (density dev, chi dev)."""
+    the spectral limit :func:`asymptotic_density` of each start's
+    decomposition (its localized start's): (density dev, chi dev)."""
     worst = worst_chi = 0.0
-    for p in params:
+    for p, decomp in zip(params, decomps, strict=True):
         closed = asymptotic_density_localized(p)
-        limit = asymptotic_density(decompose_localized(p))
+        limit = asymptotic_density(decomp)
         worst = max(
             worst,
             abs(closed.p_left - limit.p_left),
@@ -100,6 +132,21 @@ def localized_vs_spectral(params: list[WalkParams]) -> tuple[float, float]:
         )
         worst_chi = max(worst_chi, abs(chi_of_density(limit) - chi_isotherm(p)))
     return worst, worst_chi
+
+
+def walk_checks(groups: list[list[WalkParams]], t_max: int) -> list[float]:
+    """The worst deviations of the four walk checks above, over the localized
+    starts of ``groups``, one cycle each: every cycle is walked for t_max
+    steps in one stepping loop, and each start is decomposed once."""
+    walks = [([localized_initial_state(p) for p in group], group[0].theta) for group in groups]
+    directs = direct_walks(walks, t_max)
+    decomps = [[decompose(s, theta) for s in states] for states, theta in walks]
+    return [
+        max(series_vs_direct(*walk, direct) for walk, direct in zip(walks, directs)),
+        max(map(closed_amplitudes_vs_direct, decomps, directs)),
+        max(map(closed_average_vs_direct, decomps, directs)),
+        max(localized_vs_spectral(sum(groups, []), sum(decomps, []))),
+    ]
 
 
 def markov_vs_iterated(chains: list[tuple[float, float]], t_max: int) -> float:

@@ -104,18 +104,23 @@ class _Factored:
     def __len__(self) -> int:
         return len(self.index)
 
-    def spelled(self, spell) -> list[str]:
-        """The cells' text, ``spell`` turning the list of values into theirs."""
-        return np.array(spell(self.values.tolist()), dtype=object)[self.index].tolist()
-
 
 def _factored(array) -> _Factored:
     """Factor a float array by bit pattern, not by value: -0.0 and 0.0, and
     NaNs of different payloads, stay apart, so the text stays the same."""
-    bits, index = np.unique(
-        np.asarray(array, dtype=np.float64).ravel().view(np.uint64), return_inverse=True
-    )
-    return _Factored(bits.view(np.float64), index)
+    bits = np.asarray(array, dtype=np.float64).ravel().view(np.uint64)
+    # np.unique's inverse, holding fewer cell-long arrays at once: the
+    # indices fit int32, as no dataset has 2**31 rows
+    order = np.argsort(bits)
+    ranked = bits[order]
+    new = np.empty(ranked.size, bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    values = ranked[new]
+    del ranked
+    index = np.empty(order.size, np.int32)
+    index[order] = np.cumsum(new, dtype=np.int32) - 1
+    return _Factored(values.view(np.float64), index)
 
 
 def _csv_spell(values: list[float]) -> list[str]:
@@ -129,6 +134,26 @@ def _json_spell(values: list) -> list[str]:
 
 
 _BLOCK = 4096  # rows per joined block of text, and per json.dumps of a plain column
+
+
+def _cell_types(column) -> set:
+    """The types of a plain column's cells: from the dtype of a numpy array
+    or from a range, without a scan; from every cell of a list."""
+    if isinstance(column, np.ndarray):
+        return {type(column.dtype.type().item())}
+    return {int} if isinstance(column, range) else set(map(type, column))
+
+
+def _block_reader(column, spell):
+    """``read(start, stop)``: the column's cells in those rows, as Python
+    values, one block at a time; a factored column's values are spelled
+    once, by ``spell``, and read as their texts."""
+    if isinstance(column, _Factored):
+        texts = np.array(spell(column.values.tolist()), dtype=object)
+        return lambda a, b: texts[column.index[a:b]].tolist()
+    if isinstance(column, np.ndarray):
+        return lambda a, b: column[a:b].tolist()
+    return lambda a, b: list(column[a:b])
 
 
 def _joined_blocks(cells, n_rows, seps, end):
@@ -149,22 +174,24 @@ def _joined_blocks(cells, n_rows, seps, end):
 
 
 def _csv_lines(config, table, summary):
-    """The text of a CSV dataset: header lines, then rows one at a time or,
-    when every cell is text or an int, in blocks of _BLOCK rows."""
+    """The text of a CSV dataset: header lines, then the rows, read _BLOCK
+    at a time: one join per block when every cell is text or an int, else
+    one string per row."""
     yield f"# cyclewalk {__version__}\n"
     yield "# config: " + json.dumps(_echo(config), sort_keys=True) + "\n"
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(table) + "\n"
     columns = list(table.values())
-    # None marks a factored column, spelled here once
-    kinds = [None if isinstance(c, _Factored) else set(map(type, c)) for c in columns]
-    columns = [c.spelled(_csv_spell) if kind is None else c for c, kind in zip(columns, kinds)]
+    n_rows = len(columns[0])
+    # None marks a factored column, read as text
+    kinds = [None if isinstance(c, _Factored) else _cell_types(c) for c in columns]
+    readers = [_block_reader(c, _csv_spell) for c in columns]
     if all(kind is None or kind <= {int} for kind in kinds):
         # str spells an int as _fmt does
         yield from _joined_blocks(
-            lambda a, b: (map(str, c[a:b]) if kind else c[a:b] for c, kind in zip(columns, kinds)),
-            len(columns[0]), [","] * (len(columns) - 1) + ["\n"], "\n",
+            lambda a, b: (map(str, r(a, b)) if kind else r(a, b) for r, kind in zip(readers, kinds)),
+            n_rows, [","] * (len(columns) - 1) + ["\n"], "\n",
         )
         return
     # one % conversion per row formats float and int columns in C, as _fmt
@@ -173,10 +200,13 @@ def _csv_lines(config, table, summary):
         "%s" if kind is None else "%.17g" if kind <= {float} else "%d" if kind <= {int} else "%s"
         for kind in kinds
     ]
-    columns = [
-        map(_fmt, c) if kind and f == "%s" else c for c, kind, f in zip(columns, kinds, formats)
+    readers = [
+        (lambda a, b, r=r: map(_fmt, r(a, b))) if kind and f == "%s" else r
+        for r, kind, f in zip(readers, kinds, formats)
     ]
-    yield from map((",".join(formats) + "\n").__mod__, zip(*columns))
+    row = (",".join(formats) + "\n").__mod__
+    for start in range(0, n_rows, _BLOCK):
+        yield from map(row, zip(*(r(start, start + _BLOCK) for r in readers)))
 
 
 def _json_chunks(config, table, summary):
@@ -188,7 +218,7 @@ def _json_chunks(config, table, summary):
     cells read the same there, and ", " splits them: no cell is a string.
     """
     plain = [column for column in table.values() if not isinstance(column, _Factored)]
-    cell_types = set().union(*(map(type, column) for column in plain))
+    cell_types = set().union(*map(_cell_types, plain))
     if not all(issubclass(t, (int, float, type(None))) for t in cell_types):
         raise TypeError(f"dataset cells must be numbers, bools or None, got {cell_types}")
     # "\0" marks where the records go: no config or summary string holds it
@@ -198,22 +228,22 @@ def _json_chunks(config, table, summary):
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps("\0"))
     names = sorted(table)
     factored = [isinstance(table[k], _Factored) for k in names]
-    columns = [table[k].spelled(_json_spell) if f else table[k] for k, f in zip(names, factored)]
+    readers = [_block_reader(table[k], _json_spell) for k in names]
     keys = [json.dumps(k) for k in names]
-    n_rows = len(columns[0])
+    n_rows = len(table[names[0]])
     # a record's first key follows the previous record's closing brace
     seps = [f",\n      {k}: " for k in keys[1:]] + ["\n    },\n    {\n      " + keys[0] + ": "]
     yield head + (f"[\n    {{\n      {keys[0]}: " if n_rows else "[]")
     yield from _joined_blocks(
-        lambda a, b: (c[a:b] if f else _json_spell(c[a:b]) for c, f in zip(columns, factored)),
+        lambda a, b: (r(a, b) if f else _json_spell(r(a, b)) for r, f in zip(readers, factored)),
         n_rows, seps, "\n    }",
     )
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 
 
 def _write_dataset(config, table, summary=None):
-    """Stream a {column: list or _Factored} table as CSV (commented header)
-    or JSON to config.out / stdout."""
+    """Stream a {column: list, range, numpy array or _Factored} table as CSV
+    (commented header) or JSON to config.out / stdout."""
     chunks = (_csv_lines if config.format == "csv" else _json_chunks)(config, table, summary)
     if config.out:
         with open(config.out, "w") as fh:
@@ -253,7 +283,7 @@ def cmd_simulate(config: SimpleNamespace) -> int:
         "lambda_plus_avg": 0.5 + np.sqrt(chi_avg),
         "t_over_t0": _t_over_t0(config, beta_ref, chi_avg),
     }
-    _write_dataset(config, {key: a.tolist() for key, a in columns.items()})
+    _write_dataset(config, columns)
     return EXIT_OK
 
 
@@ -303,11 +333,12 @@ def cmd_markov(config: SimpleNamespace) -> int:
     # the Bloch polar angle sets the classical start: p_left = cos^2(gamma/2)
     p_left0 = math.cos(config.gamma / 2) ** 2
     initial = MarkovState(p_left0, 1.0 - p_left0)
-    # x = p_left - p_right tends to 0 and underflows, so its values repeat
-    x = _factored(markov_imbalances(initial, config.theta, config.t_max))
+    # x = p_left - p_right tends to 0 and underflows, so its values repeat;
+    # as an array, the list is freed before the factoring sorts
+    x = _factored(np.array(markov_imbalances(initial, config.theta, config.t_max)))
     beta_m = [beta_of_imbalance(v, config.e0) for v in x.values.tolist()]
     table = {
-        "t": list(range(config.t_max + 1)),
+        "t": range(config.t_max + 1),
         "p_left": _Factored((1.0 + x.values) / 2, x.index),
         "p_right": _Factored((1.0 - x.values) / 2, x.index),
         "beta_m": _Factored(np.array(beta_m), x.index),
@@ -332,18 +363,13 @@ def cmd_selftest(config: SimpleNamespace) -> int:
     rng = random.Random(config.seed)
     cycles = [(rng.randint(3, 12), rng.uniform(0.1, math.pi / 2 - 0.05)) for _ in range(4)]
     starts = [[WalkParams(n, th, *bp) for bp in _oracle.bloch_points(rng, 5)] for n, th in cycles]
-    walks = [([localized_initial_state(p) for p in group], group[0].theta) for group in starts]
-    walks = [(*walk, _oracle.direct_series(*walk, 200)) for walk in walks]  # one walk per cycle
     chains = [(rng.uniform(0, math.pi / 2), rng.uniform(0, 1)) for _ in range(10)]
+    series, amplitudes, average, limit = _oracle.walk_checks(starts, 200)
     results = [
-        ("coin series matches direct iteration",
-         max(_oracle.series_vs_direct(*walk) for walk in walks), 1e-10),
-        ("spectral closed form matches direct iteration",
-         max(_oracle.closed_amplitudes_vs_direct(*walk) for walk in walks), 1e-10),
-        ("closed-form time average matches direct average",
-         max(_oracle.closed_average_vs_direct(*walk) for walk in walks), 1e-10),
-        ("localized asymptotics and isotherm match the spectral limit",
-         max(_oracle.localized_vs_spectral([p for group in starts for p in group])), 1e-10),
+        ("coin series matches direct iteration", series, 1e-10),
+        ("spectral closed form matches direct iteration", amplitudes, 1e-10),
+        ("closed-form time average matches direct average", average, 1e-10),
+        ("localized asymptotics and isotherm match the spectral limit", limit, 1e-10),
         ("classical closed solution matches iterated chain",
          _oracle.markov_vs_iterated(chains, 49), 1e-13),
     ]

@@ -25,6 +25,7 @@ are singular, and keep the trace exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +220,14 @@ def _power_of_walk(theta: float, n_sites: int, t: int):
 
 
 def coin_trajectory(
-    state0: WalkState, theta: float, t_max: int
+    starts: WalkState | Sequence[WalkState], theta: float, t_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coin density entries (p_left, p_right, q) after t = 0..t_max steps.
+
+    ``starts`` is one state, giving (t_max + 1,) arrays, or a sequence of B
+    states on one cycle, giving (B, t_max + 1) arrays.  One state is a batch
+    of one: the starts share the mode rotations, the baby powers and the
+    giant step, and each start's row is bit for bit its own call's.
 
     In the unitary Fourier basis one step acts on mode k as the 2x2 matrix
     M_k = diag(z_k, conj(z_k)) @ [[cos theta, sin theta], [sin theta,
@@ -255,8 +261,9 @@ def coin_trajectory(
     4.5 N t_max for even N, against 28 N t_max for the complex mode pairs
     of all N modes.  Python runs O(log t_max) steps per block and the
     arithmetic runs in BLAS.  Every per-block array stays under
-    ``_WORK_ELEMENTS`` float64 values; the other arrays hold a few values
-    per mode or are the returned series of O(t_max) values, so t_max above
+    ``_WORK_ELEMENTS`` float64 values per start; the other arrays hold a few
+    values per mode and start or are the returned series of O(t_max)
+    values per start, so t_max above
     ``MAX_STEPS`` (10^6, the ceiling of :func:`evolve`) raises
     :class:`ParameterError` before anything is allocated.  The roundoff
     grows with C, not with t_max, because M^B comes from
@@ -266,45 +273,55 @@ def coin_trajectory(
     """
     if not 0 <= t_max <= MAX_STEPS:
         raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
+    batch = [starts] if isinstance(starts, WalkState) else list(starts)
+    if len({s.n_sites for s in batch}) != 1:
+        raise ParameterError("coin_trajectory needs one or more starts on one cycle")
+    n = batch[0].n_sites
     n_times = t_max + 1
     n_baby = math.isqrt(n_times - 1) + 1
     n_giant = -(-n_times // n_baby)
     block = max(1, _WORK_ELEMENTS // (9 * n_baby))
-    n = state0.n_sites
-    v_l, v_r = fourier_coefficients(state0)
+    # (B, N) mode vectors; per start, as the sums below, so that a start's
+    # row does not depend on the batch it is in
+    v_l, v_r = (np.array(v) for v in zip(*map(fourier_coefficients, batch)))
     cross = 2 * v_l * v_r.conj()
     # fold mode k + N/2 onto k (even N), then pair k with m - k
     m = n // 2 if n % 2 == 0 else n
     bloch = np.stack([cross.real, -cross.imag, _abs2(v_l) - _abs2(v_r)])
-    bloch = bloch.reshape(3, -1, m).sum(axis=1)
+    bloch = bloch.reshape(3, len(batch), -1, m).sum(axis=2)
     reps = np.arange(m // 2 + 1)
-    partner = bloch[:, -reps % m] * [[1.0], [-1.0], [1.0]]
-    partner[:, reps == -reps % m] = 0.0
-    u = np.stack([bloch[:, reps] + partner, bloch[:, reps] - partner], axis=1)
+    partner = bloch[..., -reps % m] * np.array([1.0, -1.0, 1.0])[:, None, None]
+    partner[..., reps == -reps % m] = 0.0
+    # u[:, 2i + f]: start i's summed vectors, S + F S_p (f = 0) and S - F S_p
+    u = np.stack([bloch[..., reps] + partner, bloch[..., reps] - partner], axis=2)
+    u = u.reshape(3, -1, reps.size)
     z = np.exp(2j * np.pi * reps / n)
     rot = _rotation(z * math.cos(theta), z * math.sin(theta), 1.0)
     giant_a, giant_b, giant_sign = _power_of_walk(theta, n, n_baby)
     giant_rot = _rotation(giant_a[reps], giant_b[reps], giant_sign)
-    # acc[o, c, j]: component o (x, y, z) of r at t = c*B + j
-    acc = np.zeros((3, n_giant, n_baby))
+    # acc[o, i, c, j]: component o (x, y, z) of start i's r at t = c*B + j
+    acc = np.zeros((3, len(batch), n_giant, n_baby))
     for lo in range(0, reps.size, block):
         modes = slice(lo, lo + block)
         k = z[modes].size
         baby = np.empty((n_baby, 3, 3, k))
         baby[0] = np.eye(3)[:, :, None]
         _fill_powers(baby, rot[..., modes])
-        giant = np.empty((n_giant, 3, 2, k))
+        giant = np.empty((n_giant, 3, u.shape[1], k))
         giant[0] = u[..., modes]
         _fill_powers(giant, giant_rot[..., modes])
-        # r_x and r_z read S + F S_p, r_y reads S - F S_p
+        # r_x and r_z read S + F S_p, r_y reads S - F S_p; one product per
+        # start, of the shapes a single start has
         for row, (out, column) in enumerate(zip(acc, (0, 1, 0))):
-            features = giant[:, :, column].reshape(n_giant, 3 * k)
+            features = giant[:, :, column::2].transpose(2, 0, 1, 3).reshape(-1, n_giant, 3 * k)
             out += features @ baby[:, row].reshape(n_baby, 3 * k).T
-    r_x, r_y, r_z = acc.reshape(3, -1)[:, :n_times]
+    r_x, r_y, r_z = acc.reshape(3, len(batch), -1)[..., :n_times]
     # a localized start keeps its exactly pure coin at t = 0, where the
     # temperature reading is most sensitive to roundoff
-    start = coin_entries(state0.a, state0.b)
-    weight = start[0] + start[1]
+    start = [np.array(x) for x in zip(*(coin_entries(s.a, s.b) for s in batch))]
+    weight = (start[0] + start[1])[:, None]
     p_left, p_right, q = (weight + r_z) / 2, (weight - r_z) / 2, (r_x - 1j * r_y) / 2
-    p_left[0], p_right[0], q[0] = start
+    p_left[:, 0], p_right[:, 0], q[:, 0] = start
+    if isinstance(starts, WalkState):
+        return p_left[0], p_right[0], q[0]
     return p_left, p_right, q

@@ -33,7 +33,7 @@ from .errors import (
     UndefinedAverageError,
 )
 from .spectral import SpectralDecomposition, decompose
-from .walk import WalkParams, WalkState, coin_entries, iterate_arrays, localized_initial_state
+from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
 
 _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-12
@@ -150,7 +150,7 @@ def averaged_density_numeric(params: WalkParams, t: int) -> CoinDensity:
         raise UndefinedAverageError("time average needs t >= 1")
     state = localized_initial_state(params)
     total = np.zeros(3, complex)
-    for a, b in iterate_arrays(state.a, state.b, params.theta, t - 1):
+    for a, b in iterate_arrays(state.a, state.b, coin(params.theta), t - 1):
         total += coin_entries(a, b)
     p_left, p_right, q = total.tolist()
     return CoinDensity(p_left.real / t, p_right.real / t, q / t)

@@ -108,6 +108,8 @@ def _horizon(decomp: SpectralDecomposition, bands: list[tuple[float, float]]) ->
 
 
 def _check_scan_args(epsilons: list[float], t_max: int) -> None:
+    if not epsilons:
+        raise ParameterError("epsilon must hold at least one threshold, got []")
     if not all(0.0 < e < math.inf for e in epsilons):
         raise ParameterError(f"epsilon must be finite and positive, got {epsilons}")
     if t_max < 1:

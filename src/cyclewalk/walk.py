@@ -109,28 +109,39 @@ def localized_initial_state(params: WalkParams) -> WalkState:
     return WalkState(a, b, time=0)
 
 
-def step_arrays(a: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def coin(theta: float) -> tuple[float, float]:
+    """(cos theta, sin theta), the entries of the coin of bias ``theta``."""
+    return math.cos(theta), math.sin(theta)
+
+
+def step_arrays(a: np.ndarray, b: np.ndarray, coin, ends=(0, -1)) -> tuple[np.ndarray, np.ndarray]:
     """One step, coin then shift, of amplitude arrays whose last axis runs
-    over the sites; (B, N) arrays step B walks on one cycle at once."""
-    c, s = math.cos(theta), math.sin(theta)
-    # the shift moves up one site left and down one site right: the slices
-    # np.roll assigns, without its axis and shift bookkeeping on every step;
-    # each coin output is shifted before the next is made
+    over the sites; (B, N) arrays step B walks on one cycle at once.
+
+    ``coin`` is (cos theta, sin theta) as floats, or as per-site arrays for
+    cycles laid back to back on the last axis; ``ends`` holds the first and
+    the last site of the one cycle, or index arrays of those of each cycle.
+    """
+    c, s = coin
+    first, last = ends
+    # the shift moves up one site left and down one site right: slices, then
+    # one wrap per cycle, without np.roll's axis and shift bookkeeping on
+    # every step; each coin output is shifted before the next is made
     up = a * c + b * s
     left = np.empty_like(up)
-    left[..., :-1], left[..., -1] = up[..., 1:], up[..., 0]
+    left[..., :-1], left[..., last] = up[..., 1:], up[..., first]
     down = a * s - b * c
     right = np.empty_like(down)
-    right[..., 1:], right[..., 0] = down[..., :-1], down[..., -1]
+    right[..., 1:], right[..., first] = down[..., :-1], down[..., last]
     return left, right
 
 
-def iterate_arrays(a: np.ndarray, b: np.ndarray, theta: float, steps: int):
+def iterate_arrays(a: np.ndarray, b: np.ndarray, coin, steps: int, ends=(0, -1)):
     """Yield (a, b) after 0, 1, ..., ``steps`` steps of :func:`step_arrays`;
     the arrays have any leading shape, with the sites on the last axis."""
     yield a, b
     for _ in range(steps):
-        a, b = step_arrays(a, b, theta)
+        a, b = step_arrays(a, b, coin, ends)
         yield a, b
 
 
@@ -141,13 +152,13 @@ def coin_entries(a: np.ndarray, b: np.ndarray):
 
 def step(state: WalkState, theta: float) -> WalkState:
     """Advance the walk by one unitary step with coin bias ``theta``."""
-    return WalkState(*step_arrays(state.a, state.b, theta), time=state.time + 1)
+    return WalkState(*step_arrays(state.a, state.b, coin(theta)), time=state.time + 1)
 
 
 def evolve(state: WalkState, theta: float, steps: int) -> WalkState:
     """Apply :func:`step` exactly ``steps`` times."""
     if not 0 <= steps <= MAX_STEPS:
         raise ParameterError(f"steps must lie in [0, {MAX_STEPS}], got {steps}")
-    for a, b in iterate_arrays(state.a, state.b, theta, steps):
+    for a, b in iterate_arrays(state.a, state.b, coin(theta), steps):
         pass
     return WalkState(a, b, time=state.time + steps)

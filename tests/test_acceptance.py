@@ -18,6 +18,7 @@ from cyclewalk import (
     averaged_trajectory_closed,
     chi_of_density,
     chi_reference,
+    decompose,
     decompose_localized,
     f_g_h,
     hadamard_f_closed,
@@ -35,6 +36,7 @@ from cyclewalk._oracle import (
     closed_amplitudes_vs_direct,
     closed_average_vs_direct,
     direct_series,
+    direct_walks,
     localized_vs_spectral,
     markov_vs_iterated,
 )
@@ -57,9 +59,9 @@ def bloch_states(rng, n, theta):
 
 
 def bloch_walk(rng, n, theta, t_max):
-    """(states, theta, direct series) of :func:`bloch_states`, as the walk checks take them."""
+    """(decompositions, direct series) of :func:`bloch_states`, as the closed-form checks take them."""
     states = bloch_states(rng, n, theta)
-    return states, theta, direct_series(states, theta, t_max)
+    return [decompose(s, theta) for s in states], direct_series(states, theta, t_max)
 
 
 def test_batched_step_is_walk_step():
@@ -71,6 +73,21 @@ def test_batched_step_is_walk_step():
                 assert np.array_equal(a, np.stack([state.a for state in states]))
                 assert np.array_equal(b, np.stack([state.b for state in states]))
                 states = [step(state, theta) for state in states]
+
+
+def test_direct_walks_are_the_per_cycle_series():
+    # cycles of every size class, with unequal numbers of starts, laid back to back
+    rng = np.random.default_rng(6)
+    thetas = (0.0, *THETAS, math.pi / 2)
+    for t_max in (0, 1, 40):
+        walks = []
+        for n, theta in zip((3, 4, 5, 12, 16, 7), thetas):
+            states = bloch_states(rng, n, theta)[: 1 + len(walks)]
+            walks.append((states, theta))
+        for (states, theta), series in zip(walks, direct_walks(walks, t_max)):
+            for got, want in zip(series, direct_series(states, theta, t_max)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_spectral_direct_equivalence():
@@ -115,7 +132,7 @@ def test_localized_asymptotics_match_spectral():
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
         for gamma, phi in bloch_points(rng)
     ]
-    worst, _ = localized_vs_spectral(params)
+    worst, _ = localized_vs_spectral(params, [decompose_localized(p) for p in params])
     verdict("localized asymptotics vs spectral", worst < 1e-10, f"max dev {worst:.3e}")
 
 

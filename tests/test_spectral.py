@@ -230,6 +230,33 @@ class TestCoinTrajectory:
         with pytest.raises(ParameterError):
             coin_trajectory(random_state(rng, 5), 0.4, -1)
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 7, 12, 1000, 4096])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+    def test_batch_is_the_per_start_calls_bit_for_bit(self, rng, n, theta):
+        # t_max = 0 and 2 have one giant row; N = 1000 takes two blocks of
+        # modes; at N = 4096 a sum over the sites of a (B, N) stack is not
+        # bit for bit the sum of each row
+        for t_max in (0, 2, 200, 2000) if n < 1000 else (0, 200):
+            starts = [random_state(rng, n) for _ in range(4)]
+            starts.append(localized_initial_state(WalkParams(n, theta, 2.0, 1.0)))
+            batch = coin_trajectory(starts, theta, t_max)
+            for got in batch:
+                assert got.shape == (len(starts), t_max + 1)
+            for i, s0 in enumerate(starts):
+                for got, one in zip(batch, coin_trajectory(s0, theta, t_max)):
+                    assert got[i].tobytes() == one.tobytes()
+
+    def test_batch_of_one(self, rng):
+        s0 = random_state(rng, 9)
+        for got, one in zip(coin_trajectory([s0], 0.8, 50), coin_trajectory(s0, 0.8, 50)):
+            assert got.shape == (1, 51)
+            assert got[0].tobytes() == one.tobytes()
+
+    def test_rejects_empty_or_mixed_batches(self, rng):
+        for starts in ([], [random_state(rng, 5), random_state(rng, 6)]):
+            with pytest.raises(ParameterError):
+                coin_trajectory(starts, 0.4, 10)
+
     def test_memory_bounded_by_block_cap(self):
         # one block of all 1000 modes peaks at about 27 MB here
         s0 = localized_initial_state(WalkParams(1000, math.pi / 4, 1.0, 0.5))

@@ -261,7 +261,7 @@ class TestLocalizedAsymptotics:
             for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
             for gamma, phi in bloch_points(rng, 3)
         ]
-        worst, _ = localized_vs_spectral(params)
+        worst, _ = localized_vs_spectral(params, [decompose_localized(p) for p in params])
         assert worst < 1e-10
 
     def test_antipodal_symmetry(self):

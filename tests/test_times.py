@@ -97,6 +97,11 @@ class TestMixingTime:
                 with pytest.raises(ParameterError):
                     scan(params, epsilon, 1000)
 
+    def test_empty_epsilon_list_rejected(self):
+        # all([]) is true, so an empty list used to reach min() in _horizon
+        with pytest.raises(ParameterError, match="at least one threshold"):
+            convergence_sweep(WalkParams(5, math.pi / 4, 1.0, 1.0), [], 100)
+
 
 class TestThermalizationTime:
     def test_huge_epsilon_immediate(self):

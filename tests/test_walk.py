@@ -105,7 +105,7 @@ class TestStep:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         c, si = math.cos(0.7), math.sin(0.7)
-        left, right = step_arrays(a, b, 0.7)
+        left, right = step_arrays(a, b, (c, si))
         assert left.tobytes() == np.roll(a * c + b * si, -1, axis=-1).tobytes()
         assert right.tobytes() == np.roll(a * si - b * c, 1, axis=-1).tobytes()
 
