@@ -19,7 +19,9 @@ FFT in O(N log N) time and O(N) memory, and exact time averages.
 The coin density at every step of a run (:func:`coin_trajectory`) comes
 instead from rotations of the modes' Bloch vectors, folded over two exact
 mode symmetries; they stay accurate where the two-frequency coefficients
-are singular, and keep the trace exact.
+are singular, and keep the trace exact.  The limit of its running average
+and a K/t bound on the distance to it come from the rotations' axes
+(:func:`_axis_limit`).
 """
 
 from __future__ import annotations
@@ -219,6 +221,57 @@ def _power_of_walk(theta: float, n_sites: int, t: int):
     return np.fft.fft(a), sign * np.fft.fft(b).conj(), sign
 
 
+def _folded_modes(starts: WalkState | Sequence[WalkState]):
+    """(batch, N, k, u): the starts as a list, their cycle size, the folded
+    modes k of :func:`coin_trajectory` and their summed Bloch vectors u
+    (3, 2B, K): start i's S + F S_p in u[:, 2i] and S - F S_p in u[:, 2i + 1].
+    """
+    batch = [starts] if isinstance(starts, WalkState) else list(starts)
+    if len({s.n_sites for s in batch}) != 1:
+        raise ParameterError("coin_trajectory needs one or more starts on one cycle")
+    n = batch[0].n_sites
+    # (B, N) mode vectors; per start, as the sums below, so that a start's
+    # row does not depend on the batch it is in
+    v_l, v_r = (np.array(v) for v in zip(*map(fourier_coefficients, batch)))
+    cross = 2 * v_l * v_r.conj()
+    # fold mode k + N/2 onto k (even N), then pair k with m - k
+    m = n // 2 if n % 2 == 0 else n
+    bloch = np.stack([cross.real, -cross.imag, _abs2(v_l) - _abs2(v_r)])
+    bloch = bloch.reshape(3, len(batch), -1, m).sum(axis=2)
+    reps = np.arange(m // 2 + 1)
+    partner = bloch[..., -reps % m] * np.array([1.0, -1.0, 1.0])[:, None, None]
+    partner[..., reps == -reps % m] = 0.0
+    u = np.stack([bloch[..., reps] + partner, bloch[..., reps] - partner], axis=2)
+    return batch, n, reps, u.reshape(3, -1, reps.size)
+
+
+def _axis_limit(starts: WalkState | Sequence[WalkState], theta: float):
+    """(r_inf (3, B), K (B,)): the limit of the running average of the Bloch
+    vector r of :func:`coin_trajectory`, and K with |r_avg(t) - r_inf| <= K/t.
+
+    With (c, s) = (cos theta, sin theta) and phi_k = 2*pi*k/N, R_k turns by
+    2 omega_k + pi about n_k = (s cos phi_k, -s sin phi_k, c cos phi_k) /
+    cos omega_k, where cos omega_k = hypot(s, c cos phi_k).  The average
+    keeps each vector's part along its axis: r_x and r_z read
+    sum_k n_k (n_k . u+), and r_y reads sum_k n_k (n_k . u-).  The rest
+    u_perp turns in the plane normal to n_k, with partial sums within
+    |u_perp| / cos omega_k, so K = hypot of the two sums of these bounds.
+    At theta = 0 with 4k = N, R_k = I: that mode keeps its whole vector and
+    adds nothing to K.  Elsewhere cos omega_k > 0.
+    """
+    _, n, reps, u = _folded_modes(starts)
+    phi = 2 * np.pi * reps / n
+    c, s = math.cos(theta), math.sin(theta)
+    cos_omega = np.hypot(s, c * np.cos(phi))
+    axis = np.stack([s * np.cos(phi), -s * np.sin(phi), c * np.cos(phi)]) / cos_omega
+    kept = axis[:, None] * np.einsum("ok,obk->bk", axis, u)
+    if theta == 0.0:
+        kept[..., 4 * reps == n] = u[..., 4 * reps == n]
+    spread = (np.sqrt(np.sum((u - kept) ** 2, axis=0)) / cos_omega).sum(axis=-1)
+    plus, minus = kept[:, 0::2].sum(axis=-1), kept[:, 1::2].sum(axis=-1)
+    return np.stack([plus[0], minus[1], plus[2]]), np.hypot(spread[0::2], spread[1::2])
+
+
 def coin_trajectory(
     starts: WalkState | Sequence[WalkState], theta: float, t_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,28 +326,11 @@ def coin_trajectory(
     """
     if not 0 <= t_max <= MAX_STEPS:
         raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
-    batch = [starts] if isinstance(starts, WalkState) else list(starts)
-    if len({s.n_sites for s in batch}) != 1:
-        raise ParameterError("coin_trajectory needs one or more starts on one cycle")
-    n = batch[0].n_sites
+    batch, n, reps, u = _folded_modes(starts)
     n_times = t_max + 1
     n_baby = math.isqrt(n_times - 1) + 1
     n_giant = -(-n_times // n_baby)
     block = max(1, _WORK_ELEMENTS // (9 * n_baby))
-    # (B, N) mode vectors; per start, as the sums below, so that a start's
-    # row does not depend on the batch it is in
-    v_l, v_r = (np.array(v) for v in zip(*map(fourier_coefficients, batch)))
-    cross = 2 * v_l * v_r.conj()
-    # fold mode k + N/2 onto k (even N), then pair k with m - k
-    m = n // 2 if n % 2 == 0 else n
-    bloch = np.stack([cross.real, -cross.imag, _abs2(v_l) - _abs2(v_r)])
-    bloch = bloch.reshape(3, len(batch), -1, m).sum(axis=2)
-    reps = np.arange(m // 2 + 1)
-    partner = bloch[..., -reps % m] * np.array([1.0, -1.0, 1.0])[:, None, None]
-    partner[..., reps == -reps % m] = 0.0
-    # u[:, 2i + f]: start i's summed vectors, S + F S_p (f = 0) and S - F S_p
-    u = np.stack([bloch[..., reps] + partner, bloch[..., reps] - partner], axis=2)
-    u = u.reshape(3, -1, reps.size)
     z = np.exp(2j * np.pi * reps / n)
     rot = _rotation(z * math.cos(theta), z * math.sin(theta), 1.0)
     giant_a, giant_b, giant_sign = _power_of_walk(theta, n, n_baby)

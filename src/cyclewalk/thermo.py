@@ -9,11 +9,12 @@ of the averaged matrix to the Gibbs weights of a two-level system with gap
 
 The CLI reads running averages from one route, the
 :func:`cyclewalk.spectral.coin_trajectory` series through
-:func:`running_chi`, and their limits from closed forms
-(:func:`asymptotic_density`, :func:`chi_isotherm_grid`).  The averaged
-alpha/beta closed forms (``averaged_*_closed``) and the numeric average of
-the directly iterated walk (:func:`averaged_density_numeric`) are oracles
-that the tests and ``cyclewalk selftest`` compare against.  The key scalar
+:func:`running_chi`.  The scans read their limits from the rotation axes
+of that series' folded modes (``spectral._axis_limit``), and the isotherms
+from the closed form :func:`chi_isotherm_grid`.  The alpha/beta closed
+forms (:func:`asymptotic_density`, ``averaged_*_closed``) and the numeric
+average of the directly iterated walk (:func:`averaged_density_numeric`)
+are oracles that the tests and ``cyclewalk selftest`` compare against.  The key scalar
 is ``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature (maximally
 mixed coin), chi = 1/4 a pure coin at zero temperature.
 """
@@ -32,7 +33,7 @@ from .errors import (
     ParameterError,
     UndefinedAverageError,
 )
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition
 from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
 
 _TRACE_TOL = 1e-9
@@ -197,8 +198,7 @@ def averaged_trajectory_closed(
 
     Returns ``(p_left_avg, p_right_avg, q_avg)`` arrays.  This is the exact
     finite-time average, not an asymptotic expansion: the deviation from the
-    limit is 2/t times a bounded oscillating coefficient (see
-    :func:`envelope_constant`).
+    limit is 2/t times a bounded oscillating coefficient.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 1):
@@ -212,23 +212,6 @@ def averaged_trajectory_closed(
     p_right = limit.p_right - 2.0 / times * xi
     q = limit.q + 2.0 / times * sigma
     return p_left, p_right, q
-
-
-def envelope_constant(decomp: SpectralDecomposition) -> float:
-    """K with |r_avg(t) - r_inf| <= K / t for every t >= 1.
-
-    r is the Bloch vector of the coin density (r_z = p_left - p_right,
-    r_x - i*r_y = 2q), so |r| = 2*sqrt(chi).  Since |F_k(t)| is at most
-    2/|1 + exp(2i*omega_k)|, the two oscillating sums of
-    :func:`averaged_trajectory_closed` are bounded by B_p = sum_k |w_p| * 2/|.|
-    and B_q = sum_k (|w_q| + |w_qc|)/2 * 2/|.|, giving K = 4*sqrt(B_p^2 + B_q^2),
-    which does not grow with N.
-    """
-    f_max = 2.0 / np.abs(_oscillation_denominator(decomp))
-    w_p, w_q, w_qc = _oscillation_weights(decomp)
-    b_p = float(np.sum(np.abs(w_p) * f_max))
-    b_q = float(0.5 * np.sum((np.abs(w_q) + np.abs(w_qc)) * f_max))
-    return 4.0 * math.hypot(b_p, b_q)
 
 
 def averaged_density_closed(decomp: SpectralDecomposition, t: int) -> CoinDensity:
@@ -374,7 +357,3 @@ def transient_temperature(rho_avg: CoinDensity, e0: float) -> ThermoState:
         temperature=math.inf if beta == 0.0 else 1.0 / beta,
     )
 
-
-def decompose_localized(params: WalkParams) -> SpectralDecomposition:
-    """Spectral solution for the localized initial state of ``params``."""
-    return decompose(localized_initial_state(params), params.theta)

@@ -17,11 +17,12 @@ so a beta threshold is violated there when
 atanh(1 - 2**-53) - e0*beta_inf > epsilon.
 
 The scan need not run to ``t_max``.  The Bloch vector of the average obeys
-|r(t) - r_inf| <= K/t with a constant K that does not grow with N
-(:func:`cyclewalk.thermo.envelope_constant`), so |d(t)| <= K/(2t) and no
-band is left once K/t < delta = 2*min(hi, -lo).  With the smallest delta,
-shrunk by a relative 1e-9 to absorb the roundoff of the computed series,
-no violation can occur at or after the horizon t* = floor(K/delta) + 1,
+|r(t) - r_inf| <= K/t with a constant K that does not grow with N; r_inf
+and K come from the rotation axes of the series' folded modes
+(``spectral._axis_limit``).  So |d(t)| <= K/(2t) and no band is left once
+K/t < delta = 2*min(hi, -lo).  With the smallest delta, shrunk by a
+relative 1e-9 to absorb the roundoff of the computed series, no
+violation can occur at or after the horizon t* = floor(K/delta) + 1,
 and the scan covers only [1, min(t*, t_max)].  Every reported value is
 the one a scan over all of [1, t_max] gives.  ``satisfied`` still means
 "not violated at t_max"; it is a proof of convergence only when
@@ -41,16 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import SpectralDecomposition, coin_trajectory
-from .thermo import (
-    CoinDensity,
-    asymptotic_density,
-    chi_of_density,
-    decompose_localized,
-    envelope_constant,
-    running_chi,
-    transient_temperature,
-)
+from .spectral import _axis_limit, coin_trajectory
+from .thermo import CoinDensity, beta_of_chi, chi_of_density, running_chi
 from .walk import WalkParams, localized_initial_state
 
 
@@ -83,11 +76,14 @@ def density_seminorm(rho1: CoinDensity, rho2: CoinDensity) -> float:
 _PURE_COIN_E0_BETA = math.atanh(1.0 - 2.0**-53)
 
 
-def _asymptotics(decomp: SpectralDecomposition, e0: float) -> tuple[float, float, float]:
-    """(lambda_plus_inf, beta_inf, c) of the spectral solution ``decomp``."""
-    limit = transient_temperature(asymptotic_density(decomp), e0)
-    c = math.inf if math.isinf(limit.beta) else 2.0 * math.cosh(limit.beta * e0) ** 2
-    return limit.lambda_plus, limit.beta, c
+def _asymptotics(params: WalkParams) -> tuple[float, float, float, float]:
+    """(lambda_plus_inf, beta_inf, c, K) of the localized start of ``params``,
+    from the limit r_inf and the envelope constant K of its rotations."""
+    r_inf, k = _axis_limit(localized_initial_state(params), params.theta)
+    split = math.hypot(*r_inf[:, 0])  # |r_inf| = 2*sqrt(chi_inf)
+    beta = float(beta_of_chi(0.25 * split**2, params.energy_scale))
+    c = math.inf if math.isinf(beta) else 2.0 * math.cosh(beta * params.energy_scale) ** 2
+    return 0.5 + 0.5 * split, beta, c, float(k[0])
 
 
 def _beta_band(lam_inf: float, e0_beta_inf: float, e: float) -> tuple[float, float]:
@@ -96,41 +92,40 @@ def _beta_band(lam_inf: float, e0_beta_inf: float, e: float) -> tuple[float, flo
     return 0.5 * (math.tanh(e0_beta_inf - e) - r_inf), 0.5 * (math.tanh(e0_beta_inf + e) - r_inf)
 
 
-def _horizon(decomp: SpectralDecomposition, bands: list[tuple[float, float]]) -> int | float:
+def _horizon(k: float, bands: list[tuple[float, float]]) -> int | float:
     """Envelope horizon t*: no band is left at any t >= t*.
 
     The bound is derived in the module docstring.  Returns inf when K/delta
     is not a finite number.
     """
     delta = min(2.0 * min(hi, -lo) for lo, hi in bands) * (1.0 - 1e-9)
-    bound = envelope_constant(decomp) / delta if delta > 0.0 else math.inf
+    bound = k / delta if delta > 0.0 else math.inf
     return math.floor(bound) + 1 if bound < math.inf else math.inf
 
 
-def _check_scan_args(epsilons: list[float], t_max: int) -> None:
+def _setup(params: WalkParams, epsilons: list[float], t_max: int):
+    """Check a scan's arguments; (lambda_plus_inf, e0*beta_inf, c, K) of ``params``."""
     if not epsilons:
         raise ParameterError("epsilon must hold at least one threshold, got []")
     if not all(0.0 < e < math.inf for e in epsilons):
         raise ParameterError(f"epsilon must be finite and positive, got {epsilons}")
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
+    lam_inf, beta_inf, c, k = _asymptotics(params)
+    return lam_inf, params.energy_scale * beta_inf, c, k
 
 
 def _last_violations(
-    params: WalkParams,
-    decomp: SpectralDecomposition,
-    t_max: int,
-    lam_inf: float,
-    bands: list[tuple[float, float]],
+    params: WalkParams, t_max: int, k: float, lam_inf: float, bands: list[tuple[float, float]]
 ) -> list[int]:
     """Last t in 1..t_max at which d(t) = lambda+(t) - lam_inf leaves each
     band [lo, hi], 0 where none does.
 
     All bands share one series, which stops at the envelope horizon t* of
-    ``decomp`` when that comes before t_max: no band can be left from t*
-    on, so the result equals that of a scan over all of 1..t_max.
+    the constant ``k`` when that comes before t_max: no band can be left
+    from t* on, so the result equals that of a scan over all of 1..t_max.
     """
-    t_end = min(t_max, _horizon(decomp, bands))
+    t_end = min(t_max, _horizon(k, bands))
     chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, t_end - 1))
     dev = np.sqrt(chi, out=chi)  # in place: no second series-long array
     dev += 0.5
@@ -160,10 +155,8 @@ def _report(
 
 def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceReport:
     """Scan for the last t in 1..t_max with |lambda+(t) - lambda+(inf)| > epsilon."""
-    _check_scan_args([epsilon], t_max)
-    decomp = decompose_localized(params)
-    lam_inf, _, c = _asymptotics(decomp, params.energy_scale)
-    (last,) = _last_violations(params, decomp, t_max, lam_inf, [(-epsilon, epsilon)])
+    lam_inf, _, c, k = _setup(params, [epsilon], t_max)
+    (last,) = _last_violations(params, t_max, k, lam_inf, [(-epsilon, epsilon)])
     return _report(epsilon, last, t_max, c)
 
 
@@ -178,15 +171,13 @@ def convergence_sweep(
     parameter set, and only up to the envelope horizon of the smallest
     threshold, keeps N-range sweeps affordable.
     """
-    _check_scan_args(epsilons, t_max)
-    decomp, e0 = decompose_localized(params), params.energy_scale
-    lam_inf, beta_inf, c = _asymptotics(decomp, e0)
-    beta_ok = beta_inf > 0.0 and not math.isinf(beta_inf)
+    lam_inf, e0_beta_inf, c, k = _setup(params, epsilons, t_max)
+    beta_ok = 0.0 < e0_beta_inf < math.inf
     beta_eps = [*epsilons, *(c * e for e in epsilons)] if beta_ok else []
-    bands = [(-e, e) for e in epsilons] + [_beta_band(lam_inf, e0 * beta_inf, e) for e in beta_eps]
-    last = _last_violations(params, decomp, t_max, lam_inf, bands)
+    bands = [(-e, e) for e in epsilons] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
+    last = _last_violations(params, t_max, k, lam_inf, bands)
     last_mix = last[: len(epsilons)]
-    last_beta = [_therm_last(k, e, e0 * beta_inf) for k, e in zip(last[len(epsilons) :], beta_eps)]
+    last_beta = [_therm_last(t, e, e0_beta_inf) for t, e in zip(last[len(epsilons) :], beta_eps)]
     records = []
     for i, e in enumerate(epsilons):
         records.append(
@@ -212,13 +203,11 @@ def thermalization_time(
     temperature has no finite limit to converge to; the report is returned
     flagged unsatisfied rather than raising.
     """
-    _check_scan_args([epsilon], t_max)
-    decomp, e0 = decompose_localized(params), params.energy_scale
-    lam_inf, beta_inf, c = _asymptotics(decomp, e0)
-    if beta_inf == 0.0 or math.isinf(beta_inf):
+    lam_inf, e0_beta_inf, c, k = _setup(params, [epsilon], t_max)
+    if not 0.0 < e0_beta_inf < math.inf:
         # chi_inf = 0: the asymptotic temperature is infinite and beta(t)
         # only decays as 1/sqrt(t), so no finite horizon certifies the scan.
         return _report(epsilon, t_max, t_max, c)
-    band = _beta_band(lam_inf, e0 * beta_inf, epsilon)
-    (last,) = _last_violations(params, decomp, t_max, lam_inf, [band])
-    return _report(epsilon, _therm_last(last, epsilon, e0 * beta_inf), t_max, c)
+    band = _beta_band(lam_inf, e0_beta_inf, epsilon)
+    (last,) = _last_violations(params, t_max, k, lam_inf, [band])
+    return _report(epsilon, _therm_last(last, epsilon, e0_beta_inf), t_max, c)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclewalk import WalkState
+from cyclewalk import WalkState, decompose, localized_initial_state
 
 
 @pytest.fixture
@@ -16,3 +16,8 @@ def random_state(rng, n_sites: int) -> WalkState:
     b = amps[2] + 1j * amps[3]
     norm = np.sqrt(np.sum(np.abs(a) ** 2 + np.abs(b) ** 2))
     return WalkState(a / norm, b / norm)
+
+
+def decompose_localized(params):
+    """The alpha/beta spectral solution of the localized start of ``params``."""
+    return decompose(localized_initial_state(params), params.theta)

@@ -19,7 +19,6 @@ from cyclewalk import (
     chi_of_density,
     chi_reference,
     decompose,
-    decompose_localized,
     f_g_h,
     hadamard_f_closed,
     localized_initial_state,
@@ -43,6 +42,8 @@ from cyclewalk._oracle import (
 from cyclewalk.spectral import coin_trajectory
 from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics
+
+from conftest import decompose_localized
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.3)
 FIG3 = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
@@ -132,7 +133,7 @@ def test_localized_asymptotics_match_spectral():
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
         for gamma, phi in bloch_points(rng)
     ]
-    worst, _ = localized_vs_spectral(params, [decompose_localized(p) for p in params])
+    worst, _ = localized_vs_spectral(params)
     verdict("localized asymptotics vs spectral", worst < 1e-10, f"max dev {worst:.3e}")
 
 
@@ -232,7 +233,7 @@ def test_mixing_time_scaling():
 
 def test_eigenvalue_beta_linearization():
     params = WalkParams(100, **FIG3)
-    lam_inf, beta_inf, c = _asymptotics(decompose_localized(params), params.energy_scale)
+    lam_inf, beta_inf, c, _ = _asymptotics(params)
     chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, 10**5 - 1))
     lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, params.energy_scale)
     # t = 10^3..10^5

@@ -24,6 +24,9 @@ from cyclewalk import (
     markov_solution,
 )
 from cyclewalk import __version__, _oracle, cli
+from cyclewalk.spectral import coin_trajectory
+from cyclewalk.thermo import beta_of_chi, running_chi
+from cyclewalk.times import _asymptotics
 from cyclewalk.cli import (
     EXIT_OK,
     EXIT_UNSATISFIED,
@@ -288,6 +291,33 @@ class TestMixingSweep:
         header, *lines = [line.split(",") for line in data_lines(out)]
         columns = [header.index(c) for c in ("n", "tau_mix", "tau_therm", "tau_therm_scaled")]
         assert [tuple(int(line[i]) for i in columns) for line in lines] == rows
+
+    @pytest.mark.parametrize("theta, code", [("0", EXIT_OK), ("1e-6", EXIT_UNSATISFIED)])
+    def test_domain_edges_match_a_brute_force_scan(self, capsys, theta, code):
+        # at theta = 0 a mode of the 12-cycle stands still, and at 1e-6 it
+        # nearly does: K is about 2e5 there, so t_max = 3000 proves nothing
+        argv = ["mixing-sweep", "--theta", theta, "--n", "12", "--t-max", "3000"]
+        got, out, _ = run([*argv, "--epsilon", "1e-2", "--epsilon", "1e-3"], capsys)
+        assert got == code
+        params = WalkParams(12, float(theta), math.pi / 3, math.pi / 6)
+        lam_inf, beta_inf, _, _ = _asymptotics(params)
+        series = coin_trajectory(localized_initial_state(params), params.theta, 2999)
+        if theta == "0":
+            # the theta = 0 series repeats every 6 steps, so its limit is
+            # the mean over one period
+            assert abs(0.5 + math.sqrt(running_chi(*(x[:6] for x in series))[-1]) - lam_inf) < 1e-15
+        chi = running_chi(*series)  # entry i averages t = i + 1 terms
+        deviations = {
+            "tau_mix": np.abs(0.5 + np.sqrt(chi) - lam_inf),
+            "tau_therm": np.abs(beta_of_chi(chi, params.energy_scale) - beta_inf),
+        }
+        header, *lines = [line.split(",") for line in data_lines(out)]
+        for line in lines:
+            row = dict(zip(header, line))
+            for column, dev in deviations.items():
+                bad = np.flatnonzero(dev > float(row["epsilon"]))
+                assert int(row[column]) == (int(bad[-1]) + 2 if bad.size else 1)
+            assert row["satisfied"] == ("true" if code == EXIT_OK else "false")
 
     def test_unsatisfied_horizon_exit_two(self, capsys):
         code, _, err = run(

@@ -13,6 +13,7 @@ from cyclewalk import (
     WalkState,
     amplitudes_at,
     amplitudes_trajectory,
+    asymptotic_density,
     coin_density,
     coin_trajectory,
     decompose,
@@ -23,7 +24,7 @@ from cyclewalk import (
     step,
 )
 from cyclewalk._oracle import direct_densities
-from cyclewalk.spectral import mode_values_at
+from cyclewalk.spectral import _axis_limit, mode_values_at
 from cyclewalk.walk import coin_entries
 
 from conftest import random_state
@@ -282,6 +283,39 @@ def test_coin_trajectory_direct_equivalence_property(n, theta, t_max, seed):
     # theta = 0 and 1e-6 at N = 12 are where the two-frequency closed form fails
     assert_matches_direct(random_state(np.random.default_rng(seed), n), theta, t_max)
 
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 64), theta=st.floats(0.0, math.pi / 2), seed=st.integers(0, 2**31))
+@example(n=12, theta=0.0, seed=1)
+@example(n=16, theta=0.0, seed=2)
+@example(n=12, theta=1e-6, seed=3)
+def test_axis_limit_and_envelope(n, theta, seed):
+    # at theta = 0 with 4 | N one mode stands still, and at theta = 1e-6 it
+    # nearly does: there the alpha/beta form fails.  The theta = 0 walk
+    # returns to its start after 2N steps, so its limit is the mean over
+    # them; everywhere the envelope is checked against running averages
+    rng = np.random.default_rng(seed)
+    starts = [random_state(rng, n), localized_initial_state(WalkParams(n, theta, 1.0, 2.0))]
+    r_inf, k = _axis_limit(starts, theta)
+    phi = 2 * np.pi * np.arange(n) / n
+    cos_omega = np.hypot(math.sin(theta), math.cos(theta) * np.cos(phi))
+    ts = np.arange(1, 2001)
+    for i, s0 in enumerate(starts):
+        series = coin_trajectory(s0, theta, 2000)
+        if cos_omega.min() > 1e-3 or theta == 0.0:
+            if theta == 0.0:
+                p_left, p_right, q = (x[: 2 * n].mean() for x in series)
+            else:
+                limit = asymptotic_density(decompose(s0, theta))
+                p_left, p_right, q = limit.p_left, limit.p_right, limit.q
+            want = [2 * q.real, -2 * q.imag, p_left - p_right]
+            assert np.abs(r_inf[:, i] - want).max() < 1e-10
+        p_left, p_right, q = (np.cumsum(x[:-1]) / ts for x in series)
+        r_x, r_y, r_z = r_inf[:, i]
+        dr = np.sqrt((p_left - p_right - r_z) ** 2 + 4 * np.abs(q - complex(r_x, -r_y) / 2) ** 2)
+        # |r_avg(t) - r_inf| <= K/t, up to 1e-13 of roundoff in the sums
+        assert np.all(ts * (dr - 1e-13) <= k[i])
 
 def edge_start(rng, n, start):
     """A normalized random state on all sites, on the odd sites only, or on

@@ -24,7 +24,6 @@ from cyclewalk import (
     chi_reference,
     coin_density,
     decompose,
-    decompose_localized,
     entanglement_entropy,
     entropy_of_chi,
     f_g_h,
@@ -37,7 +36,7 @@ from cyclewalk import (
 )
 from cyclewalk._oracle import bloch_points, direct_densities, localized_vs_spectral
 
-from conftest import random_state
+from conftest import decompose_localized, random_state
 
 CHI_HADAMARD_LINE = (3 - 2 * math.sqrt(2)) / 4
 
@@ -261,7 +260,7 @@ class TestLocalizedAsymptotics:
             for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
             for gamma, phi in bloch_points(rng, 3)
         ]
-        worst, _ = localized_vs_spectral(params, [decompose_localized(p) for p in params])
+        worst, _ = localized_vs_spectral(params)
         assert worst < 1e-10
 
     def test_antipodal_symmetry(self):

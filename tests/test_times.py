@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cyclewalk.thermo
+import cyclewalk.spectral
 import cyclewalk.times
 from cyclewalk import (
     CoinDensity,
@@ -13,15 +14,16 @@ from cyclewalk import (
     WalkParams,
     asymptotic_density,
     averaged_trajectory_closed,
-    decompose_localized,
     density_seminorm,
     mixing_time,
     thermalization_time,
 )
-from cyclewalk.spectral import coin_trajectory
-from cyclewalk.thermo import beta_of_chi, envelope_constant, running_chi
+from cyclewalk.spectral import _axis_limit, coin_trajectory
+from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
 from cyclewalk.walk import MAX_STEPS, localized_initial_state
+
+from conftest import decompose_localized
 
 FIG3_PARAMS = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
 
@@ -120,9 +122,7 @@ class TestThermalizationTime:
         # roundoff of chi(1); the second start's chi(1) is 1/4 - 8.3e-17,
         # which alone would read as 18.37
         params = WalkParams(5, math.pi / 4, gamma, phi)
-        e0_beta_inf = params.energy_scale * _asymptotics(
-            decompose_localized(params), params.energy_scale
-        )[1]
+        e0_beta_inf = params.energy_scale * _asymptotics(params)[1]
         assert thermalization_time(params, 18.5 - e0_beta_inf, 100).tau == 2
         assert thermalization_time(params, 18.8 - e0_beta_inf, 100).tau == 1
 
@@ -153,7 +153,7 @@ class TestThermalizationTime:
 def test_linearization_slope():
     # eigenvalue deviation vs (1/c) * beta deviation: slope 1 for large t
     params = WalkParams(100, **FIG3_PARAMS)
-    lam_inf, beta_inf, c = _asymptotics(decompose_localized(params), params.energy_scale)
+    lam_inf, beta_inf, c, _ = _asymptotics(params)
     chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, 99999))
     lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, params.energy_scale)
     # t = 1000..100000
@@ -202,21 +202,27 @@ def test_convergence_sweep_matches_individual_scans(start, n):
         assert rec["tau_therm_scaled"] == scaled
 
 
-def test_one_decomposition_per_sweep(monkeypatch):
-    calls = []
-    decompose = cyclewalk.thermo.decompose
+def test_no_decomposition_per_sweep(monkeypatch):
+    # the limit and K come from the folded modes: one axis limit per sweep
+    # and no alpha/beta decomposition, through any module's binding
+    calls = {"decompose": 0, "_axis_limit": 0}
+    for name in calls:
+        original = getattr(cyclewalk.spectral, name)
 
-    def counting(*args):
-        calls.append(args)
-        return decompose(*args)
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(cyclewalk.thermo, "decompose", counting)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cyclewalk"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
     convergence_sweep(WalkParams(30, **FIG3_PARAMS), [1e-2, 1e-3], 500)
-    assert len(calls) == 1
+    assert calls == {"decompose": 0, "_axis_limit": 1}
 
 
 def test_scan_stops_at_horizon(monkeypatch):
-    # the envelope horizon of these thresholds is 14,401, far below t_max
+    # the envelope horizon of these thresholds is 11,073, far below t_max
     scanned = []
     series = cyclewalk.times.coin_trajectory
 
@@ -226,7 +232,7 @@ def test_scan_stops_at_horizon(monkeypatch):
 
     monkeypatch.setattr(cyclewalk.times, "coin_trajectory", counting)
     recs = convergence_sweep(WalkParams(100, **FIG3_PARAMS), [1e-2, 1e-3, 1e-4], 10**5)
-    assert sum(scanned) <= 15_000
+    assert scanned == [11_073]
     taus = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"]) for r in recs]
     assert taus == [(14, 42, 14), (146, 518, 146), (1730, 5429, 1730)]
 
@@ -244,7 +250,7 @@ def test_series_beyond_step_ceiling_raises():
         convergence_sweep(WalkParams(5, **FIG3_PARAMS), [5e-324], MAX_STEPS + 2)
 
 
-def _mean_value_horizon(dec, lam_inf, lam_eps, beta_eps):
+def _mean_value_horizon(k, lam_inf, lam_eps, beta_eps):
     """t* from the mean-value bound e0*|beta - beta_inf| <= delta / (1 - (r_inf + delta)^2)."""
     r_inf = 2.0 * lam_inf - 1.0
     slack = 1.0 - r_inf**2
@@ -253,7 +259,7 @@ def _mean_value_horizon(dec, lam_inf, lam_eps, beta_eps):
         # root of delta / (1 - (r_inf + delta)^2) = e, free of cancellation
         b = 1.0 + 2.0 * e * r_inf
         deltas.append(2.0 * e * slack / (b + math.sqrt(b * b + 4.0 * e * e * slack)))
-    bound = envelope_constant(dec) / (min(deltas) * (1.0 - 1e-9))
+    bound = k / (min(deltas) * (1.0 - 1e-9))
     return math.floor(bound) + 1 if bound < math.inf else math.inf
 
 
@@ -273,22 +279,22 @@ def _last_violation(dev: np.ndarray, eps: float) -> int:
 def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     params = WalkParams(n, theta, math.acos(cos_gamma), phi)
     dec = decompose_localized(params)
-    lam_inf, beta_inf, c = _asymptotics(dec, params.energy_scale)
+    lam_inf, beta_inf, c, k = _asymptotics(params)
     beta_ok = 0.0 < beta_inf < math.inf
     beta_eps = [eps, c * eps] if beta_ok else []
     e0_beta_inf = params.energy_scale * beta_inf
     bands = [(-eps, eps)] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
-    t_star = _horizon(dec, bands)
+    t_star = _horizon(k, bands)
     # the exact band edge is at least the mean-value root, so t* only shrinks
-    assert t_star <= _mean_value_horizon(dec, lam_inf, [eps], beta_eps)
+    assert t_star <= _mean_value_horizon(k, lam_inf, [eps], beta_eps)
 
-    # |r(t) - r_inf| <= K/t, with r_z = p_left - p_right and r_x - i r_y = 2q
+    # |r(t) - r_inf| <= K/t for the closed-form averages, with r_z = p_left -
+    # p_right and r_x - i r_y = 2q, and r_inf the axis limit the scans read
     ts = np.arange(1, 4 * t_star + 1)
     p_left, p_right, q = averaged_trajectory_closed(dec, ts)
-    limit = asymptotic_density(dec)
-    dr_z = (p_left - p_right) - (limit.p_left - limit.p_right)
-    dr = np.sqrt(dr_z**2 + 4.0 * np.abs(q - limit.q) ** 2)
-    assert np.all(ts * dr <= envelope_constant(dec))
+    r_x, r_y, r_z = _axis_limit(localized_initial_state(params), params.theta)[0][:, 0]
+    dr = np.sqrt((p_left - p_right - r_z) ** 2 + 4.0 * np.abs(q - complex(r_x, -r_y) / 2) ** 2)
+    assert np.all(ts * dr <= k)
 
     # the sweep equals a brute-force scan over all of [1, t_max]
     chi = np.maximum(0.25 - (p_left * p_right - np.abs(q) ** 2), 0.0)
