@@ -245,9 +245,11 @@ def _folded_modes(starts: WalkState | Sequence[WalkState]):
     return batch, n, reps, u.reshape(3, -1, reps.size)
 
 
-def _axis_limit(starts: WalkState | Sequence[WalkState], theta: float):
-    """(r_inf (3, B), K (B,)): the limit of the running average of the Bloch
-    vector r of :func:`coin_trajectory`, and K with |r_avg(t) - r_inf| <= K/t.
+def _axis_limit(folded, theta: float):
+    """(r_inf (3, B), K (B,), K_proj (B,)) of the :func:`_folded_modes` of B
+    starts: the limit of the running average of the Bloch vector r of
+    :func:`coin_trajectory`, with |e(t)| <= K/t and |r_inf_hat . e(t)| <=
+    K_proj/t for e = r_avg - r_inf.
 
     With (c, s) = (cos theta, sin theta) and phi_k = 2*pi*k/N, R_k turns by
     2 omega_k + pi about n_k = (s cos phi_k, -s sin phi_k, c cos phi_k) /
@@ -256,10 +258,13 @@ def _axis_limit(starts: WalkState | Sequence[WalkState], theta: float):
     sum_k n_k (n_k . u+), and r_y reads sum_k n_k (n_k . u-).  The rest
     u_perp turns in the plane normal to n_k, with partial sums within
     |u_perp| / cos omega_k, so K = hypot of the two sums of these bounds.
+    Along a they stay within |u_perp| |a - n_k (n_k . a)| / cos omega_k, and
+    K_proj sums this over k for u+ along a+ = (x, 0, z) and u- along
+    a- = (0, y, 0), with (x, y, z) = r_inf / |r_inf| (0 where r_inf = 0).
     At theta = 0 with 4k = N, R_k = I: that mode keeps its whole vector and
-    adds nothing to K.  Elsewhere cos omega_k > 0.
+    adds nothing to K or K_proj.  Elsewhere cos omega_k > 0.
     """
-    _, n, reps, u = _folded_modes(starts)
+    _, n, reps, u = folded
     phi = 2 * np.pi * reps / n
     c, s = math.cos(theta), math.sin(theta)
     cos_omega = np.hypot(s, c * np.cos(phi))
@@ -267,9 +272,15 @@ def _axis_limit(starts: WalkState | Sequence[WalkState], theta: float):
     kept = axis[:, None] * np.einsum("ok,obk->bk", axis, u)
     if theta == 0.0:
         kept[..., 4 * reps == n] = u[..., 4 * reps == n]
-    spread = (np.sqrt(np.sum((u - kept) ** 2, axis=0)) / cos_omega).sum(axis=-1)
+    perp = np.sqrt(np.sum((u - kept) ** 2, axis=0)) / cos_omega
     plus, minus = kept[:, 0::2].sum(axis=-1), kept[:, 1::2].sum(axis=-1)
-    return np.stack([plus[0], minus[1], plus[2]]), np.hypot(spread[0::2], spread[1::2])
+    r_inf = np.stack([plus[0], minus[1], plus[2]])
+    norm = np.sqrt(np.sum(r_inf**2, axis=0))
+    r_hat = np.divide(r_inf, norm, out=np.zeros_like(r_inf), where=norm > 0.0)
+    a = (r_hat[:, :, None] * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])[:, None]).reshape(3, -1)
+    a_perp = a[:, :, None] - axis[:, None] * np.einsum("ok,ob->bk", axis, a)
+    k_proj = (perp * np.sqrt(np.sum(a_perp**2, axis=0))).reshape(-1, 2 * reps.size).sum(axis=-1)
+    return r_inf, np.hypot(*perp.sum(axis=-1).reshape(-1, 2).T), k_proj
 
 
 def coin_trajectory(
@@ -326,7 +337,14 @@ def coin_trajectory(
     """
     if not 0 <= t_max <= MAX_STEPS:
         raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
-    batch, n, reps, u = _folded_modes(starts)
+    series = _series(_folded_modes(starts), theta, t_max)
+    return tuple(x[0] for x in series) if isinstance(starts, WalkState) else series
+
+
+def _series(folded, theta: float, t_max: int):
+    """(B, t_max + 1) arrays (p_left, p_right, q) of :func:`coin_trajectory`
+    from the :func:`_folded_modes` of its B starts; t_max is not checked."""
+    batch, n, reps, u = folded
     n_times = t_max + 1
     n_baby = math.isqrt(n_times - 1) + 1
     n_giant = -(-n_times // n_baby)
@@ -358,6 +376,4 @@ def coin_trajectory(
     weight = (start[0] + start[1])[:, None]
     p_left, p_right, q = (weight + r_z) / 2, (weight - r_z) / 2, (r_x - 1j * r_y) / 2
     p_left[:, 0], p_right[:, 0], q[:, 0] = start
-    if isinstance(starts, WalkState):
-        return p_left[0], p_right[0], q[0]
     return p_left, p_right, q

@@ -16,35 +16,38 @@ is a pure coin (beta = inf) read at its largest finite split 1 - 2**-53,
 so a beta threshold is violated there when
 atanh(1 - 2**-53) - e0*beta_inf > epsilon.
 
-The scan need not run to ``t_max``.  The Bloch vector of the average obeys
-|r(t) - r_inf| <= K/t with a constant K that does not grow with N; r_inf
-and K come from the rotation axes of the series' folded modes
-(``spectral._axis_limit``).  So |d(t)| <= K/(2t) and no band is left once
-K/t < delta = 2*min(hi, -lo).  With the smallest delta, shrunk by a
-relative 1e-9 to absorb the roundoff of the computed series, no
-violation can occur at or after the horizon t* = floor(K/delta) + 1,
-and the scan covers only [1, min(t*, t_max)].  Every reported value is
-the one a scan over all of [1, t_max] gives.  ``satisfied`` still means
-"not violated at t_max"; it is a proof of convergence only when
-t* <= t_max.
+The scan need not run to ``t_max``.  With e(t) = r(t) - r_inf, the Bloch
+vector of the average obeys |e| <= K/t and |r_inf_hat . e| <= K_proj/t,
+with constants that do not grow with N, from the rotation axes of the
+series' folded modes (``spectral._axis_limit``).  As exactly
+r_inf_hat . e <= 2d <= r_inf_hat . e + |e|^2/(2|r_inf|), no band is left
+from t*_axis = floor(K/delta) + 1 on, with delta = 2*min(hi, -lo), nor
+from t*_proj on, the first t with K_proj/(2t) <= -lo and
+K_proj/(2t) + K^2/(4|r_inf| t^2) <= hi (inf when r_inf = 0).  With every
+band edge shrunk by a relative 1e-9 to absorb the roundoff of the computed
+series, no violation can occur at or after t* = min(t*_axis, t*_proj),
+and the scan covers only [1, min(t*, t_max)].  Every reported value is the
+one a scan over all of [1, t_max] gives.  ``satisfied`` still means "not
+violated at t_max"; it is a proof of convergence only when t* <= t_max.
 
 The averages are running sums of the coin series that ``simulate`` reads,
-from :func:`cyclewalk.spectral.coin_trajectory`.  That series stops at
-``MAX_STEPS`` (10^6) steps, so a scan whose min(t*, t_max) exceeds
-MAX_STEPS + 1 raises :class:`ParameterError`.
+from :func:`cyclewalk.spectral.coin_trajectory`, folded once per scan.
+That series stops at ``MAX_STEPS`` (10^6) steps, so a scan that needs
+more, min(t*, t_max) - 1, raises :class:`ParameterError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import _axis_limit, coin_trajectory
+from .spectral import _axis_limit, _folded_modes, _series
 from .thermo import CoinDensity, beta_of_chi, chi_of_density, running_chi
-from .walk import WalkParams, localized_initial_state
+from .walk import MAX_STEPS, WalkParams, localized_initial_state
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,16 @@ def density_seminorm(rho1: CoinDensity, rho2: CoinDensity) -> float:
 _PURE_COIN_E0_BETA = math.atanh(1.0 - 2.0**-53)
 
 
-def _asymptotics(params: WalkParams) -> tuple[float, float, float, float]:
-    """(lambda_plus_inf, beta_inf, c, K) of the localized start of ``params``,
-    from the limit r_inf and the envelope constant K of its rotations."""
-    r_inf, k = _axis_limit(localized_initial_state(params), params.theta)
+def _asymptotics(params: WalkParams, folded=None):
+    """(lambda_plus_inf, beta_inf, c, (K, K_proj, |r_inf|)) of the localized
+    start of ``params``, from the limit r_inf and the envelope constants of
+    the rotations of its folded modes ``folded`` (folded here when None)."""
+    folded = folded or _folded_modes(localized_initial_state(params))
+    r_inf, k, k_proj = _axis_limit(folded, params.theta)
     split = math.hypot(*r_inf[:, 0])  # |r_inf| = 2*sqrt(chi_inf)
     beta = float(beta_of_chi(0.25 * split**2, params.energy_scale))
     c = math.inf if math.isinf(beta) else 2.0 * math.cosh(beta * params.energy_scale) ** 2
-    return 0.5 + 0.5 * split, beta, c, float(k[0])
+    return 0.5 + 0.5 * split, beta, c, (float(k[0]), float(k_proj[0]), split)
 
 
 def _beta_band(lam_inf: float, e0_beta_inf: float, e: float) -> tuple[float, float]:
@@ -92,41 +97,59 @@ def _beta_band(lam_inf: float, e0_beta_inf: float, e: float) -> tuple[float, flo
     return 0.5 * (math.tanh(e0_beta_inf - e) - r_inf), 0.5 * (math.tanh(e0_beta_inf + e) - r_inf)
 
 
-def _horizon(k: float, bands: list[tuple[float, float]]) -> int | float:
-    """Envelope horizon t*: no band is left at any t >= t*.
+def _horizon(envelope: tuple[float, float, float], bands: list[tuple[float, float]]) -> int | float:
+    """Envelope horizon t* = min(t*_axis, t*_proj) of ``envelope`` = (K,
+    K_proj, |r_inf|): no band is left at any t >= t*.
 
-    The bound is derived in the module docstring.  Returns inf when K/delta
-    is not a finite number.
+    Both bounds are derived in the module docstring; K_proj = inf, or
+    r_inf = 0, leaves t*_axis.  Returns inf when neither is a finite number.
     """
-    delta = min(2.0 * min(hi, -lo) for lo, hi in bands) * (1.0 - 1e-9)
-    bound = k / delta if delta > 0.0 else math.inf
+    k, k_proj, split = envelope
+    below = min(-lo for lo, _ in bands) * (1.0 - 1e-9)
+    above = min(hi for _, hi in bands) * (1.0 - 1e-9)
+    delta = 2.0 * min(below, above)
+    if not delta > 0.0:
+        return math.inf
+    curve = k * k / (4.0 * split) if split > 0.0 else math.inf
+    half = 0.5 * k_proj
+    # t*_proj: half/t <= below, and half/t + curve/t^2 <= above from its root on
+    proj = max(half / below, (half + math.sqrt(half * half + 4.0 * curve * above)) / (2.0 * above))
+    bound = min(k / delta, proj)
     return math.floor(bound) + 1 if bound < math.inf else math.inf
 
 
 def _setup(params: WalkParams, epsilons: list[float], t_max: int):
-    """Check a scan's arguments; (lambda_plus_inf, e0*beta_inf, c, K) of ``params``."""
+    """Check a scan's arguments; (lambda_plus_inf, e0*beta_inf, c, scan) of
+    ``params``, where scan(bands) is :func:`_last_violations` of its series."""
     if not epsilons:
         raise ParameterError("epsilon must hold at least one threshold, got []")
     if not all(0.0 < e < math.inf for e in epsilons):
         raise ParameterError(f"epsilon must be finite and positive, got {epsilons}")
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
-    lam_inf, beta_inf, c, k = _asymptotics(params)
-    return lam_inf, params.energy_scale * beta_inf, c, k
+    folded = _folded_modes(localized_initial_state(params))
+    lam_inf, beta_inf, c, envelope = _asymptotics(params, folded)
+    scan = partial(_last_violations, folded, params.theta, t_max, envelope, lam_inf)
+    return lam_inf, params.energy_scale * beta_inf, c, scan
 
 
 def _last_violations(
-    params: WalkParams, t_max: int, k: float, lam_inf: float, bands: list[tuple[float, float]]
+    folded, theta: float, t_max: int, envelope, lam_inf: float, bands: list[tuple[float, float]]
 ) -> list[int]:
     """Last t in 1..t_max at which d(t) = lambda+(t) - lam_inf leaves each
     band [lo, hi], 0 where none does.
 
-    All bands share one series, which stops at the envelope horizon t* of
-    the constant ``k`` when that comes before t_max: no band can be left
-    from t* on, so the result equals that of a scan over all of 1..t_max.
+    All bands share one series of the folded modes ``folded``, which stops
+    at the horizon t* of ``envelope`` when that comes before t_max: no band
+    can be left from t* on, so the result equals that of a scan over all of
+    1..t_max.
     """
-    t_end = min(t_max, _horizon(k, bands))
-    chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, t_end - 1))
+    steps = min(t_max, _horizon(envelope, bands)) - 1
+    if steps > MAX_STEPS:
+        raise ParameterError(
+            f"the scan needs {steps} steps (min(horizon, t_max) - 1); the ceiling is {MAX_STEPS}"
+        )
+    chi = running_chi(*(x[0] for x in _series(folded, theta, steps)))
     dev = np.sqrt(chi, out=chi)  # in place: no second series-long array
     dev += 0.5
     dev -= lam_inf
@@ -155,8 +178,8 @@ def _report(
 
 def mixing_time(params: WalkParams, epsilon: float, t_max: int) -> ConvergenceReport:
     """Scan for the last t in 1..t_max with |lambda+(t) - lambda+(inf)| > epsilon."""
-    lam_inf, _, c, k = _setup(params, [epsilon], t_max)
-    (last,) = _last_violations(params, t_max, k, lam_inf, [(-epsilon, epsilon)])
+    _, _, c, scan = _setup(params, [epsilon], t_max)
+    (last,) = scan([(-epsilon, epsilon)])
     return _report(epsilon, last, t_max, c)
 
 
@@ -171,11 +194,11 @@ def convergence_sweep(
     parameter set, and only up to the envelope horizon of the smallest
     threshold, keeps N-range sweeps affordable.
     """
-    lam_inf, e0_beta_inf, c, k = _setup(params, epsilons, t_max)
+    lam_inf, e0_beta_inf, c, scan = _setup(params, epsilons, t_max)
     beta_ok = 0.0 < e0_beta_inf < math.inf
     beta_eps = [*epsilons, *(c * e for e in epsilons)] if beta_ok else []
     bands = [(-e, e) for e in epsilons] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
-    last = _last_violations(params, t_max, k, lam_inf, bands)
+    last = scan(bands)
     last_mix = last[: len(epsilons)]
     last_beta = [_therm_last(t, e, e0_beta_inf) for t, e in zip(last[len(epsilons) :], beta_eps)]
     records = []
@@ -203,11 +226,11 @@ def thermalization_time(
     temperature has no finite limit to converge to; the report is returned
     flagged unsatisfied rather than raising.
     """
-    lam_inf, e0_beta_inf, c, k = _setup(params, [epsilon], t_max)
+    lam_inf, e0_beta_inf, c, scan = _setup(params, [epsilon], t_max)
     if not 0.0 < e0_beta_inf < math.inf:
         # chi_inf = 0: the asymptotic temperature is infinite and beta(t)
         # only decays as 1/sqrt(t), so no finite horizon certifies the scan.
         return _report(epsilon, t_max, t_max, c)
     band = _beta_band(lam_inf, e0_beta_inf, epsilon)
-    (last,) = _last_violations(params, t_max, k, lam_inf, [band])
+    (last,) = scan([band])
     return _report(epsilon, _therm_last(last, epsilon, e0_beta_inf), t_max, c)

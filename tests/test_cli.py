@@ -226,6 +226,42 @@ class TestIsotherms:
             assert out == capsys.readouterr().out
 
 
+# (tau_mix, tau_therm, tau_therm_scaled) at epsilon = 1e-2, 1e-3, 1e-4 for
+# each N of the dataset of scripts/run_mixing_sweep.py, all satisfied
+SCRIPT_SWEEP_PINS = {
+    10: [(21, 74, 22), (244, 734, 244), (2574, 7404, 2574)],
+    20: [(18, 55, 18), (214, 610, 214), (2178, 6774, 2178)],
+    30: [(14, 51, 14), (206, 602, 206), (2318, 6529, 2318)],
+    40: [(14, 42, 14), (179, 542, 179), (2126, 6182, 2126)],
+    50: [(14, 46, 14), (214, 489, 214), (1970, 6235, 1970)],
+    60: [(14, 46, 14), (162, 571, 166), (1790, 5421, 1790)],
+    70: [(14, 42, 14), (150, 534, 150), (2016, 5575, 2016)],
+    80: [(14, 42, 14), (153, 482, 153), (1835, 5836, 1835)],
+    90: [(14, 42, 14), (153, 462, 153), (1726, 5402, 1726)],
+    100: [(14, 42, 14), (146, 518, 146), (1730, 5429, 1730)],
+    110: [(14, 42, 14), (154, 456, 154), (1862, 5481, 1862)],
+    120: [(14, 42, 14), (154, 459, 154), (1763, 4698, 1763)],
+    130: [(14, 42, 14), (141, 458, 141), (1850, 4961, 1850)],
+    140: [(14, 42, 14), (146, 421, 146), (1798, 5001, 1798)],
+    150: [(14, 42, 14), (154, 444, 154), (1838, 4794, 1838)],
+    160: [(14, 42, 14), (146, 463, 146), (1649, 4923, 1649)],
+    170: [(14, 42, 14), (142, 450, 142), (1590, 4725, 1590)],
+    180: [(14, 42, 14), (142, 454, 142), (1666, 4603, 1666)],
+    190: [(14, 42, 14), (138, 442, 138), (1628, 4655, 1628)],
+    200: [(14, 42, 14), (146, 437, 146), (1642, 4847, 1642)],
+    210: [(14, 42, 14), (138, 417, 138), (1584, 4761, 1584)],
+    220: [(14, 42, 14), (138, 417, 138), (1578, 4700, 1578)],
+    230: [(14, 42, 14), (138, 421, 138), (1485, 4493, 1485)],
+    240: [(14, 42, 14), (138, 413, 138), (1688, 4406, 1688)],
+    250: [(14, 42, 14), (138, 409, 138), (1575, 5050, 1575)],
+    260: [(14, 42, 14), (138, 406, 138), (1573, 4424, 1573)],
+    270: [(14, 42, 14), (138, 410, 138), (1450, 4746, 1450)],
+    280: [(14, 42, 14), (138, 414, 138), (1590, 4761, 1590)],
+    290: [(14, 42, 14), (138, 418, 138), (1537, 4578, 1537)],
+    300: [(14, 42, 14), (138, 422, 138), (1571, 4810, 1571)],
+}
+
+
 class TestMixingSweep:
     def test_columns_and_cross_check(self, capsys):
         _, out, _ = run(
@@ -318,6 +354,37 @@ class TestMixingSweep:
                 bad = np.flatnonzero(dev > float(row["epsilon"]))
                 assert int(row[column]) == (int(bad[-1]) + 2 if bad.size else 1)
             assert row["satisfied"] == ("true" if code == EXIT_OK else "false")
+
+    def test_script_dataset_is_pinned(self, capsys):
+        # the scans may stop earlier, but no time or flag of the dataset may move
+        code, out, _ = run(["mixing-sweep", "--n-range", "10:300:10", "--t-max", "100000"], capsys)
+        assert code == EXIT_OK
+        header, *lines = [line.split(",") for line in data_lines(out)]
+        rows = [dict(zip(header, line)) for line in lines]
+        got = {}
+        for row in rows:
+            taus = tuple(int(row[c]) for c in ("tau_mix", "tau_therm", "tau_therm_scaled"))
+            got.setdefault(int(row["n"]), []).append(taus)
+        assert got == SCRIPT_SWEEP_PINS
+        assert [row["epsilon"] for row in rows] == ["0.01", "0.001", "0.0001"] * 30
+        assert {row["satisfied"] for row in rows} == {"true"}
+
+    @pytest.mark.parametrize("n, code", [("5", EXIT_OK), ("4", EXIT_VALIDATION)])
+    def test_horizon_past_the_step_ceiling(self, capsys, n, code):
+        # t_max is above the 10^6-step ceiling of the series in both runs.
+        # The 5-cycle's horizon, 998,280, fits under it (t*_axis, 1,458,225,
+        # does not); the 4-cycle's, 1,113,840, does not, and the error names
+        # the steps that the scan needs, not t_max
+        argv = ["mixing-sweep", "--n", n, "--epsilon", "8e-7", "--t-max", "2000000"]
+        got, out, err = run(argv, capsys)
+        assert got == code
+        if code == EXIT_OK:
+            header, line = [line.split(",") for line in data_lines(out)]
+            row = dict(zip(header, line))
+            columns = ("tau_mix", "tau_therm", "tau_therm_scaled", "satisfied")
+            assert [row[c] for c in columns] == ["327484", "936670", "327484", "true"]
+        else:
+            assert "needs 1113839 steps" in err and "1000000" in err
 
     def test_unsatisfied_horizon_exit_two(self, capsys):
         code, _, err = run(

@@ -24,7 +24,7 @@ from cyclewalk import (
     step,
 )
 from cyclewalk._oracle import direct_densities
-from cyclewalk.spectral import _axis_limit, mode_values_at
+from cyclewalk.spectral import _axis_limit, _folded_modes, mode_values_at
 from cyclewalk.walk import coin_entries
 
 from conftest import random_state
@@ -294,10 +294,10 @@ def test_axis_limit_and_envelope(n, theta, seed):
     # at theta = 0 with 4 | N one mode stands still, and at theta = 1e-6 it
     # nearly does: there the alpha/beta form fails.  The theta = 0 walk
     # returns to its start after 2N steps, so its limit is the mean over
-    # them; everywhere the envelope is checked against running averages
+    # them; everywhere both envelopes are checked against running averages
     rng = np.random.default_rng(seed)
     starts = [random_state(rng, n), localized_initial_state(WalkParams(n, theta, 1.0, 2.0))]
-    r_inf, k = _axis_limit(starts, theta)
+    r_inf, k, k_proj = _axis_limit(_folded_modes(starts), theta)
     phi = 2 * np.pi * np.arange(n) / n
     cos_omega = np.hypot(math.sin(theta), math.cos(theta) * np.cos(phi))
     ts = np.arange(1, 2001)
@@ -313,9 +313,12 @@ def test_axis_limit_and_envelope(n, theta, seed):
             assert np.abs(r_inf[:, i] - want).max() < 1e-10
         p_left, p_right, q = (np.cumsum(x[:-1]) / ts for x in series)
         r_x, r_y, r_z = r_inf[:, i]
-        dr = np.sqrt((p_left - p_right - r_z) ** 2 + 4 * np.abs(q - complex(r_x, -r_y) / 2) ** 2)
-        # |r_avg(t) - r_inf| <= K/t, up to 1e-13 of roundoff in the sums
-        assert np.all(ts * (dr - 1e-13) <= k[i])
+        e = np.stack([2 * q.real - r_x, -2 * q.imag - r_y, p_left - p_right - r_z])
+        # |e(t)| <= K/t and |r_inf_hat . e(t)| <= K_proj/t for e = r_avg - r_inf,
+        # up to 1e-13 of roundoff in the sums
+        r_hat = r_inf[:, i] / np.linalg.norm(r_inf[:, i])
+        assert np.all(ts * (np.sqrt(np.sum(e**2, axis=0)) - 1e-13) <= k[i])
+        assert np.all(ts * (np.abs(r_hat @ e) - 1e-13) <= k_proj[i])
 
 def edge_start(rng, n, start):
     """A normalized random state on all sites, on the odd sites only, or on

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclewalk.spectral
@@ -18,7 +18,7 @@ from cyclewalk import (
     mixing_time,
     thermalization_time,
 )
-from cyclewalk.spectral import _axis_limit, coin_trajectory
+from cyclewalk.spectral import _axis_limit, _folded_modes, coin_trajectory
 from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
 from cyclewalk.walk import MAX_STEPS, localized_initial_state
@@ -203,9 +203,10 @@ def test_convergence_sweep_matches_individual_scans(start, n):
 
 
 def test_no_decomposition_per_sweep(monkeypatch):
-    # the limit and K come from the folded modes: one axis limit per sweep
-    # and no alpha/beta decomposition, through any module's binding
-    calls = {"decompose": 0, "_axis_limit": 0}
+    # the limit and K come from the folded modes: one fold and one axis
+    # limit per sweep and no alpha/beta decomposition, through any module's
+    # binding; the series reads the same fold
+    calls = {"decompose": 0, "_axis_limit": 0, "_folded_modes": 0}
     for name in calls:
         original = getattr(cyclewalk.spectral, name)
 
@@ -218,21 +219,22 @@ def test_no_decomposition_per_sweep(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     convergence_sweep(WalkParams(30, **FIG3_PARAMS), [1e-2, 1e-3], 500)
-    assert calls == {"decompose": 0, "_axis_limit": 1}
+    assert calls == {"decompose": 0, "_axis_limit": 1, "_folded_modes": 1}
 
 
 def test_scan_stops_at_horizon(monkeypatch):
-    # the envelope horizon of these thresholds is 11,073, far below t_max
+    # the horizon of these thresholds is min(t*_axis, t*_proj) =
+    # min(11,073, 7,995), far below t_max
     scanned = []
-    series = cyclewalk.times.coin_trajectory
+    series = cyclewalk.times._series
 
-    def counting(state0, theta, t_max):
+    def counting(folded, theta, t_max):
         scanned.append(t_max + 1)
-        return series(state0, theta, t_max)
+        return series(folded, theta, t_max)
 
-    monkeypatch.setattr(cyclewalk.times, "coin_trajectory", counting)
+    monkeypatch.setattr(cyclewalk.times, "_series", counting)
     recs = convergence_sweep(WalkParams(100, **FIG3_PARAMS), [1e-2, 1e-3, 1e-4], 10**5)
-    assert scanned == [11_073]
+    assert scanned == [7_995]
     taus = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"]) for r in recs]
     assert taus == [(14, 42, 14), (146, 518, 146), (1730, 5429, 1730)]
 
@@ -246,7 +248,7 @@ def test_tiny_epsilon_scans_to_t_max():
 def test_series_beyond_step_ceiling_raises():
     # an infinite horizon leaves t_max as the end; the averages up to
     # t = MAX_STEPS + 1 need MAX_STEPS steps, one more step is refused
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=f"needs {MAX_STEPS + 1} steps"):
         convergence_sweep(WalkParams(5, **FIG3_PARAMS), [5e-324], MAX_STEPS + 2)
 
 
@@ -279,20 +281,24 @@ def _last_violation(dev: np.ndarray, eps: float) -> int:
 def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     params = WalkParams(n, theta, math.acos(cos_gamma), phi)
     dec = decompose_localized(params)
-    lam_inf, beta_inf, c, k = _asymptotics(params)
+    lam_inf, beta_inf, c, envelope = _asymptotics(params)
+    k = envelope[0]
     beta_ok = 0.0 < beta_inf < math.inf
     beta_eps = [eps, c * eps] if beta_ok else []
     e0_beta_inf = params.energy_scale * beta_inf
     bands = [(-eps, eps)] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
-    t_star = _horizon(k, bands)
-    # the exact band edge is at least the mean-value root, so t* only shrinks
-    assert t_star <= _mean_value_horizon(k, lam_inf, [eps], beta_eps)
+    t_star = _horizon(envelope, bands)
+    t_axis = _horizon((k, math.inf, envelope[2]), bands)  # no projected bound
+    # t* is the smaller of two proven horizons; the exact band edge is at
+    # least the mean-value root, so t*_axis only shrinks
+    assert t_star <= t_axis <= _mean_value_horizon(k, lam_inf, [eps], beta_eps)
 
     # |r(t) - r_inf| <= K/t for the closed-form averages, with r_z = p_left -
     # p_right and r_x - i r_y = 2q, and r_inf the axis limit the scans read
-    ts = np.arange(1, 4 * t_star + 1)
+    ts = np.arange(1, 4 * t_axis + 1)
     p_left, p_right, q = averaged_trajectory_closed(dec, ts)
-    r_x, r_y, r_z = _axis_limit(localized_initial_state(params), params.theta)[0][:, 0]
+    folded = _folded_modes(localized_initial_state(params))
+    r_x, r_y, r_z = _axis_limit(folded, params.theta)[0][:, 0]
     dr = np.sqrt((p_left - p_right - r_z) ** 2 + 4.0 * np.abs(q - complex(r_x, -r_y) / 2) ** 2)
     assert np.all(ts * dr <= k)
 
@@ -300,10 +306,46 @@ def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     chi = np.maximum(0.25 - (p_left * p_right - np.abs(q) ** 2), 0.0)
     lam_dev = np.abs(0.5 + np.sqrt(chi) - lam_inf)
     beta_dev = np.abs(np.arctanh(np.minimum(2.0 * np.sqrt(chi), 1.0 - 1e-16)) - beta_inf)
-    for t_max in (max(1, t_star // 2), 2 * t_star):
+    for t_max in (max(1, t_star // 2), 2 * t_axis):
         (rec,) = convergence_sweep(params, [eps], t_max)
         assert rec["tau_mix"] == _last_violation(lam_dev[:t_max], eps) + 1
         if beta_ok:
             assert rec["tau_therm"] == _last_violation(beta_dev[:t_max], eps) + 1
             scaled = _last_violation(beta_dev[:t_max], c * eps) + 1
             assert rec["tau_therm_scaled"] == scaled
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 130),
+    theta=st.floats(0.02, math.pi / 2 - 0.02),
+    cos_gamma=st.floats(-1.0, 1.0),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    log_eps=st.floats(-3.5, -1.5),
+)
+@example(n=12, theta=0.0, cos_gamma=0.5, phi=2.0, log_eps=-2.0)
+@example(n=16, theta=0.0, cos_gamma=0.5, phi=2.0, log_eps=-3.0)
+@example(n=12, theta=1e-6, cos_gamma=0.5, phi=2.0, log_eps=-2.0)
+@example(n=30, theta=math.pi / 4, cos_gamma=math.cos(3 * math.pi / 4 + 1e-3), phi=0.0, log_eps=-3.0)
+def test_no_band_left_from_horizon(n, theta, cos_gamma, phi, log_eps):
+    # t* = min(t*_axis, t*_proj): on the series run to t*_axis, itself a
+    # proof, no band of a sweep is left at or after t*.  theta = 0 with 4 | N
+    # has a standing mode, theta = 1e-6 nearly one (K ~ 2e5, so the series
+    # stops at 10^5 there), and the last start has chi_inf near 0, where
+    # the K^2/(4|r_inf| t^2) term is large
+    params = WalkParams(n, theta, math.acos(cos_gamma), phi)
+    eps = 10.0**log_eps
+    lam_inf, beta_inf, c, envelope = _asymptotics(params)
+    e0_beta_inf = params.energy_scale * beta_inf
+    bands = [(-eps, eps)]
+    if 0.0 < e0_beta_inf < math.inf:
+        bands += [_beta_band(lam_inf, e0_beta_inf, e) for e in (eps, c * eps)]
+    t_star = _horizon(envelope, bands)
+    t_axis = _horizon((envelope[0], math.inf, envelope[2]), bands)
+    assert t_star <= t_axis
+    t_end = min(t_axis, 10**5)
+    chi = running_chi(*coin_trajectory(localized_initial_state(params), theta, t_end - 1))
+    dev = np.sqrt(chi) + 0.5 - lam_inf  # the scan's d(t), t = 1..t_end
+    for lo, hi in bands:
+        outside = np.flatnonzero((dev < lo) | (dev > hi)) + 1
+        assert outside.size == 0 or outside[-1] < t_star
