@@ -14,6 +14,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,7 +71,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise ParameterError(f"--n-range must be start:stop[:step], got {text!r}")
     if stride == 0:
         raise ParameterError(f"--n-range step must not be zero, got {text!r}")
-    values = list(range(start, stop + 1, stride))
+    # inclusive of stop in either direction
+    values = list(range(start, stop + (1 if stride > 0 else -1), stride))
     if not values:
         raise ParameterError(f"--n-range {text!r} is empty")
     return values
@@ -133,7 +135,7 @@ def _json_spell(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-_BLOCK = 4096  # rows per joined block of text, and per json.dumps of a plain column
+_BLOCK = 2048  # rows per joined block of text, and per spell of a plain column
 
 
 def _cell_types(column) -> set:
@@ -145,68 +147,51 @@ def _cell_types(column) -> set:
 
 
 def _block_reader(column, spell):
-    """``read(start, stop)``: the column's cells in those rows, as Python
-    values, one block at a time; a factored column's values are spelled
-    once, by ``spell``, and read as their texts."""
+    """``read(start, stop)``: the texts of the column's cells in those rows,
+    one block at a time, as ``spell`` writes a list of cells; a factored
+    column's values are spelled once and its cells gather their texts."""
     if isinstance(column, _Factored):
         texts = np.array(spell(column.values.tolist()), dtype=object)
         return lambda a, b: texts[column.index[a:b]].tolist()
     if isinstance(column, np.ndarray):
-        return lambda a, b: column[a:b].tolist()
-    return lambda a, b: list(column[a:b])
+        return lambda a, b: spell(column[a:b].tolist())
+    return lambda a, b: spell(list(column[a:b]))
 
 
-def _joined_blocks(cells, n_rows, seps, end):
-    """The rows as text, _BLOCK rows per string, from cells whose text is
-    known: ``cells(start, stop)`` gives each column's texts for those rows,
-    ``seps[i]`` follows column i's cell and ``end`` follows the last cell.
-    One join per block over a list whose strided slices hold the columns."""
+def _joined_blocks(readers, n_rows, seps, end):
+    """The rows as text, _BLOCK rows per string: ``readers[i](start, stop)``
+    gives column i's texts for those rows, ``seps[i]`` follows column i's
+    cell and ``end`` follows the last cell.  One join per block over a list
+    whose strided slices hold the columns."""
     k = len(seps)
     pattern = [x for sep in seps for x in (None, sep)]
     for start in range(0, n_rows, _BLOCK):
         stop = min(start + _BLOCK, n_rows)
         out = pattern * (stop - start)
-        for i, texts in enumerate(cells(start, stop)):
-            out[2 * i :: 2 * k] = texts
+        for i, read in enumerate(readers):
+            out[2 * i :: 2 * k] = read(start, stop)
         if stop == n_rows:
             out[-1] = end
         yield "".join(out)
 
 
 def _csv_lines(config, table, summary):
-    """The text of a CSV dataset: header lines, then the rows, read _BLOCK
-    at a time: one join per block when every cell is text or an int, else
-    one string per row."""
+    """The text of a CSV dataset: header lines, then the rows, joined
+    _BLOCK at a time from each column's texts."""
     yield f"# cyclewalk {__version__}\n"
     yield "# config: " + json.dumps(_echo(config), sort_keys=True) + "\n"
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(table) + "\n"
     columns = list(table.values())
-    n_rows = len(columns[0])
-    # None marks a factored column, read as text
-    kinds = [None if isinstance(c, _Factored) else _cell_types(c) for c in columns]
-    readers = [_block_reader(c, _csv_spell) for c in columns]
-    if all(kind is None or kind <= {int} for kind in kinds):
-        # str spells an int as _fmt does
-        yield from _joined_blocks(
-            lambda a, b: (map(str, r(a, b)) if kind else r(a, b) for r, kind in zip(readers, kinds)),
-            n_rows, [","] * (len(columns) - 1) + ["\n"], "\n",
-        )
-        return
-    # one % conversion per row formats float and int columns in C, as _fmt
-    # would; a factored column arrives as text
-    formats = [
-        "%s" if kind is None else "%.17g" if kind <= {float} else "%d" if kind <= {int} else "%s"
-        for kind in kinds
-    ]
-    readers = [
-        (lambda a, b, r=r: map(_fmt, r(a, b))) if kind and f == "%s" else r
-        for r, kind, f in zip(readers, kinds, formats)
-    ]
-    row = (",".join(formats) + "\n").__mod__
-    for start in range(0, n_rows, _BLOCK):
-        yield from map(row, zip(*(r(start, start + _BLOCK) for r in readers)))
+    readers = []
+    for column in columns:
+        # the cells are spelled as _fmt spells them: floats through one
+        # C-level %, ints by str; a factored column's values are floats
+        kinds = {float} if isinstance(column, _Factored) else _cell_types(column)
+        spell = _csv_spell if kinds <= {float} else partial(map, str if kinds <= {int} else _fmt)
+        readers.append(_block_reader(column, spell))
+    yield from _joined_blocks(readers, len(columns[0]), [","] * (len(columns) - 1) + ["\n"], "\n")
 
 
 def _json_chunks(config, table, summary):
@@ -227,16 +212,13 @@ def _json_chunks(config, table, summary):
         payload["summary"] = summary
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps("\0"))
     names = sorted(table)
-    factored = [isinstance(table[k], _Factored) for k in names]
-    readers = [_block_reader(table[k], _json_spell) for k in names]
     keys = [json.dumps(k) for k in names]
     n_rows = len(table[names[0]])
     # a record's first key follows the previous record's closing brace
     seps = [f",\n      {k}: " for k in keys[1:]] + ["\n    },\n    {\n      " + keys[0] + ": "]
     yield head + (f"[\n    {{\n      {keys[0]}: " if n_rows else "[]")
     yield from _joined_blocks(
-        lambda a, b: (r(a, b) if f else _json_spell(r(a, b)) for r, f in zip(readers, factored)),
-        n_rows, seps, "\n    }",
+        [_block_reader(table[k], _json_spell) for k in names], n_rows, seps, "\n    }"
     )
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 
@@ -336,12 +318,14 @@ def cmd_markov(config: SimpleNamespace) -> int:
     # x = p_left - p_right tends to 0 and underflows, so its values repeat;
     # as an array, the list is freed before the factoring sorts
     x = _factored(np.array(markov_imbalances(initial, config.theta, config.t_max)))
-    beta_m = [beta_of_imbalance(v, config.e0) for v in x.values.tolist()]
-    table = {
-        "t": range(config.t_max + 1),
-        "p_left": _Factored((1.0 + x.values) / 2, x.index),
-        "p_right": _Factored((1.0 - x.values) / 2, x.index),
-        "beta_m": _Factored(np.array(beta_m), x.index),
+    beta_m = np.array([beta_of_imbalance(v, config.e0) for v in x.values.tolist()])
+    values = {"p_left": (1.0 + x.values) / 2, "p_right": (1.0 - x.values) / 2, "beta_m": beta_m}
+    # where no value repeats (small theta: nothing underflows), factoring
+    # saves no conversion, and the writer reads plain columns per block
+    repeats = len(x.values) < len(x)
+    table = {"t": range(config.t_max + 1)} | {
+        key: _Factored(v, x.index) if repeats else v[x.index]
+        for key, v in values.items()
     }
     try:
         formula, empirical = markov_thermalization_time(

@@ -285,22 +285,26 @@ class TestMixingSweep:
         )
 
     def test_n_range(self, capsys):
-        _, out, _ = run(
-            [
-                "mixing-sweep",
-                "--n-range",
-                "10:30:10",
-                "--epsilon",
-                "1e-2",
-                "--t-max",
-                "2000",
-                "--format",
-                "json",
-            ],
-            capsys,
-        )
-        recs = json.loads(out)["records"]
-        assert [r["n"] for r in recs] == [10, 20, 30]
+        # inclusive of stop for either sign of the step, as the header echoes
+        for n_range, ns in [("10:30:10", [10, 20, 30]), ("30:10:-10", [30, 20, 10]),
+                            ("10:10:-1", [10])]:
+            _, out, _ = run(
+                [
+                    "mixing-sweep",
+                    "--n-range",
+                    n_range,
+                    "--epsilon",
+                    "1e-2",
+                    "--t-max",
+                    "2000",
+                    "--format",
+                    "json",
+                ],
+                capsys,
+            )
+            dataset = json.loads(out)
+            assert [r["n"] for r in dataset["records"]] == ns
+            assert dataset["config"]["n_range"] == ns
 
     @pytest.mark.parametrize(
         "argv, rows",
@@ -769,10 +773,15 @@ def test_numpy_and_range_columns_read_as_lists(cells, rows, fmt, float_column):
 @pytest.mark.parametrize("argv", [
     ["markov", "--t-max", "100000"],
     ["simulate", "--n", "20", "--t-max", "20000"],
+    ["simulate", "--n", "20", "--t-max", "20000", "--format", "json"],
+    # at small theta no value repeats, so markov's columns are plain
+    ["markov", "--theta", "0.01", "--t-max", "50000"],
 ])
 def test_writer_memory_is_bounded_by_the_block(tmp_path, argv):
-    # the text is made per block of rows: whole-column cell lists and texts
-    # peaked at 7.8 and 6.6 MB here, the blocks at 2.9 and 3.8 MB
+    # the text is made per block of rows.  Whole-column cell lists and texts
+    # peaked at 7.8 and 6.6 MB for the first two; JSON blocks of 4096 rows
+    # at 6.3 MB, and markov's factored columns of distinct values at
+    # 16.9 MB, for the last two.  Blocks of 2048 rows stay below 4 MB
     tracemalloc.start()
     try:
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
