@@ -4,11 +4,9 @@ Each check compares one route to a quantity with an independent one (direct
 iteration, the spectral limit, the iterated chain) and returns its worst
 absolute deviation; the callers draw the inputs and hold the bounds.  The
 walk checks take the starts at time 0 on one cycle, or their spectral
-decompositions, and ``direct``, their :func:`direct_series`;
-:func:`direct_walks` walks several cycles in one stepping loop and
-:func:`direct_densities` streams the coin densities of one cycle's walk in
-O(B N) memory, for walks too long to store.  :func:`walk_checks` runs the
-four walk checks as ``selftest`` does.
+decompositions, and ``direct``, their series from :func:`direct_walks`,
+which walks several cycles in one stepping loop.  :func:`walk_checks` runs
+the four walk checks as ``selftest`` does.
 """
 
 from __future__ import annotations
@@ -39,23 +37,11 @@ def bloch_points(rng, count: int = 20) -> list[tuple[float, float]]:
     ]
 
 
-def _walk(states: list[WalkState], theta: float, t_max: int):
-    """The (B, N) amplitudes of B states on one cycle after 0..t_max steps."""
-    a, b = np.stack([s.a for s in states]), np.stack([s.b for s in states])
-    return iterate_arrays(a, b, coin(theta), t_max)
-
-
-def direct_series(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
-    """(t_max + 1, B, N) amplitudes (a, b) of B states on one cycle; row t
-    holds every state after t direct steps."""
-    a, b = zip(*_walk(states, theta, t_max))
-    return np.stack(a), np.stack(b)
-
-
 def direct_walks(walks: list[tuple[list[WalkState], float]], t_max: int) -> list[tuple]:
-    """The :func:`direct_series` of each (states, theta) of ``walks``, from
-    one stepping loop: every state is a cycle of its own on one flat site
-    axis, back to back, with its own coin."""
+    """The (t_max + 1, B, N) amplitudes (a, b) of the B states of each
+    (states, theta) of ``walks``; row t holds every state after t direct
+    steps.  One stepping loop walks them all: every state is a cycle of its
+    own on one flat site axis, back to back, with its own coin."""
     states = [s for group, _ in walks for s in group]
     sizes = [s.n_sites for s in states]
     last = np.cumsum(sizes) - 1
@@ -75,13 +61,6 @@ def direct_walks(walks: list[tuple[list[WalkState], float]], t_max: int) -> list
         series.append((a[:, lo:hi].reshape(shape), b[:, lo:hi].reshape(shape)))
         lo = hi
     return series
-
-
-def direct_densities(states: list[WalkState], theta: float, t_max: int) -> tuple[np.ndarray, ...]:
-    """Coin density entries (p_left, p_right, q), each (t_max + 1, B), of
-    the walk of :func:`direct_series`, summed one step at a time."""
-    entries = [coin_entries(*amplitudes) for amplitudes in _walk(states, theta, t_max)]
-    return tuple(np.array(x) for x in zip(*entries))
 
 
 def _worst(got, direct) -> float:

@@ -459,13 +459,17 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         raise ParameterError(f"t_max must be non-negative, got {values['t_max']}")
     if values.get("seed", 0) < 0:
         raise ParameterError(f"seed must be non-negative, got {values['seed']}")
-    # the walk parameters a command reads lie in one domain
     walk = ("n", "theta", "gamma", "phi", "e0")
-    WalkParams(*(_SETTINGS[k][0] if values.get(k) is None else values[k] for k in walk))
+    n, *rest = (_SETTINGS[k][0] if values.get(k) is None else values[k] for k in walk)
+    sizes = values.get("n_range") or [n]
     # a cycle takes arrays of n entries: the ceiling of the steps and grid points
-    n_max = max(values.get("n_range") or [values.get("n") or 0])
+    n_max = max(sizes)
     if n_max > MAX_STEPS:
         raise ParameterError(f"n must be at most {MAX_STEPS}, got {n_max}")
+    # the walk parameters a command reads lie in one domain, for every size
+    # of a range before its first size runs
+    for size in sizes:
+        WalkParams(size, *rest)
     return SimpleNamespace(command=args.command, **values)
 
 

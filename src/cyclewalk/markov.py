@@ -121,8 +121,6 @@ def markov_thermalization_time(
         raise NonThermalizingError(
             f"the chain {which} at theta = {theta}; it never thermalizes"
         )
-    if cos2t == 0.0:
-        return 0.0, 1
     log_decay = math.log(abs(cos2t))
     formula = (math.log(epsilon) - math.log(abs(dp0))) / log_decay
 

@@ -216,8 +216,6 @@ def averaged_trajectory_closed(
 
 def averaged_density_closed(decomp: SpectralDecomposition, t: int) -> CoinDensity:
     """Exact averaged coin density over steps 0..t-1 from the closed form."""
-    if t < 1:
-        raise UndefinedAverageError("time average needs t >= 1")
     p_left, p_right, q = averaged_trajectory_closed(decomp, np.array([t]))
     return CoinDensity(float(p_left[0]), float(p_right[0]), complex(q[0]))
 
@@ -259,14 +257,6 @@ def f_g_h(n_sites: int, theta: float) -> tuple[float, float, float]:
     g = (f - 1.0) / cos_sq
     h = 2.0 / cos_sq + (1.0 - 2.0 / cos_sq) * f
     return f, g, h
-
-
-def hadamard_f_closed(n_sites: int) -> float:
-    """Closed form of f(N, pi/4) in powers of 1 +- sqrt(2)."""
-    m = n_sites if n_sites % 2 else n_sites // 2
-    plus = (1.0 + math.sqrt(2.0)) ** m
-    minus = (1.0 - math.sqrt(2.0)) ** m
-    return (plus + minus) / (plus - minus) * math.sqrt(2.0)
 
 
 def asymptotic_density_localized(params: WalkParams) -> CoinDensity:

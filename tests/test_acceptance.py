@@ -20,7 +20,6 @@ from cyclewalk import (
     chi_reference,
     decompose,
     f_g_h,
-    hadamard_f_closed,
     localized_initial_state,
     markov_step,
     markov_thermalization_time,
@@ -34,7 +33,6 @@ from cyclewalk._oracle import (
     bloch_points,
     closed_amplitudes_vs_direct,
     closed_average_vs_direct,
-    direct_series,
     direct_walks,
     localized_vs_spectral,
     markov_vs_iterated,
@@ -42,8 +40,9 @@ from cyclewalk._oracle import (
 from cyclewalk.spectral import coin_trajectory
 from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics
+from cyclewalk.walk import coin, iterate_arrays
 
-from conftest import decompose_localized
+from conftest import decompose_localized, hadamard_f_closed
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.3)
 FIG3 = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
@@ -62,7 +61,7 @@ def bloch_states(rng, n, theta):
 def bloch_walk(rng, n, theta, t_max):
     """(decompositions, direct series) of :func:`bloch_states`, as the closed-form checks take them."""
     states = bloch_states(rng, n, theta)
-    return [decompose(s, theta) for s in states], direct_series(states, theta, t_max)
+    return [decompose(s, theta) for s in states], direct_walks([(states, theta)], t_max)[0]
 
 
 def test_batched_step_is_walk_step():
@@ -70,7 +69,7 @@ def test_batched_step_is_walk_step():
     for n in (3, 4, 16):
         for theta in (0.0, *THETAS, math.pi / 2):
             states = bloch_states(rng, n, theta)
-            for a, b in zip(*direct_series(states, theta, n + 2)):
+            for a, b in zip(*direct_walks([(states, theta)], n + 2)[0]):
                 assert np.array_equal(a, np.stack([state.a for state in states]))
                 assert np.array_equal(b, np.stack([state.b for state in states]))
                 states = [step(state, theta) for state in states]
@@ -86,7 +85,10 @@ def test_direct_walks_are_the_per_cycle_series():
             states = bloch_states(rng, n, theta)[: 1 + len(walks)]
             walks.append((states, theta))
         for (states, theta), series in zip(walks, direct_walks(walks, t_max)):
-            for got, want in zip(series, direct_series(states, theta, t_max)):
+            # each cycle on its own: one batch, the scalar coin and the default ends
+            a, b = np.stack([s.a for s in states]), np.stack([s.b for s in states])
+            alone = [np.stack(x) for x in zip(*iterate_arrays(a, b, coin(theta), t_max))]
+            for got, want in zip(series, alone):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 

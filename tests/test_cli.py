@@ -34,6 +34,8 @@ from cyclewalk.cli import (
     main,
 )
 
+from conftest import direct_densities
+
 
 def run(args, capsys):
     code = main(args)
@@ -97,7 +99,7 @@ class TestSimulate:
         # the same eight columns from the densities of the direct walk
         params = WalkParams(5, math.pi / 4, math.pi / 3, math.pi / 6)
         beta_ref = math.atanh(2 * math.sqrt(chi_reference(5, math.pi / 4)))
-        densities = _oracle.direct_densities([localized_initial_state(params)], math.pi / 4, 2000)
+        densities = direct_densities([localized_initial_state(params)], math.pi / 4, 2000)
         p_left, p_right, q = (x[:, 0].tolist() for x in densities)
         acc_l = acc_r = 0.0
         acc_q = 0.0j
@@ -287,7 +289,7 @@ class TestMixingSweep:
     def test_n_range(self, capsys):
         # inclusive of stop for either sign of the step, as the header echoes
         for n_range, ns in [("10:30:10", [10, 20, 30]), ("30:10:-10", [30, 20, 10]),
-                            ("10:10:-1", [10])]:
+                            ("10:10:-1", [10]), ("10:12", [10, 11, 12])]:
             _, out, _ = run(
                 [
                     "mixing-sweep",
@@ -305,6 +307,14 @@ class TestMixingSweep:
             dataset = json.loads(out)
             assert [r["n"] for r in dataset["records"]] == ns
             assert dataset["config"]["n_range"] == ns
+
+    def test_bad_size_fails_before_any_scan(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "convergence_sweep", lambda *args: calls.append(args) or [])
+        argv = ["mixing-sweep", "--n-range", "3:1:-1", "--t-max", "100", "--epsilon", "1e-2"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: n_sites must be >= 3, got 2\n")
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, rows",
@@ -510,6 +520,11 @@ class TestConfigFile:
         (None, ["mixing-sweep", "--n-range", "3:2000003:1000000", "--t-max", "3"]),
         ({"n_range": [5, 1000001]}, ["mixing-sweep", "--t-max", "3"]),
         (None, ["isotherms", "--n", "1000001", "--grid", "3x3"]),
+        (None, ["mixing-sweep", "--n-range", "1:2:3:4"]),
+        (None, ["mixing-sweep", "--n-range", "5:3"]),
+        (None, ["isotherms", "--grid", "axb"]),
+        ({"format": "xml"}, ["isotherms", "--grid", "3x3"]),
+        ({"epsilon": []}, ["markov"]),
     ],
     ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
          "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
@@ -520,7 +535,8 @@ class TestConfigFile:
          "config-simulate-grid", "n-with-n-range", "markov-two-epsilons",
          "config-n-range-empty", "isotherms-grid-above-ceiling", "simulate-n-above-ceiling",
          "mixing-sweep-n-above-ceiling", "n-range-above-ceiling", "config-n-range-above-ceiling",
-         "isotherms-n-above-ceiling"],
+         "isotherms-n-above-ceiling", "n-range-four-parts", "n-range-empty",
+         "isotherms-grid-not-integers", "config-format-xml", "config-epsilon-empty"],
 )
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:

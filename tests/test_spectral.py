@@ -23,11 +23,10 @@ from cyclewalk import (
     localized_initial_state,
     step,
 )
-from cyclewalk._oracle import direct_densities
 from cyclewalk.spectral import _axis_limit, _folded_modes, mode_values_at
 from cyclewalk.walk import coin_entries
 
-from conftest import random_state
+from conftest import direct_densities, random_state
 
 
 def dense_dft(n_sites):

@@ -28,15 +28,14 @@ from cyclewalk import (
     entropy_of_chi,
     f_g_h,
     fourier_coefficients,
-    hadamard_f_closed,
     localized_initial_state,
     step,
     temperature_from_chi,
     transient_temperature,
 )
-from cyclewalk._oracle import bloch_points, direct_densities, localized_vs_spectral
+from cyclewalk._oracle import bloch_points, localized_vs_spectral
 
-from conftest import decompose_localized, random_state
+from conftest import decompose_localized, direct_densities, hadamard_f_closed, random_state
 
 CHI_HADAMARD_LINE = (3 - 2 * math.sqrt(2)) / 4
 

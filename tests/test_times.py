@@ -148,6 +148,12 @@ class TestThermalizationTime:
         params = WalkParams(7, math.pi / 4, 3 * math.pi / 4, 0.0)
         report = thermalization_time(params, 1e-3, 100)
         assert not report.satisfied
+        # the other end: at theta = 0 the coin stays pure and beta_inf is
+        # infinite, so every t up to t_max violates and c is infinite too
+        report = thermalization_time(WalkParams(5, 0.0, 0.0, 0.0), 1e-2, 100)
+        assert (report.tau, report.last_violation) == (101, 100)
+        assert report.c_constant == math.inf
+        assert not report.satisfied
 
 
 def test_linearization_slope():
