@@ -15,23 +15,11 @@ from .markov import (
     markov_step,
     markov_thermalization_time,
 )
-from .spectral import (
-    SpectralDecomposition,
-    amplitudes_at,
-    amplitudes_trajectory,
-    coin_trajectory,
-    decompose,
-    fourier_coefficients,
-    inverse_fourier,
-)
+from .spectral import coin_trajectory, fourier_coefficients, inverse_fourier
 from .thermo import (
     CoinDensity,
     ThermoState,
-    asymptotic_density,
     asymptotic_density_localized,
-    averaged_density_closed,
-    averaged_density_numeric,
-    averaged_trajectory_closed,
     beta_of_chi,
     chi_isotherm,
     chi_isotherm_grid,
@@ -62,22 +50,14 @@ __all__ = [
     "localized_initial_state",
     "step",
     "evolve",
-    "SpectralDecomposition",
     "fourier_coefficients",
     "inverse_fourier",
-    "decompose",
-    "amplitudes_at",
-    "amplitudes_trajectory",
     "coin_trajectory",
     "CoinDensity",
     "ThermoState",
     "coin_density",
     "entanglement_entropy",
     "entropy_of_chi",
-    "averaged_density_numeric",
-    "averaged_density_closed",
-    "averaged_trajectory_closed",
-    "asymptotic_density",
     "asymptotic_density_localized",
     "f_g_h",
     "chi_of_density",

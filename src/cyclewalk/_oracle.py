@@ -20,9 +20,10 @@ from .spectral import (
     SpectralDecomposition,
     _axis_limit,
     _folded_modes,
-    amplitudes_trajectory,
     coin_trajectory,
     decompose,
+    inverse_fourier,
+    mode_values_at,
 )
 from .thermo import asymptotic_density_localized, averaged_trajectory_closed, chi_isotherm
 from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
@@ -80,9 +81,9 @@ def series_vs_direct(states: list[WalkState], theta: float, direct) -> float:
 
 
 def closed_amplitudes_vs_direct(decomps: list[SpectralDecomposition], direct) -> float:
-    """:func:`amplitudes_trajectory` of each start's decomposition against ``direct``."""
+    """The :func:`mode_values_at` amplitudes of each start's decomposition against ``direct``."""
     ts = np.arange(len(direct[0]))
-    return _worst(_stacked(amplitudes_trajectory(d, ts) for d in decomps), direct)
+    return _worst(_stacked(inverse_fourier(*mode_values_at(d, ts)) for d in decomps), direct)
 
 
 def closed_average_vs_direct(decomps: list[SpectralDecomposition], direct) -> float:

@@ -58,7 +58,7 @@ _SETTINGS = {
 }
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     try:
         parts = [int(p) for p in text.split(":")]
     except ValueError as exc:
@@ -71,8 +71,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise ParameterError(f"--n-range must be start:stop[:step], got {text!r}")
     if stride == 0:
         raise ParameterError(f"--n-range step must not be zero, got {text!r}")
-    # inclusive of stop in either direction
-    values = list(range(start, stop + (1 if stride > 0 else -1), stride))
+    # inclusive of stop in either direction; listed once its sizes are checked
+    values = range(start, stop + (1 if stride > 0 else -1), stride)
     if not values:
         raise ParameterError(f"--n-range {text!r} is empty")
     return values
@@ -462,14 +462,17 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     walk = ("n", "theta", "gamma", "phi", "e0")
     n, *rest = (_SETTINGS[k][0] if values.get(k) is None else values[k] for k in walk)
     sizes = values.get("n_range") or [n]
-    # a cycle takes arrays of n entries: the ceiling of the steps and grid points
-    n_max = max(sizes)
+    # a cycle takes arrays of n entries: the ceiling of the steps and grid
+    # points; a range's largest entry is one of its ends
+    n_max = max(sizes[0], sizes[-1]) if isinstance(sizes, range) else max(sizes)
     if n_max > MAX_STEPS:
         raise ParameterError(f"n must be at most {MAX_STEPS}, got {n_max}")
     # the walk parameters a command reads lie in one domain, for every size
     # of a range before its first size runs
     for size in sizes:
         WalkParams(size, *rest)
+    if isinstance(sizes, range):
+        values["n_range"] = list(sizes)
     return SimpleNamespace(command=args.command, **values)
 
 

@@ -13,15 +13,18 @@ The solution is a two-frequency oscillation
 
 with ``sin(omega_k) = cos(theta) sin(2*pi*k/N)`` on the principal branch and
 (alpha_k, beta_k) fixed by the mode values at t = 0 and t = 1.  This gives
-the mode values at arbitrary time in O(N), the site amplitudes through one
-FFT in O(N log N) time and O(N) memory, and exact time averages.
+the mode values at arbitrary time in O(N) (:func:`mode_values_at`), the site
+amplitudes through one FFT in O(N log N) time and O(N) memory
+(:func:`amplitudes_at`), and exact time averages.
 
 The coin density at every step of a run (:func:`coin_trajectory`) comes
 instead from rotations of the modes' Bloch vectors, folded over two exact
 mode symmetries; they stay accurate where the two-frequency coefficients
 are singular, and keep the trace exact.  The limit of its running average
 and a K/t bound on the distance to it come from the rotations' axes
-(:func:`_axis_limit`).
+(:func:`_axis_limit`).  The alpha/beta form (:func:`decompose` and its
+:class:`SpectralDecomposition`) is an oracle of the tests and ``cyclewalk
+selftest``, imported from this module, not from the package root.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ParameterError
-from .walk import MAX_STEPS, WalkState, coin_entries, evolve, step
+from .walk import MAX_STEPS, WalkState, coin, coin_entries, iterate_arrays, step
 
 # cos(omega_k) below this is treated as an exact degeneracy (theta = 0 on a
 # cycle divisible by 4); the two-frequency ansatz is singular there.
@@ -147,17 +150,6 @@ def amplitudes_at(decomp: SpectralDecomposition, t: int) -> WalkState:
     return WalkState(a, b, time=t)
 
 
-def amplitudes_trajectory(
-    decomp: SpectralDecomposition, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closed-form amplitudes for an array of integer times.
-
-    Returns arrays of shape (len(times), n_sites): row ``i`` holds the site
-    amplitudes at ``times[i]`` for the left and right channel respectively.
-    """
-    return inverse_fourier(*mode_values_at(decomp, times))
-
-
 # Largest per-block array of coin_trajectory, in float64 elements (256 KiB);
 # the modes are processed in blocks small enough to keep every one under it.
 _WORK_ELEMENTS = 2**15
@@ -212,11 +204,13 @@ def _power_of_walk(theta: float, n_sites: int, t: int):
     width = min(n_sites, 2 * t + 1)
     delta = np.zeros(width)
     delta[0] = 1.0
-    walked = evolve(WalkState(delta, np.zeros(width)), theta, t)
+    # the real coin keeps the real delta real, so it steps as float arrays
+    for walked_a, walked_b in iterate_arrays(delta, np.zeros(width), coin(theta), t):
+        pass
     reach = np.arange(-t, t + 1)
     a = np.zeros(n_sites, complex)
     b = np.zeros(n_sites, complex)
-    a[reach % n_sites], b[reach % n_sites] = walked.a[reach % width], walked.b[reach % width]
+    a[reach % n_sites], b[reach % n_sites] = walked_a[reach % width], walked_b[reach % width]
     sign = (-1.0) ** (t + 1)
     return np.fft.fft(a), sign * np.fft.fft(b).conj(), sign
 
@@ -328,7 +322,7 @@ def coin_trajectory(
     ``_WORK_ELEMENTS`` float64 values per start; the other arrays hold a few
     values per mode and start or are the returned series of O(t_max)
     values per start, so t_max above
-    ``MAX_STEPS`` (10^6, the ceiling of :func:`evolve`) raises
+    ``MAX_STEPS`` (10^6, the ceiling of :func:`cyclewalk.walk.evolve`) raises
     :class:`ParameterError` before anything is allocated.  The roundoff
     grows with C, not with t_max, because M^B comes from
     :func:`_power_of_walk`.  Row t = 0 is summed over the sites by

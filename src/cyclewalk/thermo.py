@@ -14,7 +14,8 @@ of that series' folded modes (``spectral._axis_limit``), and the isotherms
 from the closed form :func:`chi_isotherm_grid`.  The alpha/beta closed
 forms (:func:`asymptotic_density`, ``averaged_*_closed``) and the numeric
 average of the directly iterated walk (:func:`averaged_density_numeric`)
-are oracles that the tests and ``cyclewalk selftest`` compare against.  The key scalar
+are oracles that the tests and ``cyclewalk selftest`` compare against; they
+are imported from this module, not from the package root.  The key scalar
 is ``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature (maximally
 mixed coin), chi = 1/4 a pure coin at zero temperature.
 """
@@ -157,40 +158,6 @@ def averaged_density_numeric(params: WalkParams, t: int) -> CoinDensity:
     return CoinDensity(p_left.real / t, p_right.real / t, q / t)
 
 
-def _oscillation_denominator(decomp: SpectralDecomposition) -> np.ndarray:
-    """1 + exp(2i*omega_k), the denominator of every partial-sum factor F_k."""
-    denom = 1.0 + np.exp(2j * decomp.omega)
-    if np.any(np.abs(denom) < 1e-9):
-        raise DegenerateSpectrumError("a mode phase sits at omega_k = +-pi/2")
-    return denom
-
-
-def _mode_oscillation(decomp: SpectralDecomposition, t) -> np.ndarray:
-    """Partial-sum factor F_k(t) of the oscillating part of the average.
-
-    F_k(t) = (1 - exp(i*(2*omega_k + pi)*t)) / (1 + exp(2i*omega_k)) for a
-    1-d array ``t``; the result has shape (N, len(t)).
-    """
-    denom = _oscillation_denominator(decomp)
-    num = 1.0 - np.exp(1j * np.multiply.outer(2 * decomp.omega + np.pi, t))
-    return num / denom[:, None]
-
-
-def _oscillation_weights(
-    decomp: SpectralDecomposition,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode weights (w_p, w_q, w_qc) of the 1/t part of the average.
-
-    p_left_avg(t) = p_left_inf + 2/t * Re sum_k w_p F_k(t) and
-    q_avg(t) = q_inf + 1/t * sum_k (w_q F_k(t) + w_qc conj(F_k(t))).
-    """
-    return (
-        decomp.alpha_l * np.conj(decomp.beta_l),
-        decomp.alpha_l * np.conj(decomp.beta_r),
-        decomp.beta_l * np.conj(decomp.alpha_r),
-    )
-
-
 def averaged_trajectory_closed(
     decomp: SpectralDecomposition, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,10 +171,19 @@ def averaged_trajectory_closed(
     if np.any(times < 1):
         raise UndefinedAverageError("time average needs t >= 1")
     limit = asymptotic_density(decomp)
-    f = _mode_oscillation(decomp, times)  # (N, T)
-    w_p, w_q, w_qc = _oscillation_weights(decomp)
-    xi = np.einsum("k,kt->t", w_p, f).real
-    sigma = 0.5 * (np.einsum("k,kt->t", w_q, f) + np.einsum("k,kt->t", w_qc, f.conj()))
+    # the (N, T) partial-sum factors F_k(t) = (1 - exp(i*(2*omega_k + pi)*t)) /
+    # (1 + exp(2i*omega_k)) of the oscillating part of the average
+    denom = 1.0 + np.exp(2j * decomp.omega)
+    if np.any(np.abs(denom) < 1e-9):
+        raise DegenerateSpectrumError("a mode phase sits at omega_k = +-pi/2")
+    f = (1.0 - np.exp(1j * np.multiply.outer(2 * decomp.omega + np.pi, times))) / denom[:, None]
+    # p_left_avg = p_left_inf + 2/t * Re sum_k alpha_l conj(beta_l) F_k and q_avg =
+    # q_inf + 1/t * sum_k (alpha_l conj(beta_r) F_k + beta_l conj(alpha_r) conj(F_k))
+    xi = np.einsum("k,kt->t", decomp.alpha_l * np.conj(decomp.beta_l), f).real
+    sigma = 0.5 * (
+        np.einsum("k,kt->t", decomp.alpha_l * np.conj(decomp.beta_r), f)
+        + np.einsum("k,kt->t", decomp.beta_l * np.conj(decomp.alpha_r), f.conj())
+    )
     p_left = limit.p_left + 2.0 / times * xi
     p_right = limit.p_right - 2.0 / times * xi
     q = limit.q + 2.0 / times * sigma

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import WalkState, decompose, localized_initial_state
+from cyclewalk import WalkState, localized_initial_state
+from cyclewalk.spectral import decompose
 from cyclewalk.walk import coin, coin_entries, iterate_arrays
 
 

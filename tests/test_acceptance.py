@@ -13,12 +13,9 @@ from cyclewalk import (
     MarkovState,
     NonThermalizingError,
     WalkParams,
-    asymptotic_density,
     asymptotic_density_localized,
-    averaged_trajectory_closed,
     chi_of_density,
     chi_reference,
-    decompose,
     f_g_h,
     localized_initial_state,
     markov_step,
@@ -37,6 +34,8 @@ from cyclewalk._oracle import (
     localized_vs_spectral,
     markov_vs_iterated,
 )
+from cyclewalk.spectral import decompose
+from cyclewalk.thermo import asymptotic_density, averaged_trajectory_closed
 from cyclewalk.spectral import coin_trajectory
 from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics

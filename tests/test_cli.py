@@ -316,6 +316,18 @@ class TestMixingSweep:
         assert (code, out, err) == (EXIT_VALIDATION, "", "error: n_sites must be >= 3, got 2\n")
         assert calls == []
 
+    def test_range_above_ceiling_fails_before_it_is_listed(self, capsys):
+        # listing 3..2000000 first peaked at 76.5 MiB before the ceiling check
+        tracemalloc.start()
+        try:
+            code, out, err = run(["mixing-sweep", "--n-range", "3:2000000", "--t-max", "3"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: n must be at most 1000000, got 2000000\n"
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "argv, rows",
         [

@@ -11,19 +11,16 @@ from cyclewalk import (
     ParameterError,
     WalkParams,
     WalkState,
-    amplitudes_at,
-    amplitudes_trajectory,
-    asymptotic_density,
     coin_density,
     coin_trajectory,
-    decompose,
     evolve,
     fourier_coefficients,
     inverse_fourier,
     localized_initial_state,
     step,
 )
-from cyclewalk.spectral import _axis_limit, _folded_modes, mode_values_at
+from cyclewalk.spectral import _axis_limit, _folded_modes, amplitudes_at, decompose, mode_values_at
+from cyclewalk.thermo import asymptotic_density
 from cyclewalk.walk import coin_entries
 
 from conftest import direct_densities, random_state
@@ -72,7 +69,7 @@ class TestFourierCoefficients:
             np.testing.assert_allclose(b, v @ c_r, atol=1e-12)
             dec = decompose(s, 0.7)
             ts = np.array([0, 1, 5, 42, 199])
-            a_all, b_all = amplitudes_trajectory(dec, ts)
+            a_all, b_all = inverse_fourier(*mode_values_at(dec, ts))
             for i, t in enumerate(ts):
                 m_l, m_r = mode_values_at(dec, int(t))
                 np.testing.assert_allclose(a_all[i], v @ m_l, atol=1e-12)
@@ -159,7 +156,7 @@ class TestAmplitudesAt:
     def test_trajectory_matches_pointwise(self, rng):
         dec = decompose(random_state(rng, 6), 0.7)
         ts = np.array([0, 1, 5, 42, 199])
-        a_all, b_all = amplitudes_trajectory(dec, ts)
+        a_all, b_all = inverse_fourier(*mode_values_at(dec, ts))
         for i, t in enumerate(ts):
             single = amplitudes_at(dec, int(t))
             np.testing.assert_allclose(a_all[i], single.a, atol=1e-12)

@@ -13,17 +13,13 @@ from cyclewalk import (
     ParameterError,
     UndefinedAverageError,
     WalkParams,
-    asymptotic_density,
     asymptotic_density_localized,
-    averaged_density_closed,
-    averaged_density_numeric,
     beta_of_chi,
     chi_isotherm,
     chi_of_density,
     chi_of_entries,
     chi_reference,
     coin_density,
-    decompose,
     entanglement_entropy,
     entropy_of_chi,
     f_g_h,
@@ -34,6 +30,8 @@ from cyclewalk import (
     transient_temperature,
 )
 from cyclewalk._oracle import bloch_points, localized_vs_spectral
+from cyclewalk.spectral import decompose
+from cyclewalk.thermo import asymptotic_density, averaged_density_closed, averaged_density_numeric
 
 from conftest import decompose_localized, direct_densities, hadamard_f_closed, random_state
 
@@ -366,7 +364,7 @@ class TestTransientTemperature:
     def test_tanh_identity(self, rng):
         for n in (3, 8):
             dec = decompose(random_state(rng, n), 0.8)
-            from cyclewalk import averaged_density_closed
+            from cyclewalk.thermo import averaged_density_closed
 
             for t in (5, 50, 500):
                 rho = averaged_density_closed(dec, t)

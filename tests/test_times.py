@@ -12,14 +12,17 @@ from cyclewalk import (
     CoinDensity,
     ParameterError,
     WalkParams,
-    asymptotic_density,
-    averaged_trajectory_closed,
     density_seminorm,
     mixing_time,
     thermalization_time,
 )
 from cyclewalk.spectral import _axis_limit, _folded_modes, coin_trajectory
-from cyclewalk.thermo import beta_of_chi, running_chi
+from cyclewalk.thermo import (
+    asymptotic_density,
+    averaged_trajectory_closed,
+    beta_of_chi,
+    running_chi,
+)
 from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
 from cyclewalk.walk import MAX_STEPS, localized_initial_state
 
@@ -43,7 +46,7 @@ class TestSeminorm:
     def test_subadditive_on_trajectory(self):
         # |lam+(r1) - lam+(r3)| <= |lam+(r1) - lam+(r2)| + |lam+(r2) - lam+(r3)|
         dec = decompose_localized(WalkParams(5, **FIG3_PARAMS))
-        from cyclewalk import averaged_density_closed
+        from cyclewalk.thermo import averaged_density_closed
 
         r = [averaged_density_closed(dec, t) for t in (3, 17, 80)]
         assert density_seminorm(r[0], r[2]) <= (
@@ -66,7 +69,7 @@ class TestMixingTime:
         # the step just before tau violates, everything at/after tau does not
         dec = decompose_localized(params)
         limit = asymptotic_density(dec)
-        from cyclewalk import averaged_density_closed
+        from cyclewalk.thermo import averaged_density_closed
 
         if report.tau > 1:
             before = averaged_density_closed(dec, report.tau - 1)

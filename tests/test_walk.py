@@ -10,13 +10,12 @@ from cyclewalk import (
     WalkParams,
     WalkState,
     coin_density,
-    decompose,
-    amplitudes_at,
     evolve,
     localized_initial_state,
     step,
 )
 
+from cyclewalk.spectral import amplitudes_at, decompose
 from cyclewalk.walk import step_arrays
 
 from conftest import random_state
