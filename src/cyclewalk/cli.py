@@ -1,14 +1,15 @@
 """Command-line driver: walk simulations and sweeps as CSV/JSON datasets.
 
-Subcommands: simulate, isotherms, mixing-sweep, markov, selftest.  Each
-takes only the settings it reads (``_COMMANDS``).  All output is
+Usage: ``cyclewalk COMMAND [--flag VALUE | --flag=VALUE]...`` or ``--help``.
+COMMAND is simulate, isotherms, mixing-sweep, markov or selftest; each takes
+--config and the settings it reads (``_COMMANDS``), spelled in full with
+dashes, and the token after a flag is its value.  All output is
 deterministic (identical config gives byte-identical files) and carries a
 commented header with the command and those settings, defaults resolved.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, _oracle
+from . import __version__
 from .errors import CycleWalkError, NonThermalizingError, ParameterError
 from .markov import MarkovState, beta_of_imbalance, markov_imbalances, markov_thermalization_time
 from .spectral import coin_trajectory
@@ -40,7 +41,7 @@ EXIT_UNSATISFIED = 2
 
 # Every setting a subcommand can read: its default, the JSON types --config
 # accepts for it (matched exactly, so that true is not an integer; list
-# entries are integers, numbers for epsilon) and its argparse keywords.
+# entries are integers, numbers for epsilon) and its flag's argparse keywords.
 _NUMBER = (int, float)
 _SETTINGS = {
     "n": (3, (int,), {"type": int}),
@@ -53,7 +54,7 @@ _SETTINGS = {
     "e0": (1.0, _NUMBER, {"type": float}),
     "grid": ((181, 181), (str, list), {"help": "gamma x phi resolution, e.g. 181x181"}),
     "format": ("csv", (str,), {"choices": ("csv", "json")}),
-    "out": (None, (str,), {}),
+    "out": (None, (str,), {"help": "output file; stdout when not given"}),
     "seed": (0, (int,), {"type": int}),
 }
 
@@ -343,6 +344,8 @@ def cmd_markov(config: SimpleNamespace) -> int:
 
 
 def cmd_selftest(config: SimpleNamespace) -> int:
+    from . import _oracle  # only selftest reads the oracles: no other command compiles them
+
     # stdlib random: importing numpy.random would take more memory than the checks
     rng = random.Random(config.seed)
     cycles = [(rng.randint(3, 12), rng.uniform(0.1, math.pi / 2 - 0.05)) for _ in range(4)]
@@ -383,30 +386,59 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises a ParameterError where argparse would exit with status 2."""
-
-    def error(self, message):
-        raise ParameterError(message)
-
-
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser, with the flags of ``command`` only, or of every command
-    when ``command`` is None."""
-    parser = _Parser(
-        prog="cyclewalk",
-        description="Coined quantum walks on N-cycles: simulations and sweeps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else [command]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        for key in _COMMANDS[name][1].split():
-            p.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][2])
-    return parser
+def _flags(command: str) -> dict:
+    """{setting: keywords} of the flags of ``command``, --config first."""
+    config = {"help": "JSON config file; flags override its values"}
+    return {"config": config} | {key: _SETTINGS[key][2] for key in _COMMANDS[command][1].split()}
 
 
-def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+def _help(command: str | None):
+    """Print the help of ``command``, or the list of commands, and exit 0."""
+    lines = [f"usage: cyclewalk {command or 'COMMAND'} [--flag VALUE | --flag=VALUE]...", ""]
+    if command is None:
+        lines += ["Coined quantum walks on N-cycles: simulations and sweeps.", "", "commands:"]
+        lines += [f"  {name}" for name in _COMMANDS]
+    else:
+        for key, kw in _flags(command).items():
+            what = kw.get("help") or " or ".join(kw.get("choices", [kw.get("type", str).__name__]))
+            repeat = ", repeatable" if kw.get("action") == "append" else ""
+            lines.append(f"  --{key.replace('_', '-'):<9} {what}{repeat}")
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The command and its flags' values, None where not given, as the
+    module doc spells them; a repeated flag keeps its last value, or appends."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help(None)
+    if not argv or argv[0] not in _COMMANDS:
+        raise ParameterError(f"expected a command ({', '.join(_COMMANDS)}), got {argv[:1]}")
+    command, flags = argv[0], _flags(argv[0])
+    args = dict.fromkeys(flags)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, text = token.partition("=")
+        key = flag[2:].replace("-", "_")
+        if key not in flags or flag != "--" + key.replace("_", "-"):
+            raise ParameterError(f"{command} takes no argument {flag!r}")
+        text = text if eq else next(tokens, None)
+        if text is None:
+            raise ParameterError(f"{flag} expects a value")
+        kw = flags[key]
+        try:
+            value = kw.get("type", str)(text)
+        except ValueError:
+            raise ParameterError(f"{flag} expects {kw['type'].__name__}, got {text!r}") from None
+        if "choices" in kw and value not in kw["choices"]:
+            raise ParameterError(f"{flag} must be one of {', '.join(kw['choices'])}, got {text!r}")
+        args[key] = (args[key] or []) + [value] if kw.get("action") == "append" else value
+    return SimpleNamespace(command=command, **args)
+
+
+def _resolve_config(args: SimpleNamespace) -> SimpleNamespace:
     """Merge the defaults, the config file and the flags, in that order, and
     reject any invalid value.  A null in the file leaves the default."""
     _, settings, command_defaults = _COMMANDS[args.command]
@@ -478,11 +510,8 @@ def _resolve_config(args: argparse.Namespace) -> SimpleNamespace:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only a command's own flags are built; any argv whose first token names
-    # no command ends in help or an error that lists every command
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = _parse_argv(argv)
         return _COMMANDS[args.command][0](_resolve_config(args))
     except (CycleWalkError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -1,9 +1,10 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from cyclewalk import WalkState, localized_initial_state
+from cyclewalk import WalkState, cli, localized_initial_state
 from cyclewalk.spectral import decompose
 from cyclewalk.walk import coin, coin_entries, iterate_arrays
 
@@ -43,3 +44,28 @@ def hadamard_f_closed(n_sites: int) -> float:
     plus = (1.0 + math.sqrt(2.0)) ** m
     minus = (1.0 - math.sqrt(2.0)) ** m
     return (plus + minus) / (plus - minus) * math.sqrt(2.0)
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    """Raises a ParameterError where argparse would exit with status 2."""
+
+    def error(self, message):
+        raise cli.ParameterError(message)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once parsed with, built from the same
+    tables (``cli._SETTINGS``, ``cli._COMMANDS``) with the flags of every
+    command, and with abbreviations off, as ``cli._parse_argv`` reads flags."""
+    parser = _ReferenceParser(
+        prog="cyclewalk",
+        description="Coined quantum walks on N-cycles: simulations and sweeps.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, settings, _) in cli._COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key in settings.split():
+            p.add_argument("--" + key.replace("_", "-"), **cli._SETTINGS[key][2])
+    return parser

@@ -1,9 +1,16 @@
+import ast
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import os
 import re
+import runpy
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +41,10 @@ from cyclewalk.cli import (
     main,
 )
 
-from conftest import direct_densities
+from conftest import direct_densities, reference_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run(args, capsys):
@@ -223,7 +233,7 @@ class TestIsotherms:
             argv = ["isotherms", *settings, "--grid", grid, "--format", fmt]
             code, out, _ = run(argv, capsys)
             assert code == EXIT_OK
-            config = cli._resolve_config(cli._build_parser(None).parse_args(argv))
+            config = cli._resolve_config(cli._parse_argv(argv))
             self.reference_isotherms(config)
             assert out == capsys.readouterr().out
 
@@ -498,58 +508,61 @@ class TestConfigFile:
         assert code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize(
-    "config, argv",
-    [
-        ({"n": "abc"}, ["simulate", "--t-max", "3"]),
-        ([1, 2], ["simulate", "--t-max", "3"]),
-        (None, ["markov", "--e0", "0"]),
-        (None, ["isotherms", "--e0", "-1", "--grid", "3x3"]),
-        (None, ["simulate", "--t-max", "-1"]),
-        (None, ["simulate", "--t-max", "100000000"]),
-        (None, ["mixing-sweep", "--n-range", "a:b"]),
-        (None, ["mixing-sweep", "--n-range", "1:9:0"]),
-        (None, ["mixing-sweep", "--n", "5", "--epsilon", "nan", "--t-max", "100"]),
-        (None, ["markov", "--epsilon", "nan"]),
-        (None, ["isotherms", "--e0", "inf", "--grid", "3x3"]),
-        (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
-        (None, ["selftest", "--seed", "-1"]),
-        (None, ["markov", "--t-max", "1000001"]),
-        (None, ["simulate", "--grid", "3x3"]),
-        (None, ["isotherms", "--t-max", "5"]),
-        (None, ["markov", "--n", "5"]),
-        (None, ["selftest", "--out", "x.csv"]),
-        (None, ["simulate", "--n", "abc"]),
-        (None, ["simulate", "--bogus", "1"]),
-        (None, []),
-        ({"grid": [3, 3]}, ["simulate"]),
-        (None, ["mixing-sweep", "--n", "5", "--n-range", "3:9"]),
-        (None, ["markov", "--epsilon", "1e-3", "--epsilon", "1e-4"]),
-        ({"n_range": []}, ["mixing-sweep"]),
-        (None, ["isotherms", "--grid", "30000x30000"]),
-        (None, ["simulate", "--n", "1000001", "--t-max", "3"]),
-        (None, ["mixing-sweep", "--n", "1000001", "--t-max", "3"]),
-        (None, ["mixing-sweep", "--n-range", "3:2000003:1000000", "--t-max", "3"]),
-        ({"n_range": [5, 1000001]}, ["mixing-sweep", "--t-max", "3"]),
-        (None, ["isotherms", "--n", "1000001", "--grid", "3x3"]),
-        (None, ["mixing-sweep", "--n-range", "1:2:3:4"]),
-        (None, ["mixing-sweep", "--n-range", "5:3"]),
-        (None, ["isotherms", "--grid", "axb"]),
-        ({"format": "xml"}, ["isotherms", "--grid", "3x3"]),
-        ({"epsilon": []}, ["markov"]),
-    ],
-    ids=["config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
-         "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
-         "n-range-zero-step", "mixing-sweep-epsilon-nan", "markov-epsilon-nan",
-         "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative",
-         "markov-t-max-above-ceiling", "simulate-grid", "isotherms-t-max", "markov-n",
-         "selftest-out", "simulate-n-not-integer", "simulate-unknown-flag", "no-command",
-         "config-simulate-grid", "n-with-n-range", "markov-two-epsilons",
-         "config-n-range-empty", "isotherms-grid-above-ceiling", "simulate-n-above-ceiling",
-         "mixing-sweep-n-above-ceiling", "n-range-above-ceiling", "config-n-range-above-ceiling",
-         "isotherms-n-above-ceiling", "n-range-four-parts", "n-range-empty",
-         "isotherms-grid-not-integers", "config-format-xml", "config-epsilon-empty"],
-)
+# (config file, argv) pairs that main rejects with exit 1
+INVALID_INPUT = [
+    ({"n": "abc"}, ["simulate", "--t-max", "3"]),
+    ([1, 2], ["simulate", "--t-max", "3"]),
+    (None, ["markov", "--e0", "0"]),
+    (None, ["isotherms", "--e0", "-1", "--grid", "3x3"]),
+    (None, ["simulate", "--t-max", "-1"]),
+    (None, ["simulate", "--t-max", "100000000"]),
+    (None, ["mixing-sweep", "--n-range", "a:b"]),
+    (None, ["mixing-sweep", "--n-range", "1:9:0"]),
+    (None, ["mixing-sweep", "--n", "5", "--epsilon", "nan", "--t-max", "100"]),
+    (None, ["markov", "--epsilon", "nan"]),
+    (None, ["isotherms", "--e0", "inf", "--grid", "3x3"]),
+    (None, ["isotherms", "--theta", "0", "--grid", "3x3"]),
+    (None, ["selftest", "--seed", "-1"]),
+    (None, ["markov", "--t-max", "1000001"]),
+    (None, ["simulate", "--grid", "3x3"]),
+    (None, ["isotherms", "--t-max", "5"]),
+    (None, ["markov", "--n", "5"]),
+    (None, ["selftest", "--out", "x.csv"]),
+    (None, ["simulate", "--n", "abc"]),
+    (None, ["simulate", "--bogus", "1"]),
+    (None, []),
+    ({"grid": [3, 3]}, ["simulate"]),
+    (None, ["mixing-sweep", "--n", "5", "--n-range", "3:9"]),
+    (None, ["markov", "--epsilon", "1e-3", "--epsilon", "1e-4"]),
+    ({"n_range": []}, ["mixing-sweep"]),
+    (None, ["isotherms", "--grid", "30000x30000"]),
+    (None, ["simulate", "--n", "1000001", "--t-max", "3"]),
+    (None, ["mixing-sweep", "--n", "1000001", "--t-max", "3"]),
+    (None, ["mixing-sweep", "--n-range", "3:2000003:1000000", "--t-max", "3"]),
+    ({"n_range": [5, 1000001]}, ["mixing-sweep", "--t-max", "3"]),
+    (None, ["isotherms", "--n", "1000001", "--grid", "3x3"]),
+    (None, ["mixing-sweep", "--n-range", "1:2:3:4"]),
+    (None, ["mixing-sweep", "--n-range", "5:3"]),
+    (None, ["isotherms", "--grid", "axb"]),
+    ({"format": "xml"}, ["isotherms", "--grid", "3x3"]),
+    ({"epsilon": []}, ["markov"]),
+]
+INVALID_INPUT_IDS = [
+    "config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
+    "simulate-t-max-negative", "simulate-t-max-above-ceiling", "n-range-not-integers",
+    "n-range-zero-step", "mixing-sweep-epsilon-nan", "markov-epsilon-nan",
+    "isotherms-e0-inf", "isotherms-theta-zero", "selftest-seed-negative",
+    "markov-t-max-above-ceiling", "simulate-grid", "isotherms-t-max", "markov-n",
+    "selftest-out", "simulate-n-not-integer", "simulate-unknown-flag", "no-command",
+    "config-simulate-grid", "n-with-n-range", "markov-two-epsilons",
+    "config-n-range-empty", "isotherms-grid-above-ceiling", "simulate-n-above-ceiling",
+    "mixing-sweep-n-above-ceiling", "n-range-above-ceiling", "config-n-range-above-ceiling",
+    "isotherms-n-above-ceiling", "n-range-four-parts", "n-range-empty",
+    "isotherms-grid-not-integers", "config-format-xml", "config-epsilon-empty",
+]
+
+
+@pytest.mark.parametrize("config, argv", INVALID_INPUT, ids=INVALID_INPUT_IDS)
 def test_invalid_input_exits_one(capsys, tmp_path, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -581,33 +594,184 @@ def test_help_lists_the_settings_read(capsys, command):
     assert re.findall(r"^  (--[\w-]+)", out, re.MULTILINE) == FLAGS[command].split()
 
 
-def full_parser_help(argv, capsys):
-    """What the parser of every command prints for ``argv`` (a --help)."""
-    with pytest.raises(SystemExit):
-        cli._build_parser(None).parse_args(argv)
+def help_of(parse, argv, capsys):
+    """What ``parse`` prints for ``argv`` and --help; it exits 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse([*argv, "--help"])
+    assert exit_info.value.code == 0
     return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [[], *([command] for command in FLAGS)], ids=["top", *FLAGS])
 def test_help_is_that_of_the_parser_of_every_command(capsys, argv):
-    expected = full_parser_help([*argv, "--help"], capsys)
-    with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--help"])
-    assert exit_info.value.code == 0
-    assert capsys.readouterr().out == expected
+    # main writes its own help from the tables the reference parser reads:
+    # the same commands, or the same flags in the same order with the same
+    # help texts; the layout is its own
+    expected = help_of(reference_parser().parse_args, argv, capsys)
+    out = help_of(main, argv, capsys)
     if not argv:
-        assert "{simulate,isotherms,mixing-sweep,markov,selftest}" in expected
+        commands = re.search(r"\{([\w,-]+)\}", expected).group(1).split(",")
+        assert re.findall(r"^  (\S+)$", out, re.MULTILINE) == commands == list(FLAGS)
+    flag = r"^  (--[\w-]+)"
+    assert re.findall(flag, out, re.MULTILINE) == re.findall(flag, expected, re.MULTILINE)
+    for kw in cli._flags(argv[0]).values() if argv else ():
+        if "help" in kw:
+            assert kw["help"] in out and kw["help"] in " ".join(expected.split())
 
 
 @pytest.mark.parametrize(
-    "argv", [["simulate", "--grid", "3x3"], ["bogus"], ["bogus", "simulate"], ["-x", "markov"]]
+    "argv",
+    [["simulate", "--grid", "3x3"], ["bogus"], ["bogus", "simulate"], ["-x", "markov"],
+     ["mixing-sweep", "--eps", "1e-2"]],
 )
 def test_parser_errors_are_those_of_the_parser_of_every_command(capsys, argv):
-    with pytest.raises(cli.ParameterError) as error:
-        cli._build_parser(None).parse_args(argv)
+    # what is rejected is the same; the message is main's own
+    with pytest.raises(cli.ParameterError):
+        reference_parser().parse_args(argv)
     code, out, err = run(argv, capsys)
     assert code == EXIT_VALIDATION
-    assert (out, err) == ("", f"error: {error.value}\n")
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# argv with flags spelled with "=", repeated flags and several --epsilon,
+# then argv that no parser accepts: abbreviated, misspelled or unknown
+# flags, a missing value, a bad type or choice, no command
+PARSER_CASES = [
+    ["mixing-sweep", "--n=5", "--t-max=2000", "--epsilon=1e-2", "--epsilon=1e-3", "--out=eq.csv"],
+    ["mixing-sweep", "--epsilon", "1e-2", "--epsilon=1e-3", "--epsilon", "1e-4", "--n", "7"],
+    ["mixing-sweep", "--n-range=10:30:10", "--n-range", "5:7", "--format=json"],
+    ["isotherms", "--grid=3x4", "--format=json", "--n", "7", "--n=9"],
+    ["simulate", "--n", "4", "--n", "6", "--t-max", "3", "--t-max=5", "--phi=0.5"],
+    ["simulate", "--out=", "--e0=2", "--config=missing.json"],
+    ["markov", "--theta=-0.5", "--gamma", "-0.5", "--epsilon=1e-3"],
+    ["markov", "--theta", "1e-1", "--theta=0.25", "--t-max", "-3"],
+    ["selftest", "--seed=3", "--seed", "2"],
+    ["mixing-sweep", "--eps", "1e-2"],
+    ["mixing-sweep", "--n-r", "3:5"],
+    ["simulate", "--t_max", "3"],
+    ["simulate", "-n", "5"],
+    ["simulate", "--n"],
+    ["simulate", "--n="],
+    ["simulate", "5"],
+    ["simulate", "--", "--n", "5"],
+    ["simulate", "--n", "abc"],
+    ["simulate", "--n=1.5"],
+    ["simulate", "--format", "xml"],
+    ["simulate", "--format=CSV"],
+    ["markov", "--help=1"],
+    ["selftest", "--seed", "0", "extra"],
+    ["--n", "5"],
+    ["-x", "markov"],
+    ["bogus", "simulate"],
+    [],
+]
+
+
+def argv_literals(path):
+    """Every list of string constants in the source at ``path`` whose first
+    entry names a command: the argv that file writes out in full."""
+    return [
+        ast.literal_eval(node) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.List) and node.elts
+        and all(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in node.elts)
+        and node.elts[0].value in cli._COMMANDS
+    ]
+
+
+def script_argv(monkeypatch):
+    """The argv each scripts/run_*.py passes to main."""
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or EXIT_OK)
+    for path in sorted(SCRIPTS.glob("run_*.py")):
+        monkeypatch.setattr("sys.argv", [str(path)])
+        with pytest.raises(SystemExit):
+            runpy.run_path(str(path), run_name="__main__")
+    return calls
+
+
+def workload_argv():
+    """The argv of every benchmark workload at seeds 0-3."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    return [argv for name in names for seed in range(4) for argv in workloads.calls(name, seed)]
+
+
+def parsed(parse, argv):
+    """What ``parse`` reads from ``argv``, as JSON text (None if it rejects
+    the argv), and the config that resolves to, or the error it raises."""
+    try:
+        args = parse(argv)
+    except cli.ParameterError:
+        return None
+    try:
+        config = json.dumps(vars(cli._resolve_config(args)), sort_keys=True)
+    except (cli.CycleWalkError, OSError, ValueError) as exc:
+        config = repr(exc)
+    return json.dumps(vars(args), sort_keys=True), config
+
+
+def test_parser_reads_what_the_reference_parser_reads(capsys, tmp_path, monkeypatch):
+    invalid = []
+    for i, (config, argv) in enumerate(INVALID_INPUT):
+        if config is not None:
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        invalid.append(argv)
+    literals = [argv for path in sorted(ROOT.glob("tests/*.py")) for argv in argv_literals(path)]
+    runs = [*script_argv(monkeypatch), *workload_argv()]
+    # argv whose value starts with "-" the reference rejects by design
+    corpus = [argv for argv in [*literals, *runs, *PARSER_CASES, *invalid] if argv != DASH_VALUE]
+    reference = reference_parser().parse_args
+    outcomes = [parsed(cli._parse_argv, argv) for argv in corpus]
+    assert [(argv, outcome) for argv, outcome in zip(corpus, outcomes)
+            if outcome != parsed(reference, argv)] == []
+    # the scripts and the benchmark resolve a config, and the argv of the
+    # tests hold many that resolve and many that do not
+    resolved = [o is not None and o[1].startswith("{") for o in outcomes]
+    assert len(runs) == 8 + 36 and all(resolved[len(literals):len(literals) + len(runs)])
+    assert sum(resolved) >= 80 and resolved.count(False) >= 50
+    # main rejects the invalid table with either parser
+    for parse in (reference, cli._parse_argv):
+        monkeypatch.setattr(cli, "_parse_argv", parse)
+        assert {main(argv) for argv in invalid} == {EXIT_VALIDATION}
+        assert capsys.readouterr().out == ""
+
+
+# argparse took -1e-3 for a flag: it matches no negative-number pattern
+DASH_VALUE = ["simulate", "--phi", "-1e-3"]
+
+
+def test_a_value_may_start_with_a_dash(capsys):
+    with pytest.raises(cli.ParameterError):
+        reference_parser().parse_args(DASH_VALUE)
+    assert cli._parse_argv(DASH_VALUE).phi == -1e-3
+    assert run(DASH_VALUE, capsys) == (
+        EXIT_VALIDATION, "", "error: phi must lie in [0, 2*pi), got -0.001\n"
+    )
+
+
+def test_commands_start_without_argparse_or_the_oracles(tmp_path):
+    # a fresh interpreter runs each command, as the scripts and the
+    # benchmark do; none of them imports what it does not read
+    calls = [
+        ["simulate", "--n", "3", "--t-max", "5", "--out", "s.csv"],
+        ["isotherms", "--n", "5", "--grid", "3x3", "--out", "i.csv"],
+        ["mixing-sweep", "--n", "5", "--epsilon", "1e-2", "--t-max", "2000", "--out", "m.csv"],
+        ["markov", "--t-max", "5", "--out", "k.csv"],
+    ]
+    code = (
+        "import sys\nfrom cyclewalk.cli import main\n"
+        f"assert [main(argv) for argv in {calls!r}] == [0, 0, 0, 0]\n"
+        "print(sorted({'argparse', 'gettext', 'locale', 'cyclewalk._oracle'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i.csv", "k.csv", "m.csv", "s.csv"]
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
