@@ -18,13 +18,17 @@ amplitudes through one FFT in O(N log N) time and O(N) memory
 (:func:`amplitudes_at`), and exact time averages.
 
 The coin density at every step of a run (:func:`coin_trajectory`) comes
-instead from rotations of the modes' Bloch vectors, folded over two exact
-mode symmetries; they stay accurate where the two-frequency coefficients
-are singular, and keep the trace exact.  The limit of its running average
-and a K/t bound on the distance to it come from the rotations' axes
-(:func:`_axis_limit`).  The alpha/beta form (:func:`decompose` and its
-:class:`SpectralDecomposition`) is an oracle of the tests and ``cyclewalk
-selftest``, imported from this module, not from the package root.
+instead from the modes' Bloch vectors, folded over two exact mode
+symmetries.  Each turns about a fixed axis by a fixed angle, so the series
+is a constant plus one sinusoid per folded mode, summed from phasor tables
+in 6 real products per mode and time point, with phases from omega_k in
+long double (a plain double there costs accuracy, not correctness).  It
+stays accurate where the two-frequency coefficients are singular and keeps
+the trace exact.  The limit of its running average and a K/t bound on the
+distance to it come from the same axes (:func:`_axis_limit`).  The
+alpha/beta form (:func:`decompose` and its :class:`SpectralDecomposition`)
+is an oracle of the tests and ``cyclewalk selftest``, imported from this
+module, not from the package root.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ParameterError
-from .walk import MAX_STEPS, WalkState, coin, coin_entries, iterate_arrays, step
+from .walk import MAX_STEPS, WalkState, coin_entries, step
 
 # cos(omega_k) below this is treated as an exact degeneracy (theta = 0 on a
 # cycle divisible by 4); the two-frequency ansatz is singular there.
@@ -159,62 +163,6 @@ def _abs2(x):
     return x.real**2 + x.imag**2
 
 
-def _rotation(a, b, sign):
-    """R = Ad(X) as a (3, 3, ...) array: X rho X^dagger turns the Bloch vector
-    (x, y, z) of rho by R, for X = [[a, b], [s conj(b), -s conj(a)]].
-
-    Products of rounded step matrices carry |a|^2 + |b|^2 != 1, as
-    fl(cos theta)^2 + fl(sin theta)^2 != 1, and R scales with it; dividing
-    by it keeps R a rotation to roundoff.  The components broadcast.
-    """
-    ab, cross, diff, total = a * b, a * b.conj(), b * b - a * a, a * a + b * b
-    rot = np.array([
-        [sign * diff.real, -sign * total.imag, 2 * sign * ab.real],
-        [-sign * diff.imag, -sign * total.real, -2 * sign * ab.imag],
-        [2 * cross.real, 2 * cross.imag, _abs2(a) - _abs2(b)],
-    ])
-    return rot / (_abs2(a) + _abs2(b))
-
-
-def _fill_powers(out, x):
-    """Fill row j of ``out`` (rows, 3, c, K) with X^j applied to row 0, for
-    the K rotations ``x`` (3, 3, K).
-
-    Doubling: each pass extends the filled rows [0, m) to [0, 2m) with
-    X^m and squares X^m, so the Python steps are logarithmic in the rows.
-    """
-    rows, m = len(out), 1
-    while m < rows:
-        n = min(m, rows - m)
-        out[m : m + n] = np.einsum("ilk,...lck->...ick", x, out[:n])
-        x, m = np.einsum("ilk,ljk->ijk", x, x), 2 * m
-    return out
-
-
-def _power_of_walk(theta: float, n_sites: int, t: int):
-    """M_k^t for every mode as (a, b, s), from t direct steps of a delta.
-
-    The column (a, s conj(b)) of M_k^t is the unnormalized transform of the
-    walk that starts on site 0 with left chirality.  The shift is exact on
-    sites, so this M^t is as accurate as t direct steps, where t products
-    of the rounded mode matrices would drift by t roundoffs.  The walk
-    reaches sites -t..t only, so it runs on a cycle of 2t + 1 sites (or
-    n_sites, if fewer) and is then laid onto the n_sites-cycle.
-    """
-    width = min(n_sites, 2 * t + 1)
-    delta = np.zeros(width)
-    delta[0] = 1.0
-    # the real coin keeps the real delta real, so it steps as float arrays
-    for walked_a, walked_b in iterate_arrays(delta, np.zeros(width), coin(theta), t):
-        pass
-    reach = np.arange(-t, t + 1)
-    a = np.zeros(n_sites, complex)
-    b = np.zeros(n_sites, complex)
-    a[reach % n_sites], b[reach % n_sites] = walked_a[reach % width], walked_b[reach % width]
-    sign = (-1.0) ** (t + 1)
-    return np.fft.fft(a), sign * np.fft.fft(b).conj(), sign
-
-
 def _folded_modes(starts: WalkState | Sequence[WalkState]):
     """(batch, N, k, u): the starts as a list, their cycle size, the folded
     modes k of :func:`coin_trajectory` and their summed Bloch vectors u
@@ -239,41 +187,82 @@ def _folded_modes(starts: WalkState | Sequence[WalkState]):
     return batch, n, reps, u.reshape(3, -1, reps.size)
 
 
+def _mode_axes(folded, theta: float):
+    """(axis (3, K), cos omega (K,), omega (K,), kept) of the modes of
+    :func:`_folded_modes`: a step turns mode k's vectors u by alpha_k =
+    -(2 omega_k + pi) about axis_k and keeps their part kept = n_k (n_k . u).
+
+    With (c, s) = (cos theta, sin theta) and phi_k = 2*pi*k/N, axis_k =
+    (s cos phi_k, -s sin phi_k, c cos phi_k) / cos omega_k, cos omega_k =
+    hypot(s, c cos phi_k) and omega_k = atan2(c sin phi_k, cos omega_k), all
+    in long double.  cos phi_k is the sine of pi (N - 4k) / (2N), so it is
+    exactly 0 at 4k = N and relatively accurate near there.  cos omega_k = 0
+    only at theta = 0 with 4k = N, where the turn is by 2 pi, axis_k = 0 and
+    the whole of u is kept.  All but omega are rounded to double.
+    """
+    _, n, reps, u = folded
+    pi = 4 * np.arctan(np.longdouble(1))
+    c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
+    sin_phi, cos_phi = np.sin(pi * np.stack([4 * reps, n - 4 * reps]) / (2 * n))
+    cos_omega = np.hypot(s, c * cos_phi)
+    axis = np.stack([s * cos_phi, -s * sin_phi, c * cos_phi])
+    axis = np.divide(axis, cos_omega, out=np.zeros_like(axis), where=cos_omega > 0).astype(float)
+    kept = axis[:, None] * (axis[:, None] * u).sum(axis=0)
+    kept[..., cos_omega == 0] = u[..., cos_omega == 0]
+    return axis, cos_omega.astype(float), np.arctan2(c * sin_phi, cos_omega), kept
+
+
+def _phasors(omega: np.ndarray, steps: int, rows: int) -> np.ndarray:
+    """(rows, K) table of e^{i j steps alpha_k}, j < rows, of the long double
+    phases omega_k of :func:`_mode_axes`.
+
+    The base e^{i steps alpha_k} = (-1)^steps e^{-2i steps omega_k} is
+    rounded once from long double.  Doubling: each pass extends the filled
+    rows [0, m) to [0, 2m) with base**m and squares base**m, so the Python
+    steps are logarithmic in rows.
+    """
+    angle = 2 * steps * omega
+    base = ((-1) ** steps * (np.cos(angle) - 1j * np.sin(angle))).astype(complex)
+    out = np.empty((rows, base.size), complex)
+    out[0], m = 1.0, 1
+    while m < rows:
+        count = min(m, rows - m)
+        out[m : m + count] = out[:count] * base
+        base, m = base * base, 2 * m
+    return out
+
+
 def _axis_limit(folded, theta: float):
     """(r_inf (3, B), K (B,), K_proj (B,)) of the :func:`_folded_modes` of B
     starts: the limit of the running average of the Bloch vector r of
     :func:`coin_trajectory`, with |e(t)| <= K/t and |r_inf_hat . e(t)| <=
     K_proj/t for e = r_avg - r_inf.
 
-    With (c, s) = (cos theta, sin theta) and phi_k = 2*pi*k/N, R_k turns by
-    2 omega_k + pi about n_k = (s cos phi_k, -s sin phi_k, c cos phi_k) /
-    cos omega_k, where cos omega_k = hypot(s, c cos phi_k).  The average
-    keeps each vector's part along its axis: r_x and r_z read
-    sum_k n_k (n_k . u+), and r_y reads sum_k n_k (n_k . u-).  The rest
-    u_perp turns in the plane normal to n_k, with partial sums within
-    |u_perp| / cos omega_k, so K = hypot of the two sums of these bounds.
-    Along a they stay within |u_perp| |a - n_k (n_k . a)| / cos omega_k, and
-    K_proj sums this over k for u+ along a+ = (x, 0, z) and u- along
-    a- = (0, y, 0), with (x, y, z) = r_inf / |r_inf| (0 where r_inf = 0).
-    At theta = 0 with 4k = N, R_k = I: that mode keeps its whole vector and
-    adds nothing to K or K_proj.  Elsewhere cos omega_k > 0.
+    Mode k turns by alpha_k = -(2 omega_k + pi) about n_k (see
+    :func:`_mode_axes`).  The average keeps each vector's part along its
+    axis: r_x and r_z read sum_k n_k (n_k . u+), and r_y reads sum_k n_k
+    (n_k . u-).  The rest u_perp turns in the plane normal to n_k, with
+    partial sums within |u_perp| / cos omega_k, so K = hypot of the two sums
+    of these bounds.  Along a they stay within |u_perp| |a - n_k (n_k . a)|
+    / cos omega_k, and K_proj sums this over k for u+ along a+ = (x, 0, z)
+    and u- along a- = (0, y, 0), with (x, y, z) = r_inf / |r_inf| (0 where
+    r_inf = 0).  Where cos omega_k = 0 (theta = 0 with 4k = N) the mode
+    keeps its whole vector and adds nothing to K or K_proj.
     """
-    _, n, reps, u = folded
-    phi = 2 * np.pi * reps / n
-    c, s = math.cos(theta), math.sin(theta)
-    cos_omega = np.hypot(s, c * np.cos(phi))
-    axis = np.stack([s * np.cos(phi), -s * np.sin(phi), c * np.cos(phi)]) / cos_omega
-    kept = axis[:, None] * np.einsum("ok,obk->bk", axis, u)
-    if theta == 0.0:
-        kept[..., 4 * reps == n] = u[..., 4 * reps == n]
-    perp = np.sqrt(np.sum((u - kept) ** 2, axis=0)) / cos_omega
+    reps, u = folded[2:]
+    axis, cos_omega, _, kept = _mode_axes(folded, theta)
     plus, minus = kept[:, 0::2].sum(axis=-1), kept[:, 1::2].sum(axis=-1)
     r_inf = np.stack([plus[0], minus[1], plus[2]])
     norm = np.sqrt(np.sum(r_inf**2, axis=0))
     r_hat = np.divide(r_inf, norm, out=np.zeros_like(r_inf), where=norm > 0.0)
     a = (r_hat[:, :, None] * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])[:, None]).reshape(3, -1)
     a_perp = a[:, :, None] - axis[:, None] * np.einsum("ok,ob->bk", axis, a)
-    k_proj = (perp * np.sqrt(np.sum(a_perp**2, axis=0))).reshape(-1, 2 * reps.size).sum(axis=-1)
+    size = np.sqrt(np.sum((u - kept) ** 2, axis=0))
+    bounds = np.stack([size, size * np.sqrt(np.sum(a_perp**2, axis=0))])
+    # cos omega_k = sin theta at 4k = N: below theta ~ 1e-308, K = K_proj = inf
+    with np.errstate(over="ignore"):
+        perp, proj = np.divide(bounds, cos_omega, out=np.zeros_like(bounds), where=cos_omega > 0.0)
+    k_proj = proj.reshape(-1, 2 * reps.size).sum(axis=-1)
     return r_inf, np.hypot(*perp.sum(axis=-1).reshape(-1, 2).T), k_proj
 
 
@@ -284,8 +273,8 @@ def coin_trajectory(
 
     ``starts`` is one state, giving (t_max + 1,) arrays, or a sequence of B
     states on one cycle, giving (B, t_max + 1) arrays.  One state is a batch
-    of one: the starts share the mode rotations, the baby powers and the
-    giant step, and each start's row is bit for bit its own call's.
+    of one: the starts share the mode axes and the phasor tables, and each
+    start's row is bit for bit its own call's.
 
     In the unitary Fourier basis one step acts on mode k as the 2x2 matrix
     M_k = diag(z_k, conj(z_k)) @ [[cos theta, sin theta], [sin theta,
@@ -293,15 +282,16 @@ def coin_trajectory(
     is the sum of the mode densities v_k v_k^dagger, so no inverse transform
     is needed.  Mode k's density has weight w_k = |v_L|^2 + |v_R|^2 and
     Bloch vector s_k = (2 Re v_L conj(v_R), -2 Im v_L conj(v_R), |v_L|^2 -
-    |v_R|^2), and a step turns s_k by the rotation R_k = Ad(M_k) (see
-    :func:`_rotation`).  So r(t) = sum_k R_k^t s_k and, with W = sum_k w_k
-    constant in t,
+    |v_R|^2), and a step turns s_k by the rotation R_k = Ad(M_k), a turn by
+    alpha_k = -(2 omega_k + pi), with sin omega_k = cos theta sin(2*pi*k/N),
+    about a unit axis n_k (:func:`_mode_axes`).  So r(t) = sum_k R_k^t s_k
+    and, with W = sum_k w_k constant in t,
 
         p_left = (W + r_z) / 2,  p_right = (W - r_z) / 2,  q = (r_x - i r_y) / 2,
 
-    whose trace is W at every t, to roundoff.  The powers are plain
-    products of rotations, accurate at every theta (theta = 0 included),
-    unlike the two-frequency coefficients of :func:`decompose`.
+    whose trace is W at every t, to roundoff.  The turns are accurate at
+    every theta (theta = 0 included), unlike the two-frequency coefficients
+    of :func:`decompose`.
 
     Two exact symmetries cut the modes.  For even N, M_{k+N/2} = -M_k, so
     both share R_k and their vectors are summed first, leaving m = N/2 modes
@@ -311,22 +301,31 @@ def coin_trajectory(
     r_y reads R_k^t (S - F S_p); k = 0 and m/2 are their own partners
     (S_p = 0).  That leaves floor(m/2) + 1 modes.
 
-    Baby-step/giant-step: with t = c*B + j and B = ceil(sqrt(t_max + 1)),
-    the baby rotations R^j (j < B) and the giant vectors G^c (S +- F S_p),
-    with G = Ad(M^B) and c < C = ceil((t_max + 1) / B), give each component
-    of r as a real matrix product per block of modes.  That is 9 products
-    per mode per time point: about 9 N t_max flops for odd N and
-    4.5 N t_max for even N, against 28 N t_max for the complex mode pairs
-    of all N modes.  Python runs O(log t_max) steps per block and the
+    Each folded vector u splits into its part along n_k, constant in t, and
+    the phasor w = u_perp - i n_k x u, so R_k^t u = n_k (n_k . u) +
+    Re(w e^{i t alpha_k}).  Baby-step/giant-step: with t = c*B + j and
+    B = ceil(sqrt(t_max + 1)),
+
+        r(t) = sum_k n_k (n_k . u_k) + Re sum_k (w_k e^{i c B alpha_k}) e^{i j alpha_k}.
+
+    The baby table e^{i j alpha} (j < B) and the giant table w e^{i c B
+    alpha} (c < C = ceil((t_max + 1) / B)) are filled by complex doubling
+    from bases rounded once from omega_k in long double, so no step is taken
+    by a rounded coin and the roundoff grows with B + C, not with t_max.
+    Each component of r is one real matrix product per start and block of
+    modes, the giant features [Re | -Im] against the baby [Re | Im]: 6
+    products per mode per time point, about 6 N t_max flops for odd N and
+    3 N t_max for even N.  Python runs O(log t_max) steps per block and the
     arithmetic runs in BLAS.  Every per-block array stays under
     ``_WORK_ELEMENTS`` float64 values per start; the other arrays hold a few
-    values per mode and start or are the returned series of O(t_max)
-    values per start, so t_max above
-    ``MAX_STEPS`` (10^6, the ceiling of :func:`cyclewalk.walk.evolve`) raises
-    :class:`ParameterError` before anything is allocated.  The roundoff
-    grows with C, not with t_max, because M^B comes from
-    :func:`_power_of_walk`.  Row t = 0 is summed over the sites by
-    :func:`cyclewalk.walk.coin_entries`, as in
+    values per mode and start or are the returned series of O(t_max) values
+    per start, so t_max above ``MAX_STEPS`` (10^6, the ceiling of
+    :func:`cyclewalk.walk.evolve`) raises :class:`ParameterError` before
+    anything is allocated.  Where ``np.longdouble`` is a plain double (MSVC,
+    ARM64 macOS) the series runs the same way, but e^{i B alpha_k} carries
+    B times the phase roundoff of omega_k and the accuracy gain is lost;
+    x86-64 Linux has an 80-bit long double.  Row t = 0 is summed over the
+    sites by :func:`cyclewalk.walk.coin_entries`, as in
     :func:`cyclewalk.thermo.coin_density`, and W is its trace.
     """
     if not 0 <= t_max <= MAX_STEPS:
@@ -338,32 +337,31 @@ def coin_trajectory(
 def _series(folded, theta: float, t_max: int):
     """(B, t_max + 1) arrays (p_left, p_right, q) of :func:`coin_trajectory`
     from the :func:`_folded_modes` of its B starts; t_max is not checked."""
-    batch, n, reps, u = folded
-    n_times = t_max + 1
-    n_baby = math.isqrt(n_times - 1) + 1
+    batch, _, reps, u = folded
+    n_times, n_baby = t_max + 1, math.isqrt(t_max) + 1
     n_giant = -(-n_times // n_baby)
-    block = max(1, _WORK_ELEMENTS // (9 * n_baby))
-    z = np.exp(2j * np.pi * reps / n)
-    rot = _rotation(z * math.cos(theta), z * math.sin(theta), 1.0)
-    giant_a, giant_b, giant_sign = _power_of_walk(theta, n, n_baby)
-    giant_rot = _rotation(giant_a[reps], giant_b[reps], giant_sign)
+    block = max(1, _WORK_ELEMENTS // (6 * n_baby))
+    axis, _, omega, kept = _mode_axes(folded, theta)
+    # component o of start i reads column 2i + (0, 1, 0)[o] of u: r_x and
+    # r_z turn S + F S_p, r_y turns S - F S_p
+    parts, columns = np.arange(3), 2 * np.arange(len(batch))[:, None] + [0, 1, 0]
+    phasor = (u - kept - 1j * np.cross(axis[:, None], u, axis=0))[parts, columns]
+    # sums and products per start, of the shapes a single start has, so that
+    # a start's row does not depend on the batch it is in
+    const = np.array([kept[parts, column].sum(axis=-1) for column in columns])
     # acc[o, i, c, j]: component o (x, y, z) of start i's r at t = c*B + j
     acc = np.zeros((3, len(batch), n_giant, n_baby))
     for lo in range(0, reps.size, block):
         modes = slice(lo, lo + block)
-        k = z[modes].size
-        baby = np.empty((n_baby, 3, 3, k))
-        baby[0] = np.eye(3)[:, :, None]
-        _fill_powers(baby, rot[..., modes])
-        giant = np.empty((n_giant, 3, u.shape[1], k))
-        giant[0] = u[..., modes]
-        _fill_powers(giant, giant_rot[..., modes])
-        # r_x and r_z read S + F S_p, r_y reads S - F S_p; one product per
-        # start, of the shapes a single start has
-        for row, (out, column) in enumerate(zip(acc, (0, 1, 0))):
-            features = giant[:, :, column::2].transpose(2, 0, 1, 3).reshape(-1, n_giant, 3 * k)
-            out += features @ baby[:, row].reshape(n_baby, 3 * k).T
-    r_x, r_y, r_z = acc.reshape(3, len(batch), -1)[..., :n_times]
+        baby = _phasors(omega[modes], 1, n_baby)
+        giant = _phasors(omega[modes], n_baby, n_giant)
+        # Re(g e) = Re g Re e - Im g Im e
+        baby = np.concatenate([baby.real, baby.imag], axis=1)
+        for i, w in enumerate(phasor[..., modes]):
+            g = w[:, None] * giant
+            features = np.concatenate([g.real, -g.imag], axis=-1).reshape(3 * n_giant, -1)
+            acc[:, i] += (features @ baby.T).reshape(3, n_giant, n_baby)
+    r_x, r_y, r_z = acc.reshape(3, len(batch), -1)[..., :n_times] + const.T[..., None]
     # a localized start keeps its exactly pure coin at t = 0, where the
     # temperature reading is most sensitive to roundoff
     start = [np.array(x) for x in zip(*(coin_entries(s.a, s.b) for s in batch))]

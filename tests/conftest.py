@@ -37,6 +37,59 @@ def direct_densities(states, theta, t_max):
     return tuple(np.array(x) for x in zip(*entries))
 
 
+def long_double_densities(s0, theta, t_max):
+    """Reference: (p_left, p_right, q) of direct steps in long double, whose
+    coin takes cos and sin of theta in long double, so it is unitary to
+    about 1e-19 per step."""
+    c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
+    a, b = s0.a.astype(np.clongdouble), s0.b.astype(np.clongdouble)
+    return np.array([coin_entries(*amplitudes) for amplitudes in iterate_arrays(a, b, (c, s), t_max)]).T
+
+
+def rotation(a, b, sign):
+    """R = Ad(X) as a (3, 3, ...) array: X rho X^dagger turns the Bloch vector
+    (x, y, z) of rho by R, for X = [[a, b], [s conj(b), -s conj(a)]].
+
+    Products of rounded step matrices carry |a|^2 + |b|^2 != 1, as
+    fl(cos theta)^2 + fl(sin theta)^2 != 1, and R scales with it; dividing
+    by it keeps R a rotation to roundoff.  The components broadcast.
+    """
+    def abs2(x):
+        return x.real**2 + x.imag**2
+
+    ab, cross, diff, total = a * b, a * b.conj(), b * b - a * a, a * a + b * b
+    rot = np.array([
+        [sign * diff.real, -sign * total.imag, 2 * sign * ab.real],
+        [-sign * diff.imag, -sign * total.real, -2 * sign * ab.imag],
+        [2 * cross.real, 2 * cross.imag, abs2(a) - abs2(b)],
+    ])
+    return rot / (abs2(a) + abs2(b))
+
+
+def power_of_walk(theta: float, n_sites: int, t: int):
+    """Giant-step oracle: M_k^t for every mode k as (a, b, s), from t direct
+    steps of a delta, with :func:`rotation` turning it into Ad(M_k^t).
+
+    The column (a, s conj(b)) of M_k^t is the unnormalized transform of the
+    walk that starts on site 0 with left chirality.  The shift is exact on
+    sites, so this M^t is as accurate as t direct steps.  The walk reaches
+    sites -t..t only, so it runs on a cycle of 2t + 1 sites (or n_sites, if
+    fewer) and is then laid onto the n_sites-cycle.
+    """
+    width = min(n_sites, 2 * t + 1)
+    delta = np.zeros(width)
+    delta[0] = 1.0
+    # the real coin keeps the real delta real, so it steps as float arrays
+    for walked_a, walked_b in iterate_arrays(delta, np.zeros(width), coin(theta), t):
+        pass
+    reach = np.arange(-t, t + 1)
+    a = np.zeros(n_sites, complex)
+    b = np.zeros(n_sites, complex)
+    a[reach % n_sites], b[reach % n_sites] = walked_a[reach % width], walked_b[reach % width]
+    sign = (-1.0) ** (t + 1)
+    return np.fft.fft(a), sign * np.fft.fft(b).conj(), sign
+
+
 def hadamard_f_closed(n_sites: int) -> float:
     """The paper's closed form of the lattice sum f(N, pi/4), in powers of
     1 +- sqrt(2); it overflows for odd N >= 807 and even N >= 1612."""

@@ -19,11 +19,19 @@ from cyclewalk import (
     localized_initial_state,
     step,
 )
-from cyclewalk.spectral import _axis_limit, _folded_modes, amplitudes_at, decompose, mode_values_at
+from cyclewalk.spectral import (
+    _axis_limit,
+    _folded_modes,
+    _mode_axes,
+    _phasors,
+    amplitudes_at,
+    decompose,
+    mode_values_at,
+)
 from cyclewalk.thermo import asymptotic_density
-from cyclewalk.walk import coin_entries
+from cyclewalk.walk import coin
 
-from conftest import direct_densities, random_state
+from conftest import direct_densities, long_double_densities, power_of_walk, random_state, rotation
 
 
 def dense_dft(n_sites):
@@ -286,6 +294,7 @@ def test_coin_trajectory_direct_equivalence_property(n, theta, t_max, seed):
 @example(n=12, theta=0.0, seed=1)
 @example(n=16, theta=0.0, seed=2)
 @example(n=12, theta=1e-6, seed=3)
+@example(n=4, theta=2.2250738585e-313, seed=0)
 def test_axis_limit_and_envelope(n, theta, seed):
     # at theta = 0 with 4 | N one mode stands still, and at theta = 1e-6 it
     # nearly does: there the alpha/beta form fails.  The theta = 0 walk
@@ -348,28 +357,66 @@ def test_trace_is_the_norm_at_every_step(rng, start):
     assert np.abs(p_left + p_right - s0.norm_squared).max() <= 1e-15
 
 
-def long_double_densities(s0, theta, t_max):
-    """Oracle: (p_left, p_right, q) of direct steps in long double, whose
-    coin takes cos and sin of theta in long double, so it is unitary to
-    about 1e-19 per step."""
-    c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
-    a, b = s0.a.astype(np.clongdouble), s0.b.astype(np.clongdouble)
-    rows = []
-    for _ in range(t_max + 1):
-        rows.append(coin_entries(a, b))
-        a, b = np.roll(a * c + b * s, -1), np.roll(a * s - b * c, 1)
-    return np.array(rows).T
-
-
-@pytest.mark.skipif(
+long_double_only = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18,
     reason="long double is no wider than double on this platform, so the "
     "oracle's coin would carry the same norm drift as the one under test",
 )
+
+
+@long_double_only
 def test_matches_a_unitary_long_double_walk(rng):
     # a double stepper shares the drift of fl(cos theta)^2 + fl(sin theta)^2
-    # != 1; the rotations are normalized and stay closer to the unitary walk
+    # != 1; the series takes no step and stays closer to the unitary walk
     s0 = random_state(rng, 64)
     want = long_double_densities(s0, 0.7, 2000)
     for got, exact in zip(coin_trajectory(s0, 0.7, 2000), want):
         assert np.abs(got - exact).max() < 5e-14
+
+
+@long_double_only
+@pytest.mark.parametrize(
+    "n, theta, t_max",
+    [
+        (7, 0.3, 20000),
+        (12, 0.0, 3000),
+        (12, 1e-6, 3000),
+        (13, 0.0, 3000),
+        (25, math.pi / 2 - 1e-6, 3000),
+        (64, 0.7, 2000),
+    ],
+)
+def test_localized_series_is_the_long_double_walk(n, theta, t_max):
+    # the roundoff grows with the rows of the phasor tables, not with t_max;
+    # at N = 12 one mode stands still (theta = 0) or nearly does (1e-6)
+    s0 = localized_initial_state(WalkParams(n, theta, 1.0, 2.0))
+    for got, exact in zip(coin_trajectory(s0, theta, t_max), long_double_densities(s0, theta, t_max)):
+        assert np.abs(got - exact).max() < 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 0.3, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 100, 1000])
+def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
+    # the giant step turns each folded mode by B alpha_k about its axis,
+    # n n^T + cos(B alpha) (I - n n^T) + sin(B alpha) [n]x, with the phase
+    # taken from omega_k in long double; it must be Ad(M_k^B) of B direct
+    # steps.  Their coin (fl(cos theta), fl(sin theta)) turns at an angle
+    # off theta by `offset`, which moves B alpha_k by up to 2 B offset
+    # (4.8e-17 at pi/4: 9.6e-14 at B = 1001)
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "coin_trajectory takes its phases from np.longdouble, which needs a "
+        "64-bit significand (the 80-bit x87 format of x86-64 Linux, or wider)"
+    )
+    folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)))
+    axis, _, omega, _ = _mode_axes(folded, theta)
+    outer = axis[:, None] * axis[None]
+    x, y, z = axis
+    cross = np.array([[0 * x, -z, y], [z, 0 * x, -x], [-y, x, 0 * x]])
+    c, s = coin(theta)
+    offset = float(abs(np.arctan2(np.longdouble(s), np.longdouble(c)) - np.longdouble(theta)))
+    for steps in (1, 2, 15, 90, 1001):
+        turn = _phasors(omega, steps, 2)[1]
+        got = outer + turn.real * (np.eye(3)[:, :, None] - outer) + turn.imag * cross
+        a, b, sign = power_of_walk(theta, n, steps)
+        want = rotation(a[folded[2]], b[folded[2]], sign)
+        assert np.abs(got - want).max() < 1e-13 + 2 * steps * offset
