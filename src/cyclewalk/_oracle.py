@@ -102,7 +102,7 @@ def localized_vs_spectral(params: list[WalkParams]) -> tuple[float, float]:
     worst = worst_chi = 0.0
     for p in params:
         rho = asymptotic_density_localized(p)
-        r = _axis_limit(_folded_modes(localized_initial_state(p)), p.theta)[0][:, 0]
+        r = _axis_limit(_folded_modes(localized_initial_state(p), p.theta))[0][:, 0]
         limit = ((1.0 + r[2]) / 2, (1.0 - r[2]) / 2, complex(r[0], -r[1]) / 2)
         worst = max(worst, *(abs(x - y) for x, y in zip((rho.p_left, rho.p_right, rho.q), limit)))
         worst_chi = max(worst_chi, abs(math.hypot(*r) ** 2 / 4 - chi_isotherm(p)))

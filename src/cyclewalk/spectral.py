@@ -21,8 +21,9 @@ The coin density at every step of a run (:func:`coin_trajectory`) comes
 instead from the modes' Bloch vectors, folded over two exact mode
 symmetries.  Each turns about a fixed axis by a fixed angle, so the series
 is a constant plus one sinusoid per folded mode, summed from phasor tables
-in 6 real products per mode and time point, with phases from omega_k in
-long double (a plain double there costs accuracy, not correctness).  It
+in 6 real products per mode and time point.  The table bases are powers,
+taken by squaring, of each mode's turn, formed from cos omega_k and sin
+omega_k in long double (a plain double costs accuracy, not correctness).  It
 stays accurate where the two-frequency coefficients are singular and keeps
 the trace exact.  The limit of its running average and a K/t bound on the
 distance to it come from the same axes (:func:`_axis_limit`).  The
@@ -163,10 +164,11 @@ def _abs2(x):
     return x.real**2 + x.imag**2
 
 
-def _folded_modes(starts: WalkState | Sequence[WalkState]):
-    """(batch, N, k, u): the starts as a list, their cycle size, the folded
-    modes k of :func:`coin_trajectory` and their summed Bloch vectors u
-    (3, 2B, K): start i's S + F S_p in u[:, 2i] and S - F S_p in u[:, 2i + 1].
+def _folded_modes(starts: WalkState | Sequence[WalkState], theta: float):
+    """(batch, N, k, u, axes): the starts as a list, their cycle size, the
+    folded modes k of :func:`coin_trajectory`, their summed Bloch vectors u
+    (3, 2B, K), start i's S + F S_p in u[:, 2i] and S - F S_p in u[:, 2i + 1],
+    and the :func:`_mode_axes` of these modes at ``theta``.
     """
     batch = [starts] if isinstance(starts, WalkState) else list(starts)
     if len({s.n_sites for s in batch}) != 1:
@@ -184,45 +186,51 @@ def _folded_modes(starts: WalkState | Sequence[WalkState]):
     partner = bloch[..., -reps % m] * np.array([1.0, -1.0, 1.0])[:, None, None]
     partner[..., reps == -reps % m] = 0.0
     u = np.stack([bloch[..., reps] + partner, bloch[..., reps] - partner], axis=2)
-    return batch, n, reps, u.reshape(3, -1, reps.size)
+    u = u.reshape(3, -1, reps.size)
+    return batch, n, reps, u, _mode_axes(n, reps, u, theta)
 
 
-def _mode_axes(folded, theta: float):
-    """(axis (3, K), cos omega (K,), omega (K,), kept) of the modes of
-    :func:`_folded_modes`: a step turns mode k's vectors u by alpha_k =
-    -(2 omega_k + pi) about axis_k and keeps their part kept = n_k (n_k . u).
+def _mode_axes(n: int, reps: np.ndarray, u: np.ndarray, theta: float):
+    """(axis (3, K), cos omega (K,), turn (K,), kept) of the folded modes k
+    of an n-cycle with vectors u (:func:`_folded_modes`): a step turns u
+    about axis_k by alpha_k, turn_k = e^{i alpha_k}, and keeps n_k (n_k . u).
 
     With (c, s) = (cos theta, sin theta) and phi_k = 2*pi*k/N, axis_k =
     (s cos phi_k, -s sin phi_k, c cos phi_k) / cos omega_k, cos omega_k =
-    hypot(s, c cos phi_k) and omega_k = atan2(c sin phi_k, cos omega_k), all
-    in long double.  cos phi_k is the sine of pi (N - 4k) / (2N), so it is
-    exactly 0 at 4k = N and relatively accurate near there.  cos omega_k = 0
-    only at theta = 0 with 4k = N, where the turn is by 2 pi, axis_k = 0 and
-    the whole of u is kept.  All but omega are rounded to double.
+    hypot(s, c cos phi_k), sin omega_k = c sin phi_k and turn_k = -(cos
+    omega_k - i sin omega_k)^2 / (cos^2 omega_k + sin^2 omega_k), of modulus
+    1 to long double roundoff, all in long double.  The only trigonometry is
+    the sine of phi_k and of pi (N - 4k) / (2N), which is cos phi_k, exactly
+    0 at 4k = N and relatively accurate near there.  cos omega_k = 0 only at
+    theta = 0 with 4k = N, where turn_k = 1, axis_k = 0 and the whole of u
+    is kept.  All but turn are rounded to double.
     """
-    _, n, reps, u = folded
     pi = 4 * np.arctan(np.longdouble(1))
     c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
     sin_phi, cos_phi = np.sin(pi * np.stack([4 * reps, n - 4 * reps]) / (2 * n))
-    cos_omega = np.hypot(s, c * cos_phi)
+    cos_omega, sin_omega = np.hypot(s, c * cos_phi), c * sin_phi
     axis = np.stack([s * cos_phi, -s * sin_phi, c * cos_phi])
     axis = np.divide(axis, cos_omega, out=np.zeros_like(axis), where=cos_omega > 0).astype(float)
     kept = axis[:, None] * (axis[:, None] * u).sum(axis=0)
     kept[..., cos_omega == 0] = u[..., cos_omega == 0]
-    return axis, cos_omega.astype(float), np.arctan2(c * sin_phi, cos_omega), kept
+    half = cos_omega - 1j * sin_omega
+    return axis, cos_omega.astype(float), -half * half / (cos_omega**2 + sin_omega**2), kept
 
 
-def _phasors(omega: np.ndarray, steps: int, rows: int) -> np.ndarray:
+def _phasors(turn: np.ndarray, steps: int, rows: int) -> np.ndarray:
     """(rows, K) table of e^{i j steps alpha_k}, j < rows, of the long double
-    phases omega_k of :func:`_mode_axes`.
+    turns e^{i alpha_k} of :func:`_mode_axes`.
 
-    The base e^{i steps alpha_k} = (-1)^steps e^{-2i steps omega_k} is
-    rounded once from long double.  Doubling: each pass extends the filled
-    rows [0, m) to [0, 2m) with base**m and squares base**m, so the Python
-    steps are logarithmic in rows.
+    The base e^{i steps alpha_k} = turn**steps is formed by squaring in long
+    double, about log2(steps) products, and rounded once, so its error grows
+    like steps times the long double epsilon.  Doubling: each pass extends
+    the filled rows [0, m) to [0, 2m) with base**m and squares base**m, so
+    the Python steps are logarithmic in rows.
     """
-    angle = 2 * steps * omega
-    base = ((-1) ** steps * (np.cos(angle) - 1j * np.sin(angle))).astype(complex)
+    base = np.ones_like(turn)
+    while steps:
+        base, turn, steps = base * turn if steps % 2 else base, turn * turn, steps // 2
+    base = base.astype(complex)
     out = np.empty((rows, base.size), complex)
     out[0], m = 1.0, 1
     while m < rows:
@@ -232,25 +240,24 @@ def _phasors(omega: np.ndarray, steps: int, rows: int) -> np.ndarray:
     return out
 
 
-def _axis_limit(folded, theta: float):
+def _axis_limit(folded):
     """(r_inf (3, B), K (B,), K_proj (B,)) of the :func:`_folded_modes` of B
     starts: the limit of the running average of the Bloch vector r of
     :func:`coin_trajectory`, with |e(t)| <= K/t and |r_inf_hat . e(t)| <=
     K_proj/t for e = r_avg - r_inf.
 
-    Mode k turns by alpha_k = -(2 omega_k + pi) about n_k (see
-    :func:`_mode_axes`).  The average keeps each vector's part along its
-    axis: r_x and r_z read sum_k n_k (n_k . u+), and r_y reads sum_k n_k
-    (n_k . u-).  The rest u_perp turns in the plane normal to n_k, with
-    partial sums within |u_perp| / cos omega_k, so K = hypot of the two sums
-    of these bounds.  Along a they stay within |u_perp| |a - n_k (n_k . a)|
-    / cos omega_k, and K_proj sums this over k for u+ along a+ = (x, 0, z)
-    and u- along a- = (0, y, 0), with (x, y, z) = r_inf / |r_inf| (0 where
-    r_inf = 0).  Where cos omega_k = 0 (theta = 0 with 4k = N) the mode
-    keeps its whole vector and adds nothing to K or K_proj.
+    Mode k turns by alpha_k about n_k (see :func:`_mode_axes`).  The average
+    keeps each vector's part along its axis: r_x and r_z read sum_k n_k
+    (n_k . u+), and r_y reads sum_k n_k (n_k . u-).  The rest u_perp turns
+    in the plane normal to n_k, with partial sums within |u_perp| / cos
+    omega_k, so K = hypot of the two sums of these bounds.  Along a they
+    stay within |u_perp| |a - n_k (n_k . a)| / cos omega_k, and K_proj sums
+    this over k for u+ along a+ = (x, 0, z) and u- along a- = (0, y, 0), with
+    (x, y, z) = r_inf / |r_inf| (0 where r_inf = 0).  Where cos omega_k = 0
+    (theta = 0 with 4k = N) the mode keeps its whole vector and adds nothing
+    to K or K_proj.
     """
-    reps, u = folded[2:]
-    axis, cos_omega, _, kept = _mode_axes(folded, theta)
+    reps, u, (axis, cos_omega, _, kept) = folded[2:]
     plus, minus = kept[:, 0::2].sum(axis=-1), kept[:, 1::2].sum(axis=-1)
     r_inf = np.stack([plus[0], minus[1], plus[2]])
     norm = np.sqrt(np.sum(r_inf**2, axis=0))
@@ -283,8 +290,9 @@ def coin_trajectory(
     is needed.  Mode k's density has weight w_k = |v_L|^2 + |v_R|^2 and
     Bloch vector s_k = (2 Re v_L conj(v_R), -2 Im v_L conj(v_R), |v_L|^2 -
     |v_R|^2), and a step turns s_k by the rotation R_k = Ad(M_k), a turn by
-    alpha_k = -(2 omega_k + pi), with sin omega_k = cos theta sin(2*pi*k/N),
-    about a unit axis n_k (:func:`_mode_axes`).  So r(t) = sum_k R_k^t s_k
+    the angle alpha_k of e^{i alpha_k} = -(cos omega_k - i sin omega_k)^2,
+    with sin omega_k = cos theta sin(2*pi*k/N) and cos omega_k >= 0, about a
+    unit axis n_k (:func:`_mode_axes`).  So r(t) = sum_k R_k^t s_k
     and, with W = sum_k w_k constant in t,
 
         p_left = (W + r_z) / 2,  p_right = (W - r_z) / 2,  q = (r_x - i r_y) / 2,
@@ -310,8 +318,9 @@ def coin_trajectory(
 
     The baby table e^{i j alpha} (j < B) and the giant table w e^{i c B
     alpha} (c < C = ceil((t_max + 1) / B)) are filled by complex doubling
-    from bases rounded once from omega_k in long double, so no step is taken
-    by a rounded coin and the roundoff grows with B + C, not with t_max.
+    from the bases e^{i alpha_k} and e^{i B alpha_k}, powers of the long
+    double turn taken by squaring and rounded once, so no step is taken by a
+    rounded coin and the roundoff grows with B + C, not with t_max.
     Each component of r is one real matrix product per start and block of
     modes, the giant features [Re | -Im] against the baby [Re | Im]: 6
     products per mode per time point, about 6 N t_max flops for odd N and
@@ -323,25 +332,24 @@ def coin_trajectory(
     :func:`cyclewalk.walk.evolve`) raises :class:`ParameterError` before
     anything is allocated.  Where ``np.longdouble`` is a plain double (MSVC,
     ARM64 macOS) the series runs the same way, but e^{i B alpha_k} carries
-    B times the phase roundoff of omega_k and the accuracy gain is lost;
+    B times the double roundoff of the turn and the accuracy gain is lost;
     x86-64 Linux has an 80-bit long double.  Row t = 0 is summed over the
     sites by :func:`cyclewalk.walk.coin_entries`, as in
     :func:`cyclewalk.thermo.coin_density`, and W is its trace.
     """
     if not 0 <= t_max <= MAX_STEPS:
         raise ParameterError(f"t_max must lie in [0, {MAX_STEPS}], got {t_max}")
-    series = _series(_folded_modes(starts), theta, t_max)
+    series = _series(_folded_modes(starts, theta), t_max)
     return tuple(x[0] for x in series) if isinstance(starts, WalkState) else series
 
 
-def _series(folded, theta: float, t_max: int):
+def _series(folded, t_max: int):
     """(B, t_max + 1) arrays (p_left, p_right, q) of :func:`coin_trajectory`
     from the :func:`_folded_modes` of its B starts; t_max is not checked."""
-    batch, _, reps, u = folded
+    batch, _, reps, u, (axis, _, turn, kept) = folded
     n_times, n_baby = t_max + 1, math.isqrt(t_max) + 1
     n_giant = -(-n_times // n_baby)
     block = max(1, _WORK_ELEMENTS // (6 * n_baby))
-    axis, _, omega, kept = _mode_axes(folded, theta)
     # component o of start i reads column 2i + (0, 1, 0)[o] of u: r_x and
     # r_z turn S + F S_p, r_y turns S - F S_p
     parts, columns = np.arange(3), 2 * np.arange(len(batch))[:, None] + [0, 1, 0]
@@ -353,8 +361,8 @@ def _series(folded, theta: float, t_max: int):
     acc = np.zeros((3, len(batch), n_giant, n_baby))
     for lo in range(0, reps.size, block):
         modes = slice(lo, lo + block)
-        baby = _phasors(omega[modes], 1, n_baby)
-        giant = _phasors(omega[modes], n_baby, n_giant)
+        baby = _phasors(turn[modes], 1, n_baby)
+        giant = _phasors(turn[modes], n_baby, n_giant)
         # Re(g e) = Re g Re e - Im g Im e
         baby = np.concatenate([baby.real, baby.imag], axis=1)
         for i, w in enumerate(phasor[..., modes]):

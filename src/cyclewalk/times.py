@@ -31,7 +31,8 @@ one a scan over all of [1, t_max] gives.  ``satisfied`` still means "not
 violated at t_max"; it is a proof of convergence only when t* <= t_max.
 
 The averages are running sums of the coin series that ``simulate`` reads,
-from :func:`cyclewalk.spectral.coin_trajectory`, folded once per scan.
+from :func:`cyclewalk.spectral.coin_trajectory`, folded (with its mode axes)
+once per scan.
 That series stops at ``MAX_STEPS`` (10^6) steps, so a scan that needs
 more, min(t*, t_max) - 1, raises :class:`ParameterError`.
 """
@@ -83,8 +84,8 @@ def _asymptotics(params: WalkParams, folded=None):
     """(lambda_plus_inf, beta_inf, c, (K, K_proj, |r_inf|)) of the localized
     start of ``params``, from the limit r_inf and the envelope constants of
     the rotations of its folded modes ``folded`` (folded here when None)."""
-    folded = folded or _folded_modes(localized_initial_state(params))
-    r_inf, k, k_proj = _axis_limit(folded, params.theta)
+    folded = folded or _folded_modes(localized_initial_state(params), params.theta)
+    r_inf, k, k_proj = _axis_limit(folded)
     split = math.hypot(*r_inf[:, 0])  # |r_inf| = 2*sqrt(chi_inf)
     beta = float(beta_of_chi(0.25 * split**2, params.energy_scale))
     c = math.inf if math.isinf(beta) else 2.0 * math.cosh(beta * params.energy_scale) ** 2
@@ -127,14 +128,14 @@ def _setup(params: WalkParams, epsilons: list[float], t_max: int):
         raise ParameterError(f"epsilon must be finite and positive, got {epsilons}")
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
-    folded = _folded_modes(localized_initial_state(params))
+    folded = _folded_modes(localized_initial_state(params), params.theta)
     lam_inf, beta_inf, c, envelope = _asymptotics(params, folded)
-    scan = partial(_last_violations, folded, params.theta, t_max, envelope, lam_inf)
+    scan = partial(_last_violations, folded, t_max, envelope, lam_inf)
     return lam_inf, params.energy_scale * beta_inf, c, scan
 
 
 def _last_violations(
-    folded, theta: float, t_max: int, envelope, lam_inf: float, bands: list[tuple[float, float]]
+    folded, t_max: int, envelope, lam_inf: float, bands: list[tuple[float, float]]
 ) -> list[int]:
     """Last t in 1..t_max at which d(t) = lambda+(t) - lam_inf leaves each
     band [lo, hi], 0 where none does.
@@ -149,7 +150,7 @@ def _last_violations(
         raise ParameterError(
             f"the scan needs {steps} steps (min(horizon, t_max) - 1); the ceiling is {MAX_STEPS}"
         )
-    chi = running_chi(*(x[0] for x in _series(folded, theta, steps)))
+    chi = running_chi(*(x[0] for x in _series(folded, steps)))
     dev = np.sqrt(chi, out=chi)  # in place: no second series-long array
     dev += 0.5
     dev -= lam_inf

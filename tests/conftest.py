@@ -90,6 +90,24 @@ def power_of_walk(theta: float, n_sites: int, t: int):
     return np.fft.fft(a), sign * np.fft.fft(b).conj(), sign
 
 
+def phase_base(n_sites: int, theta: float, steps: int) -> np.ndarray:
+    """Base oracle: e^{i steps alpha_k} of the folded modes k of
+    ``spectral._folded_modes`` on an n_sites-cycle, through the phase angle.
+
+    omega_k = atan2(c sin phi_k, hypot(s, c cos phi_k)), with (c, s) = (cos
+    theta, sin theta) and phi_k = 2*pi*k/N, and then alpha_k = -(2 omega_k +
+    pi) gives (-1)^steps (cos 2 steps omega_k - i sin 2 steps omega_k), all
+    in long double and rounded once to complex.
+    """
+    m = n_sites // 2 if n_sites % 2 == 0 else n_sites
+    k = np.arange(m // 2 + 1)
+    pi = 4 * np.arctan(np.longdouble(1))
+    c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
+    sin_phi, cos_phi = np.sin(pi * np.stack([4 * k, n_sites - 4 * k]) / (2 * n_sites))
+    angle = 2 * steps * np.arctan2(c * sin_phi, np.hypot(s, c * cos_phi))
+    return ((-1) ** steps * (np.cos(angle) - 1j * np.sin(angle))).astype(complex)
+
+
 def hadamard_f_closed(n_sites: int) -> float:
     """The paper's closed form of the lattice sum f(N, pi/4), in powers of
     1 +- sqrt(2); it overflows for odd N >= 807 and even N >= 1612."""

@@ -22,7 +22,6 @@ from cyclewalk import (
 from cyclewalk.spectral import (
     _axis_limit,
     _folded_modes,
-    _mode_axes,
     _phasors,
     amplitudes_at,
     decompose,
@@ -31,7 +30,14 @@ from cyclewalk.spectral import (
 from cyclewalk.thermo import asymptotic_density
 from cyclewalk.walk import coin
 
-from conftest import direct_densities, long_double_densities, power_of_walk, random_state, rotation
+from conftest import (
+    direct_densities,
+    long_double_densities,
+    phase_base,
+    power_of_walk,
+    random_state,
+    rotation,
+)
 
 
 def dense_dft(n_sites):
@@ -302,7 +308,7 @@ def test_axis_limit_and_envelope(n, theta, seed):
     # them; everywhere both envelopes are checked against running averages
     rng = np.random.default_rng(seed)
     starts = [random_state(rng, n), localized_initial_state(WalkParams(n, theta, 1.0, 2.0))]
-    r_inf, k, k_proj = _axis_limit(_folded_modes(starts), theta)
+    r_inf, k, k_proj = _axis_limit(_folded_modes(starts, theta))
     phi = 2 * np.pi * np.arange(n) / n
     cos_omega = np.hypot(math.sin(theta), math.cos(theta) * np.cos(phi))
     ts = np.arange(1, 2001)
@@ -398,25 +404,38 @@ def test_localized_series_is_the_long_double_walk(n, theta, t_max):
 @pytest.mark.parametrize("n", [3, 4, 7, 12, 100, 1000])
 def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
     # the giant step turns each folded mode by B alpha_k about its axis,
-    # n n^T + cos(B alpha) (I - n n^T) + sin(B alpha) [n]x, with the phase
-    # taken from omega_k in long double; it must be Ad(M_k^B) of B direct
-    # steps.  Their coin (fl(cos theta), fl(sin theta)) turns at an angle
-    # off theta by `offset`, which moves B alpha_k by up to 2 B offset
-    # (4.8e-17 at pi/4: 9.6e-14 at B = 1001)
+    # n n^T + cos(B alpha) (I - n n^T) + sin(B alpha) [n]x, with the base
+    # the B-th power of the long double turn e^{i alpha_k}; it must be
+    # Ad(M_k^B) of B direct steps.  Their coin (fl(cos theta), fl(sin
+    # theta)) turns at an angle off theta by `offset`, which moves B alpha_k
+    # by up to 2 B offset (4.8e-17 at pi/4: 9.6e-14 at B = 1001)
     assert np.finfo(np.longdouble).nmant >= 63, (
-        "coin_trajectory takes its phases from np.longdouble, which needs a "
+        "coin_trajectory takes its turns from np.longdouble, which needs a "
         "64-bit significand (the 80-bit x87 format of x86-64 Linux, or wider)"
     )
-    folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)))
-    axis, _, omega, _ = _mode_axes(folded, theta)
+    folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)), theta)
+    axis, _, turn, _ = folded[4]
     outer = axis[:, None] * axis[None]
     x, y, z = axis
     cross = np.array([[0 * x, -z, y], [z, 0 * x, -x], [-y, x, 0 * x]])
     c, s = coin(theta)
     offset = float(abs(np.arctan2(np.longdouble(s), np.longdouble(c)) - np.longdouble(theta)))
     for steps in (1, 2, 15, 90, 1001):
-        turn = _phasors(omega, steps, 2)[1]
-        got = outer + turn.real * (np.eye(3)[:, :, None] - outer) + turn.imag * cross
+        base = _phasors(turn, steps, 2)[1]
+        got = outer + base.real * (np.eye(3)[:, :, None] - outer) + base.imag * cross
         a, b, sign = power_of_walk(theta, n, steps)
         want = rotation(a[folded[2]], b[folded[2]], sign)
         assert np.abs(got - want).max() < 1e-13 + 2 * steps * offset
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 0.3, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 100, 1000, 4096])
+def test_bases_by_squaring_are_the_phase_angle_bases(n, theta):
+    # the table bases are powers of the turn e^{i alpha_k}, taken by squaring
+    # from cos omega_k and sin omega_k; the angle route takes cos and sin of
+    # 2 B omega_k.  Both carry about B long double roundoffs before the one
+    # rounding to double, so they differ by at most a few ulp
+    folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)), theta)
+    for steps in (1, 2, 15, 29, 90, 101, 1001):
+        got = _phasors(folded[4][2], steps, 2)[1]
+        assert np.abs(got - phase_base(n, theta, steps)).max() < 4.5e-16

@@ -212,10 +212,10 @@ def test_convergence_sweep_matches_individual_scans(start, n):
 
 
 def test_no_decomposition_per_sweep(monkeypatch):
-    # the limit and K come from the folded modes: one fold and one axis
-    # limit per sweep and no alpha/beta decomposition, through any module's
-    # binding; the series reads the same fold
-    calls = {"decompose": 0, "_axis_limit": 0, "_folded_modes": 0}
+    # the limit and K come from the folded modes: one fold, one set of mode
+    # axes and one axis limit per sweep and no alpha/beta decomposition,
+    # through any module's binding; the series reads the same fold and axes
+    calls = {"decompose": 0, "_axis_limit": 0, "_folded_modes": 0, "_mode_axes": 0}
     for name in calls:
         original = getattr(cyclewalk.spectral, name)
 
@@ -227,8 +227,12 @@ def test_no_decomposition_per_sweep(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
-    convergence_sweep(WalkParams(30, **FIG3_PARAMS), [1e-2, 1e-3], 500)
-    assert calls == {"decompose": 0, "_axis_limit": 1, "_folded_modes": 1}
+    params = WalkParams(30, **FIG3_PARAMS)
+    convergence_sweep(params, [1e-2, 1e-3], 500)
+    assert calls == {"decompose": 0, "_axis_limit": 1, "_folded_modes": 1, "_mode_axes": 1}
+    calls["_mode_axes"] = 0
+    coin_trajectory(localized_initial_state(params), params.theta, 500)
+    assert calls["_mode_axes"] == 1
 
 
 def test_scan_stops_at_horizon(monkeypatch):
@@ -237,9 +241,9 @@ def test_scan_stops_at_horizon(monkeypatch):
     scanned = []
     series = cyclewalk.times._series
 
-    def counting(folded, theta, t_max):
+    def counting(folded, t_max):
         scanned.append(t_max + 1)
-        return series(folded, theta, t_max)
+        return series(folded, t_max)
 
     monkeypatch.setattr(cyclewalk.times, "_series", counting)
     recs = convergence_sweep(WalkParams(100, **FIG3_PARAMS), [1e-2, 1e-3, 1e-4], 10**5)
@@ -306,8 +310,8 @@ def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     # p_right and r_x - i r_y = 2q, and r_inf the axis limit the scans read
     ts = np.arange(1, 4 * t_axis + 1)
     p_left, p_right, q = averaged_trajectory_closed(dec, ts)
-    folded = _folded_modes(localized_initial_state(params))
-    r_x, r_y, r_z = _axis_limit(folded, params.theta)[0][:, 0]
+    folded = _folded_modes(localized_initial_state(params), params.theta)
+    r_x, r_y, r_z = _axis_limit(folded)[0][:, 0]
     dr = np.sqrt((p_left - p_right - r_z) ** 2 + 4.0 * np.abs(q - complex(r_x, -r_y) / 2) ** 2)
     assert np.all(ts * dr <= k)
 
