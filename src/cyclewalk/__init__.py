@@ -29,7 +29,6 @@ from .thermo import (
     coin_density,
     entanglement_entropy,
     entropy_of_chi,
-    f_g_h,
     temperature_from_chi,
     transient_temperature,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "entanglement_entropy",
     "entropy_of_chi",
     "asymptotic_density_localized",
-    "f_g_h",
     "chi_of_density",
     "chi_of_entries",
     "chi_isotherm",

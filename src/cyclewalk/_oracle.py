@@ -96,9 +96,9 @@ def closed_average_vs_direct(decomps: list[SpectralDecomposition], direct) -> fl
 
 
 def localized_vs_spectral(params: list[WalkParams]) -> tuple[float, float]:
-    """:func:`asymptotic_density_localized` and :func:`chi_isotherm` against
-    the limit that the scans read, the axis limit r_inf of each start's
-    folded modes: (density dev, chi dev)."""
+    """:func:`asymptotic_density_localized` and :func:`chi_isotherm`, one map
+    of the start's Bloch vector, against the limit that the scans read, the
+    axis limit r_inf of its folded modes: (density dev, chi dev)."""
     worst = worst_chi = 0.0
     for p in params:
         rho = asymptotic_density_localized(p)

@@ -237,7 +237,10 @@ def _write_dataset(config, table, summary=None):
 
 def _beta_ref(config: SimpleNamespace) -> float:
     """Inverse temperature of T0, the temperature of the gamma = pi start
-    (see :func:`cyclewalk.thermo.chi_reference`); T/T0 needs it finite."""
+    (see :func:`cyclewalk.thermo.chi_reference`); T/T0 needs it finite and
+    non-zero.  chi_ref tends to 0, and T0 to inf, as cos^2(theta) -> 0."""
+    if math.cos(config.theta) ** 2 < 1e-15:
+        raise ParameterError(f"T/T0 is undefined at theta = {config.theta}, where T0 is infinite")
     beta_ref = beta_of_chi(chi_reference(config.n, config.theta), config.e0)
     if math.isinf(beta_ref):
         raise ParameterError(f"T/T0 is undefined at theta = {config.theta}, where T0 = 0")

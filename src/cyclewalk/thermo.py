@@ -11,18 +11,19 @@ The CLI reads running averages from one route, the
 :func:`cyclewalk.spectral.coin_trajectory` series through
 :func:`running_chi`.  The scans read their limits from the rotation axes
 of that series' folded modes (``spectral._axis_limit``), and the isotherms
-from the closed form :func:`chi_isotherm_grid`.  The alpha/beta closed
-forms (:func:`asymptotic_density`, ``averaged_*_closed``) and the numeric
-average of the directly iterated walk (:func:`averaged_density_numeric`)
-are oracles that the tests and ``cyclewalk selftest`` compare against; they
-are imported from this module, not from the package root.  The key scalar
-is ``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature (maximally
-mixed coin), chi = 1/4 a pure coin at zero temperature.
+and T0 from one limit map of the same axes (``_limit_sums``).  The
+alpha/beta closed forms (:func:`asymptotic_density`, ``averaged_*_closed``)
+and the numeric average of the directly iterated walk
+(:func:`averaged_density_numeric`) are oracles that the tests and
+``cyclewalk selftest`` compare against; they are imported from this module,
+not from the package root.  The key scalar is ``chi = 1/4 - det(rho_avg)``:
+chi = 0 is infinite temperature (maximally mixed coin), chi = 1/4 a pure
+coin at zero temperature.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .errors import (
     ParameterError,
     UndefinedAverageError,
 )
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _mode_axes
 from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
 
 _TRACE_TOL = 1e-9
@@ -209,69 +210,58 @@ def asymptotic_density(decomp: SpectralDecomposition) -> CoinDensity:
     return CoinDensity(p_left, p_right, q)
 
 
-def f_g_h(n_sites: int, theta: float) -> tuple[float, float, float]:
-    """Lattice sums controlling the localized-start asymptotics.
+@functools.lru_cache  # T0, the isotherms and each start on a cycle share it
+def _limit_sums(n_sites: int, theta: float) -> tuple[float, float, float]:
+    """(m, a_yy, d): the limit map of the localized starts on an n-cycle.
 
-    f is the mean of 1/(1 - cos^2(theta) sin^2(2*pi*k/N)) over the N modes;
-    g and h are the derived combinations (f - 1)/cos^2(theta) and
-    2/cos^2(theta) + (1 - 2/cos^2(theta)) f.  g and h are undefined at
-    theta = pi/2; the sum itself is singular only at theta = 0 on a cycle
-    divisible by 4.
+    A start at the origin with Bloch vector r0 puts r0 / N on every mode,
+    and the average keeps each mode's part along its axis n_k
+    (``spectral._mode_axes``).  n_k's x and z parts are in the ratio s : c,
+    (c, s) = (cos theta, sin theta), and its y part changes sign from mode
+    k to N - k, so r_inf = m (s x0 + c z0) (s, 0, c) + a_yy y0 e_y + d r0:
+    m and a_yy are the means of n_x^2 + n_z^2 and n_y^2 over the modes, and
+    d the share of modes that do not turn (axis 0: theta = 0, 4k = N).
     """
     if n_sites < 3:
         raise ParameterError(f"n_sites must be >= 3, got {n_sites}")
-    k = np.arange(n_sites)
-    denom = 1.0 - np.cos(theta) ** 2 * np.sin(2 * np.pi * k / n_sites) ** 2
-    if np.any(denom < 1e-15):
-        raise DegenerateSpectrumError(
-            "singular term in the lattice sum (theta = 0, n_sites divisible by 4)"
-        )
-    f = float(np.mean(1.0 / denom))
-    cos_sq = math.cos(theta) ** 2
-    if cos_sq < 1e-15:
-        raise ParameterError("g and h are undefined at theta = pi/2")
-    g = (f - 1.0) / cos_sq
-    h = 2.0 / cos_sq + (1.0 - 2.0 / cos_sq) * f
-    return f, g, h
+    # mode N - k has the axis of mode k with n_y negated, so k runs to N/2,
+    # counted twice but at k = 0 and 2k = N; _mode_axes is exact at 4k = N
+    # for k <= N/2
+    k = np.arange(n_sites // 2 + 1)
+    weight = np.where(2 * k % n_sites == 0, 1.0, 2.0)
+    axis, cos_omega, _, _ = _mode_axes(n_sites, k, np.zeros((3, 0, k.size)), theta)
+    sums = (axis[0] ** 2 + axis[2] ** 2, axis[1] ** 2, cos_omega == 0.0)
+    return tuple(float(np.sum(weight * x)) / n_sites for x in sums)
+
+
+def _limit_vector(n_sites: int, theta: float, gamma, phi):
+    """r_inf of :func:`_limit_sums` at the Bloch angles (gamma, phi), which
+    broadcast; factored, so that s x0 + c z0 = 0 gives r_x = r_z = 0 exactly."""
+    m, a_yy, d = _limit_sums(n_sites, theta)
+    c, s = np.cos(theta), np.sin(theta)
+    x0, y0, z0 = np.sin(gamma) * np.cos(phi), np.sin(gamma) * np.sin(phi), np.cos(gamma)
+    along = m * (s * x0 + c * z0)
+    return along * s + d * x0, (a_yy + d) * y0, along * c + d * z0
 
 
 def asymptotic_density_localized(params: WalkParams) -> CoinDensity:
-    """Asymptotic averaged density for a walker starting at the origin.
-
-    Closed form in the Bloch angles (gamma, phi) and the lattice sums f, g,
-    h; valid for theta in (0, pi/2).
-    """
-    f, g, h = f_g_h(params.n_sites, params.theta)
-    th, ga, ph = params.theta, params.gamma, params.phi
-    cos_sq = math.cos(th) ** 2
-    p_right = (
-        0.5 - 0.5 * cos_sq * math.cos(ga) - 0.25 * math.sin(ga) * math.sin(2 * th) * math.cos(ph)
-    ) * f + (
-        0.25 * math.sin(ga) * math.sin(2 * th) * math.cos(ph)
-        - cos_sq * math.sin(ga / 2) ** 2
-    ) * g
-    q = 0.25 * (
-        cmath.exp(-1j * ph) * math.sin(ga) * math.sin(th) ** 2
-        + 0.5 * math.cos(ga) * math.sin(2 * th)
-    ) * f + 0.25 * (
-        cmath.exp(1j * ph) * math.sin(ga) * math.sin(th) ** 2
-        + 0.5 * math.cos(ga) * math.sin(2 * th)
-    ) * h
-    return CoinDensity(1.0 - p_right, p_right, q)
+    """Asymptotic averaged density for a walker starting at the origin: p =
+    (1 +- r_z) / 2 and q = (r_x - i r_y) / 2 of r_inf (:func:`_limit_sums`)."""
+    r_x, r_y, r_z = (
+        float(x) for x in _limit_vector(params.n_sites, params.theta, params.gamma, params.phi)
+    )
+    return CoinDensity((1.0 + r_z) / 2, (1.0 - r_z) / 2, complex(r_x, -r_y) / 2)
 
 
 def chi_isotherm_grid(n_sites: int, theta: float, gamma, phi) -> np.ndarray:
-    """Asymptotic chi for a localized start, directly in the Bloch angles.
+    """Asymptotic chi = |r_inf|^2 / 4 for a localized start, in the Bloch angles.
 
     This is the isotherm map: level sets of the returned value in the
     (gamma, phi) plane are lines of constant asymptotic temperature.
     ``gamma`` and ``phi`` broadcast against each other.
     """
-    f, _, h = f_g_h(n_sites, theta)
-    sin_ga, sin_th = np.sin(gamma), np.sin(theta)
-    return (h - f) ** 2 * np.sin(phi) ** 2 * sin_ga**2 * sin_th**4 / 16 + (h + f) ** 2 * (
-        np.cos(phi) * sin_ga * sin_th + np.cos(gamma) * np.cos(theta)
-    ) ** 2 / 16
+    r_x, r_y, r_z = _limit_vector(n_sites, theta, gamma, phi)
+    return (r_x**2 + r_y**2 + r_z**2) / 4
 
 
 def chi_isotherm(params: WalkParams) -> float:
@@ -281,8 +271,8 @@ def chi_isotherm(params: WalkParams) -> float:
 
 def chi_reference(n_sites: int, theta: float) -> float:
     """chi of the gamma = pi start; sets the characteristic temperature T0."""
-    f, _, h = f_g_h(n_sites, theta)
-    return (h + f) ** 2 * math.cos(theta) ** 2 / 16
+    # sin(pi) rounds to 1.2e-16: at phi = pi/2 it enters r_y alone, squared
+    return float(chi_isotherm_grid(n_sites, theta, math.pi, math.pi / 2))
 
 
 def beta_of_chi(chi, e0: float):

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import WalkState, cli, localized_initial_state
+from cyclewalk import (
+    DegenerateSpectrumError,
+    ParameterError,
+    WalkState,
+    cli,
+    localized_initial_state,
+)
 from cyclewalk.spectral import decompose
 from cyclewalk.walk import coin, coin_entries, iterate_arrays
 
@@ -106,6 +112,33 @@ def phase_base(n_sites: int, theta: float, steps: int) -> np.ndarray:
     sin_phi, cos_phi = np.sin(pi * np.stack([4 * k, n_sites - 4 * k]) / (2 * n_sites))
     angle = 2 * steps * np.arctan2(c * sin_phi, np.hypot(s, c * cos_phi))
     return ((-1) ** steps * (np.cos(angle) - 1j * np.sin(angle))).astype(complex)
+
+
+def f_g_h(n_sites: int, theta: float) -> tuple[float, float, float]:
+    """The paper's lattice sums of the localized-start asymptotics, an
+    oracle of ``thermo._limit_sums``: m = (h + f) / 2 and a_yy = sin^2(theta) g.
+
+    f is the mean of 1/(1 - cos^2(theta) sin^2(2*pi*k/N)) over the N modes;
+    g and h are the derived combinations (f - 1)/cos^2(theta) and
+    2/cos^2(theta) + (1 - 2/cos^2(theta)) f.  g and h are undefined at
+    theta = pi/2; the sum itself is singular only at theta = 0 on a cycle
+    divisible by 4.
+    """
+    if n_sites < 3:
+        raise ParameterError(f"n_sites must be >= 3, got {n_sites}")
+    k = np.arange(n_sites)
+    denom = 1.0 - np.cos(theta) ** 2 * np.sin(2 * np.pi * k / n_sites) ** 2
+    if np.any(denom < 1e-15):
+        raise DegenerateSpectrumError(
+            "singular term in the lattice sum (theta = 0, n_sites divisible by 4)"
+        )
+    f = float(np.mean(1.0 / denom))
+    cos_sq = math.cos(theta) ** 2
+    if cos_sq < 1e-15:
+        raise ParameterError("g and h are undefined at theta = pi/2")
+    g = (f - 1.0) / cos_sq
+    h = 2.0 / cos_sq + (1.0 - 2.0 / cos_sq) * f
+    return f, g, h
 
 
 def hadamard_f_closed(n_sites: int) -> float:

@@ -16,7 +16,6 @@ from cyclewalk import (
     asymptotic_density_localized,
     chi_of_density,
     chi_reference,
-    f_g_h,
     localized_initial_state,
     markov_step,
     markov_thermalization_time,
@@ -41,7 +40,7 @@ from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics
 from cyclewalk.walk import coin, iterate_arrays
 
-from conftest import decompose_localized, hadamard_f_closed
+from conftest import decompose_localized, f_g_h, hadamard_f_closed
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.3)
 FIG3 = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)

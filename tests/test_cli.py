@@ -204,6 +204,17 @@ class TestIsotherms:
         assert rel.max() < 0.10
         assert np.median(rel) < 0.02
 
+    @pytest.mark.parametrize(
+        "theta, n, where",
+        [("0", "8", "T0 = 0"), ("1.5707963267948966", "3", "T0 is infinite")],
+    )
+    def test_undefined_t0_at_the_domain_edges(self, capsys, theta, n, where):
+        # chi_ref is 1/4 at theta = 0, also on a cycle divisible by 4, and
+        # tends to 0 at theta = pi/2
+        code, out, err = run(["isotherms", "--theta", theta, "--n", n], capsys)
+        want = f"error: T/T0 is undefined at theta = {float(theta)}, where {where}\n"
+        assert (code, out, err) == (EXIT_VALIDATION, "", want)
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(["isotherms", "--grid", "1x5"], capsys)
         assert code == EXIT_VALIDATION
@@ -515,6 +526,7 @@ INVALID_INPUT = [
     (None, ["isotherms", "--grid", "axb"]),
     ({"format": "xml"}, ["isotherms", "--grid", "3x3"]),
     ({"epsilon": []}, ["markov"]),
+    (None, ["simulate", "--theta", "1.5707963267948966"]),
 ]
 INVALID_INPUT_IDS = [
     "config-string-n", "config-list", "markov-e0-zero", "isotherms-e0-negative",
@@ -528,6 +540,7 @@ INVALID_INPUT_IDS = [
     "mixing-sweep-n-above-ceiling", "n-range-above-ceiling", "config-n-range-above-ceiling",
     "isotherms-n-above-ceiling", "n-range-four-parts", "n-range-empty",
     "isotherms-grid-not-integers", "config-format-xml", "config-epsilon-empty",
+    "simulate-theta-half-pi",
 ]
 
 

@@ -22,7 +22,6 @@ from cyclewalk import (
     coin_density,
     entanglement_entropy,
     entropy_of_chi,
-    f_g_h,
     fourier_coefficients,
     localized_initial_state,
     step,
@@ -31,9 +30,14 @@ from cyclewalk import (
 )
 from cyclewalk._oracle import bloch_points, localized_vs_spectral
 from cyclewalk.spectral import decompose
-from cyclewalk.thermo import asymptotic_density, averaged_density_closed, averaged_density_numeric
+from cyclewalk.thermo import (
+    _limit_sums,
+    asymptotic_density,
+    averaged_density_closed,
+    averaged_density_numeric,
+)
 
-from conftest import decompose_localized, direct_densities, hadamard_f_closed, random_state
+from conftest import decompose_localized, direct_densities, f_g_h, hadamard_f_closed, random_state
 
 CHI_HADAMARD_LINE = (3 - 2 * math.sqrt(2)) / 4
 
@@ -235,6 +239,16 @@ class TestLatticeSums:
         f3, _, _ = f_g_h(10**4, math.pi / 3)
         assert abs(f3 - 1 / math.sin(math.pi / 3)) < 1e-5
 
+    def test_limit_map_reads_the_lattice_sums(self):
+        # the paper's form of the limit map: m = (h + f) / 2, a_yy = sin^2(theta) g
+        for n in (3, 4, 7, 10, 64):
+            for theta in (0.3, math.pi / 4, 1.2):
+                f, g, h = f_g_h(n, theta)
+                m, a_yy, d = _limit_sums(n, theta)
+                assert abs(m - (h + f) / 2) < 1e-12
+                assert abs(a_yy - math.sin(theta) ** 2 * g) < 1e-12
+                assert d == 0.0
+
     def test_theta_half_pi_rejected(self):
         with pytest.raises(ParameterError):
             f_g_h(5, math.pi / 2)
@@ -242,6 +256,62 @@ class TestLatticeSums:
     def test_singular_term_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
             f_g_h(8, 0.0)
+
+
+def limit_fsum(n, theta, gamma, phi):
+    """Reference: (chi, p_left, p_right, q) of the localized start's limit,
+    its mode sums as math.fsum of their non-negative terms, with cos phi_k
+    exactly 0 at 4k = N (mod 2N).  The terms are cos^2 phi_k / D_k and
+    s^2 sin^2 phi_k / D_k with D_k = s^2 + c^2 cos^2 phi_k, taken as squared
+    ratios to sqrt(D_k), which does not underflow; a mode with D_k = 0 does
+    not turn and keeps its share of r0."""
+    c, s = math.cos(theta), math.sin(theta)
+    m, a_yy, still = [], [], 0
+    for k in range(n):
+        cos_phi = 0.0 if 4 * k % (2 * n) == n else math.cos(2 * math.pi * k / n)
+        root = math.hypot(s, c * cos_phi)
+        if root == 0.0:
+            still += 1
+        else:
+            m.append((cos_phi / root) ** 2)
+            a_yy.append((s * math.sin(2 * math.pi * k / n) / root) ** 2)
+    m, a_yy, d = math.fsum(m) / n, math.fsum(a_yy) / n, still / n
+    x0, y0, z0 = math.sin(gamma) * math.cos(phi), math.sin(gamma) * math.sin(phi), math.cos(gamma)
+    along = m * (s * x0 + c * z0)
+    r = (along * s + d * x0, (a_yy + d) * y0, along * c + d * z0)
+    chi = math.fsum(x * x for x in r) / 4
+    return chi, (1 + r[2]) / 2, (1 - r[2]) / 2, complex(r[0], -r[1]) / 2
+
+
+def assert_limit_matches_fsum(params):
+    chi, *density = limit_fsum(params.n_sites, params.theta, params.gamma, params.phi)
+    rho = asymptotic_density_localized(params)
+    assert abs(chi_isotherm(params) - chi) <= 1e-13 * chi
+    # p = (1 +- r_z) / 2 is relative to the trace: both routes round 1 +- r_z
+    p_left, p_right, q = density
+    assert max(abs(rho.p_left - p_left), abs(rho.p_right - p_right)) <= 1e-13
+    assert abs(rho.q - q) <= 1e-13 * abs(q)
+
+
+class TestLocalizedLimitAccuracy:
+    """The limit map against plain sums: each term of the mode sums is
+    non-negative, so nothing cancels as theta nears 0 or pi/2."""
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6, 0.3, math.pi / 4, 1.2, math.pi / 2 - 1e-6])
+    def test_matches_fsum(self, rng, theta):
+        for n in (*range(3, 21), 100, 101, 4098):
+            for gamma, phi in bloch_points(rng, 2):
+                assert_limit_matches_fsum(WalkParams(n, theta, gamma, phi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 64),
+        theta=st.floats(0.0, math.pi / 2),
+        gamma=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    )
+    def test_matches_fsum_everywhere(self, n, theta, gamma, phi):
+        assert_limit_matches_fsum(WalkParams(n, theta, gamma, phi))
 
 
 class TestLocalizedAsymptotics:
@@ -255,6 +325,11 @@ class TestLocalizedAsymptotics:
             WalkParams(n, theta, gamma, phi)
             for n in (3, 5, 8, 16)
             for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
+            for gamma, phi in bloch_points(rng, 3)
+        ] + [
+            # theta = 0 on a cycle divisible by 4: the modes at 4k = N do not turn
+            WalkParams(n, 0.0, gamma, phi)
+            for n in (8, 12, 16, 100)
             for gamma, phi in bloch_points(rng, 3)
         ]
         worst, _ = localized_vs_spectral(params)
