@@ -15,7 +15,9 @@ with ``sin(omega_k) = cos(theta) sin(2*pi*k/N)`` on the principal branch and
 (alpha_k, beta_k) fixed by the mode values at t = 0 and t = 1.  This gives
 the mode values at arbitrary time in O(N) (:func:`mode_values_at`), the site
 amplitudes through one FFT in O(N log N) time and O(N) memory
-(:func:`amplitudes_at`), and exact time averages.
+(:func:`amplitudes_at`), and exact time averages.  The modes of a state on
+site 0 alone, as every start of the paper, are its amplitudes over sqrt(N),
+taken without the FFT (:func:`fourier_coefficients`).
 
 The coin density at every step of a run (:func:`coin_trajectory`) comes
 instead from the modes' Bloch vectors, folded over two exact mode
@@ -53,8 +55,13 @@ def fourier_coefficients(state: WalkState) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(c_left, c_right)`` with ``c[k] = sum_l v*_{kl} amp[l]``.
     The transform is unitary, so the mode populations sum to the state norm.
+    A state on site 0 alone has the flat modes ``amp[0] / sqrt(N)``, taken
+    exactly and without the FFT; every other state goes through ``np.fft``.
     """
-    root_n = np.sqrt(state.n_sites)
+    n = state.n_sites
+    root_n = np.sqrt(n)
+    if not (state.a[1:].any() or state.b[1:].any()):
+        return np.full(n, state.a[0]) / root_n, np.full(n, state.b[0]) / root_n
     return np.fft.fft(state.a) / root_n, np.fft.fft(state.b) / root_n
 
 
@@ -217,20 +224,20 @@ def _mode_axes(n: int, reps: np.ndarray, u: np.ndarray, theta: float):
     return axis, cos_omega.astype(float), -half * half / (cos_omega**2 + sin_omega**2), kept
 
 
-def _phasors(turn: np.ndarray, steps: int, rows: int) -> np.ndarray:
-    """(rows, K) table of e^{i j steps alpha_k}, j < rows, of the long double
-    turns e^{i alpha_k} of :func:`_mode_axes`.
-
-    The base e^{i steps alpha_k} = turn**steps is formed by squaring in long
-    double, about log2(steps) products, and rounded once, so its error grows
-    like steps times the long double epsilon.  Doubling: each pass extends
-    the filled rows [0, m) to [0, 2m) with base**m and squares base**m, so
-    the Python steps are logarithmic in rows.
-    """
+def _turn_power(turn: np.ndarray, steps: int) -> np.ndarray:
+    """e^{i steps alpha_k} = turn**steps of the long double turns of
+    :func:`_mode_axes`, by squaring in long double (about log2(steps)
+    products) and rounded once, with an error of about steps roundoffs."""
     base = np.ones_like(turn)
     while steps:
         base, turn, steps = base * turn if steps % 2 else base, turn * turn, steps // 2
-    base = base.astype(complex)
+    return base.astype(complex)
+
+
+def _phasors(base: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, K) table of base**j, j < rows, by doubling: each pass extends
+    the filled rows [0, m) to [0, 2m) with base**m and squares base**m, so
+    the Python steps are logarithmic in rows."""
     out = np.empty((rows, base.size), complex)
     out[0], m = 1.0, 1
     while m < rows:
@@ -359,10 +366,10 @@ def _series(folded, t_max: int):
     const = np.array([kept[parts, column].sum(axis=-1) for column in columns])
     # acc[o, i, c, j]: component o (x, y, z) of start i's r at t = c*B + j
     acc = np.zeros((3, len(batch), n_giant, n_baby))
+    baby_base, giant_base = _turn_power(turn, 1), _turn_power(turn, n_baby)
     for lo in range(0, reps.size, block):
         modes = slice(lo, lo + block)
-        baby = _phasors(turn[modes], 1, n_baby)
-        giant = _phasors(turn[modes], n_baby, n_giant)
+        baby, giant = _phasors(baby_base[modes], n_baby), _phasors(giant_base[modes], n_giant)
         # Re(g e) = Re g Re e - Im g Im e
         baby = np.concatenate([baby.real, baby.imag], axis=1)
         for i, w in enumerate(phasor[..., modes]):

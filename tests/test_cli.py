@@ -756,6 +756,30 @@ def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["i.csv", "k.csv", "m.csv", "s.csv"]
 
 
+def test_walk_commands_never_load_the_fft(tmp_path):
+    # every start of simulate and mixing-sweep is on site 0, whose modes are
+    # flat, so a fresh interpreter never imports numpy.fft for them (89 and
+    # 101 are sizes where numpy's FFT of a delta is not exactly flat)
+    calls = [
+        ["mixing-sweep", "--n-range", "89:101:12", "--epsilon", "1e-2", "--t-max", "2000",
+         "--out", "m.csv"],
+        ["simulate", "--n", "101", "--t-max", "50", "--out", "s.csv"],
+    ]
+    code = (
+        "import sys\nimport numpy\nbefore = 'numpy.fft' in sys.modules\n"
+        "from cyclewalk.cli import main\n"
+        f"codes = [main(argv) for argv in {calls!r}]\n"
+        "print(before, codes, 'numpy.fft' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    if child.stdout.startswith("True"):
+        pytest.skip("this numpy imports numpy.fft with numpy itself")
+    assert child.stdout == "False [0, 0] False\n", child.stderr
+
+
 def test_main_reads_sys_argv(capsys, monkeypatch):
     argv = ["markov", "--theta", "1.0", "--t-max", "7"]
     expected = run(argv, capsys)

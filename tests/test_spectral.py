@@ -22,7 +22,7 @@ from cyclewalk import (
 from cyclewalk.spectral import (
     _axis_limit,
     _folded_modes,
-    _phasors,
+    _turn_power,
     amplitudes_at,
     decompose,
     mode_values_at,
@@ -88,6 +88,34 @@ class TestFourierCoefficients:
                 m_l, m_r = mode_values_at(dec, int(t))
                 np.testing.assert_allclose(a_all[i], v @ m_l, atol=1e-12)
                 np.testing.assert_allclose(b_all[i], v @ m_r, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 89, 100, 101, 103, 4096, 4099])
+    def test_origin_state_transforms_exactly_flat(self, n):
+        # numpy's FFT of a delta is not exactly flat at sizes with a prime
+        # factor of 89 or more (Bluestein's algorithm); the modes of a state
+        # on site 0 alone are its amplitudes over sqrt(N), bit for bit
+        delta = np.eye(1, n)[0]
+        starts = [
+            localized_initial_state(WalkParams(n, 0.3, 1.0, 2.0)),
+            localized_initial_state(WalkParams(n, 0.3, 0.0, 0.0)),
+            WalkState(0 * delta, (0.6 - 0.8j) * delta),
+        ]
+        for s in starts:
+            for got, amp in zip(fourier_coefficients(s), (s.a, s.b)):
+                assert got.dtype == np.complex128
+                assert np.array_equal(got, np.full(n, amp[0]) / np.sqrt(n))
+
+    @pytest.mark.parametrize("channel", ["a", "b"])
+    @pytest.mark.parametrize("n", [5, 89, 103])
+    def test_any_amplitude_off_the_origin_takes_the_fft(self, n, channel):
+        s = localized_initial_state(WalkParams(n, 0.3, 1.0, 2.0))
+        amps = {"a": s.a.copy(), "b": s.b.copy()}
+        amps[channel][n // 2] = 0.25 - 0.5j
+        off = WalkState(amps["a"], amps["b"])
+        v = dense_dft(n)
+        c_l, c_r = fourier_coefficients(off)
+        np.testing.assert_allclose(c_l, v.conj().T @ off.a, atol=1e-12)
+        np.testing.assert_allclose(c_r, v.conj().T @ off.b, atol=1e-12)
 
 
 class TestDecompose:
@@ -400,6 +428,17 @@ def test_localized_series_is_the_long_double_walk(n, theta, t_max):
         assert np.abs(got - exact).max() < 1e-14
 
 
+@long_double_only
+@pytest.mark.parametrize("n", [89, 103, 202])
+def test_fig3_series_at_bluestein_sizes(n):
+    # at sizes with a prime factor of 89 or more numpy's FFT takes
+    # Bluestein's algorithm, and its transform of a delta is not exactly flat
+    s0 = localized_initial_state(WalkParams(n, math.pi / 4, math.pi / 3, math.pi / 6))
+    want = long_double_densities(s0, math.pi / 4, 2000)
+    for got, exact in zip(coin_trajectory(s0, math.pi / 4, 2000), want):
+        assert np.abs(got - exact).max() < 1e-14
+
+
 @pytest.mark.parametrize("theta", [0.0, 1e-6, 0.3, math.pi / 4, math.pi / 2])
 @pytest.mark.parametrize("n", [3, 4, 7, 12, 100, 1000])
 def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
@@ -421,7 +460,7 @@ def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
     c, s = coin(theta)
     offset = float(abs(np.arctan2(np.longdouble(s), np.longdouble(c)) - np.longdouble(theta)))
     for steps in (1, 2, 15, 90, 1001):
-        base = _phasors(turn, steps, 2)[1]
+        base = _turn_power(turn, steps)
         got = outer + base.real * (np.eye(3)[:, :, None] - outer) + base.imag * cross
         a, b, sign = power_of_walk(theta, n, steps)
         want = rotation(a[folded[2]], b[folded[2]], sign)
@@ -437,5 +476,5 @@ def test_bases_by_squaring_are_the_phase_angle_bases(n, theta):
     # rounding to double, so they differ by at most a few ulp
     folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)), theta)
     for steps in (1, 2, 15, 29, 90, 101, 1001):
-        got = _phasors(folded[4][2], steps, 2)[1]
+        got = _turn_power(folded[4][2], steps)
         assert np.abs(got - phase_base(n, theta, steps)).max() < 4.5e-16
