@@ -21,17 +21,17 @@ taken without the FFT (:func:`fourier_coefficients`).
 
 The coin density at every step of a run (:func:`coin_trajectory`) comes
 instead from the modes' Bloch vectors, folded over two exact mode
-symmetries.  Each turns about a fixed axis by a fixed angle, so the series
-is a constant plus one sinusoid per folded mode, summed from phasor tables
-in 6 real products per mode and time point.  The table bases are powers,
-taken by squaring, of each mode's turn, formed from cos omega_k and sin
-omega_k in long double (a plain double costs accuracy, not correctness).  It
-stays accurate where the two-frequency coefficients are singular and keeps
-the trace exact.  The limit of its running average and a K/t bound on the
-distance to it come from the same axes (:func:`_axis_limit`).  The
-alpha/beta form (:func:`decompose` and its :class:`SpectralDecomposition`)
-is an oracle of the tests and ``cyclewalk selftest``, imported from this
-module, not from the package root.
+symmetries.  Each turns about a fixed axis by a fixed angle, both set by N
+and theta alone (:func:`_mode_geometry`), so the series is a constant plus
+one sinusoid per folded mode, summed from phasor tables in 6 real products
+per mode and time point.  The table bases are powers, taken by squaring, of
+each mode's turn, formed from cos omega_k and sin omega_k in long double (a
+plain double costs accuracy, not correctness).  It stays accurate where the
+two-frequency coefficients are singular and keeps the trace exact.  The
+limit of its running average and a K/t bound on the distance to it come
+from the same axes (:func:`_axis_limit`), as does the isotherms' limit map
+(``thermo._limit_sums``).  The alpha/beta form (:func:`decompose`) is an
+oracle of the tests and ``cyclewalk selftest``, imported from this module.
 """
 
 from __future__ import annotations
@@ -172,11 +172,11 @@ def _abs2(x):
 
 
 def _folded_modes(starts: WalkState | Sequence[WalkState], theta: float):
-    """(batch, N, k, u, axes): the starts as a list, their cycle size, the
-    folded modes k of :func:`coin_trajectory`, their summed Bloch vectors u
-    (3, 2B, K), start i's S + F S_p in u[:, 2i] and S - F S_p in u[:, 2i + 1],
-    and the :func:`_mode_axes` of these modes at ``theta``.
-    """
+    """(batch, u, kept, geometry): the starts as a list, the summed Bloch
+    vectors u (3, 2B, K) of the folded modes k of :func:`coin_trajectory`
+    (start i's S + F S_p in u[:, 2i], S - F S_p in u[:, 2i + 1]), the parts
+    n_k (n_k . u) that the turns keep (all of u where cos omega_k = 0) and
+    the :func:`_mode_geometry` of the modes at ``theta``."""
     batch = [starts] if isinstance(starts, WalkState) else list(starts)
     if len({s.n_sites for s in batch}) != 1:
         raise ParameterError("coin_trajectory needs one or more starts on one cycle")
@@ -194,13 +194,15 @@ def _folded_modes(starts: WalkState | Sequence[WalkState], theta: float):
     partner[..., reps == -reps % m] = 0.0
     u = np.stack([bloch[..., reps] + partner, bloch[..., reps] - partner], axis=2)
     u = u.reshape(3, -1, reps.size)
-    return batch, n, reps, u, _mode_axes(n, reps, u, theta)
+    geometry = axis, cos_omega, _ = _mode_geometry(n, reps, theta)
+    kept = np.where(cos_omega == 0.0, u, axis[:, None] * (axis[:, None] * u).sum(axis=0))
+    return batch, u, kept, geometry
 
 
-def _mode_axes(n: int, reps: np.ndarray, u: np.ndarray, theta: float):
-    """(axis (3, K), cos omega (K,), turn (K,), kept) of the folded modes k
-    of an n-cycle with vectors u (:func:`_folded_modes`): a step turns u
-    about axis_k by alpha_k, turn_k = e^{i alpha_k}, and keeps n_k (n_k . u).
+def _mode_geometry(n: int, k: np.ndarray, theta: float):
+    """(axis (3, K), cos omega (K,), turn (K,)) of the K modes k of an
+    n-cycle: a step turns a mode's Bloch vector about axis_k by alpha_k,
+    turn_k = e^{i alpha_k}, whatever the start.
 
     With (c, s) = (cos theta, sin theta) and phi_k = 2*pi*k/N, axis_k =
     (s cos phi_k, -s sin phi_k, c cos phi_k) / cos omega_k, cos omega_k =
@@ -209,24 +211,22 @@ def _mode_axes(n: int, reps: np.ndarray, u: np.ndarray, theta: float):
     1 to long double roundoff, all in long double.  The only trigonometry is
     the sine of phi_k and of pi (N - 4k) / (2N), which is cos phi_k, exactly
     0 at 4k = N and relatively accurate near there.  cos omega_k = 0 only at
-    theta = 0 with 4k = N, where turn_k = 1, axis_k = 0 and the whole of u
-    is kept.  All but turn are rounded to double.
+    theta = 0 with 4k = N, where turn_k = 1 and axis_k = 0: the mode does
+    not turn.  axis and cos omega are rounded to double.
     """
     pi = 4 * np.arctan(np.longdouble(1))
     c, s = np.cos(np.longdouble(theta)), np.sin(np.longdouble(theta))
-    sin_phi, cos_phi = np.sin(pi * np.stack([4 * reps, n - 4 * reps]) / (2 * n))
+    sin_phi, cos_phi = np.sin(pi * np.stack([4 * k, n - 4 * k]) / (2 * n))
     cos_omega, sin_omega = np.hypot(s, c * cos_phi), c * sin_phi
     axis = np.stack([s * cos_phi, -s * sin_phi, c * cos_phi])
     axis = np.divide(axis, cos_omega, out=np.zeros_like(axis), where=cos_omega > 0).astype(float)
-    kept = axis[:, None] * (axis[:, None] * u).sum(axis=0)
-    kept[..., cos_omega == 0] = u[..., cos_omega == 0]
     half = cos_omega - 1j * sin_omega
-    return axis, cos_omega.astype(float), -half * half / (cos_omega**2 + sin_omega**2), kept
+    return axis, cos_omega.astype(float), -half * half / (cos_omega**2 + sin_omega**2)
 
 
 def _turn_power(turn: np.ndarray, steps: int) -> np.ndarray:
     """e^{i steps alpha_k} = turn**steps of the long double turns of
-    :func:`_mode_axes`, by squaring in long double (about log2(steps)
+    :func:`_mode_geometry`, by squaring in long double (about log2(steps)
     products) and rounded once, with an error of about steps roundoffs."""
     base = np.ones_like(turn)
     while steps:
@@ -253,7 +253,7 @@ def _axis_limit(folded):
     :func:`coin_trajectory`, with |e(t)| <= K/t and |r_inf_hat . e(t)| <=
     K_proj/t for e = r_avg - r_inf.
 
-    Mode k turns by alpha_k about n_k (see :func:`_mode_axes`).  The average
+    Mode k turns by alpha_k about n_k (see :func:`_mode_geometry`).  The average
     keeps each vector's part along its axis: r_x and r_z read sum_k n_k
     (n_k . u+), and r_y reads sum_k n_k (n_k . u-).  The rest u_perp turns
     in the plane normal to n_k, with partial sums within |u_perp| / cos
@@ -264,7 +264,7 @@ def _axis_limit(folded):
     (theta = 0 with 4k = N) the mode keeps its whole vector and adds nothing
     to K or K_proj.
     """
-    reps, u, (axis, cos_omega, _, kept) = folded[2:]
+    _, u, kept, (axis, cos_omega, _) = folded
     plus, minus = kept[:, 0::2].sum(axis=-1), kept[:, 1::2].sum(axis=-1)
     r_inf = np.stack([plus[0], minus[1], plus[2]])
     norm = np.sqrt(np.sum(r_inf**2, axis=0))
@@ -276,7 +276,7 @@ def _axis_limit(folded):
     # cos omega_k = sin theta at 4k = N: below theta ~ 1e-308, K = K_proj = inf
     with np.errstate(over="ignore"):
         perp, proj = np.divide(bounds, cos_omega, out=np.zeros_like(bounds), where=cos_omega > 0.0)
-    k_proj = proj.reshape(-1, 2 * reps.size).sum(axis=-1)
+    k_proj = proj.reshape(-1, 2 * u.shape[-1]).sum(axis=-1)
     return r_inf, np.hypot(*perp.sum(axis=-1).reshape(-1, 2).T), k_proj
 
 
@@ -299,7 +299,7 @@ def coin_trajectory(
     |v_R|^2), and a step turns s_k by the rotation R_k = Ad(M_k), a turn by
     the angle alpha_k of e^{i alpha_k} = -(cos omega_k - i sin omega_k)^2,
     with sin omega_k = cos theta sin(2*pi*k/N) and cos omega_k >= 0, about a
-    unit axis n_k (:func:`_mode_axes`).  So r(t) = sum_k R_k^t s_k
+    unit axis n_k (:func:`_mode_geometry`).  So r(t) = sum_k R_k^t s_k
     and, with W = sum_k w_k constant in t,
 
         p_left = (W + r_z) / 2,  p_right = (W - r_z) / 2,  q = (r_x - i r_y) / 2,
@@ -353,7 +353,7 @@ def coin_trajectory(
 def _series(folded, t_max: int):
     """(B, t_max + 1) arrays (p_left, p_right, q) of :func:`coin_trajectory`
     from the :func:`_folded_modes` of its B starts; t_max is not checked."""
-    batch, _, reps, u, (axis, _, turn, kept) = folded
+    batch, u, kept, (axis, _, turn) = folded
     n_times, n_baby = t_max + 1, math.isqrt(t_max) + 1
     n_giant = -(-n_times // n_baby)
     block = max(1, _WORK_ELEMENTS // (6 * n_baby))
@@ -367,7 +367,7 @@ def _series(folded, t_max: int):
     # acc[o, i, c, j]: component o (x, y, z) of start i's r at t = c*B + j
     acc = np.zeros((3, len(batch), n_giant, n_baby))
     baby_base, giant_base = _turn_power(turn, 1), _turn_power(turn, n_baby)
-    for lo in range(0, reps.size, block):
+    for lo in range(0, u.shape[-1], block):
         modes = slice(lo, lo + block)
         baby, giant = _phasors(baby_base[modes], n_baby), _phasors(giant_base[modes], n_giant)
         # Re(g e) = Re g Re e - Im g Im e

@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
     UndefinedAverageError,
 )
-from .spectral import SpectralDecomposition, _mode_axes
+from .spectral import SpectralDecomposition, _mode_geometry
 from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
 
 _TRACE_TOL = 1e-9
@@ -215,21 +215,21 @@ def _limit_sums(n_sites: int, theta: float) -> tuple[float, float, float]:
     """(m, a_yy, d): the limit map of the localized starts on an n-cycle.
 
     A start at the origin with Bloch vector r0 puts r0 / N on every mode,
-    and the average keeps each mode's part along its axis n_k
-    (``spectral._mode_axes``).  n_k's x and z parts are in the ratio s : c,
-    (c, s) = (cos theta, sin theta), and its y part changes sign from mode
-    k to N - k, so r_inf = m (s x0 + c z0) (s, 0, c) + a_yy y0 e_y + d r0:
-    m and a_yy are the means of n_x^2 + n_z^2 and n_y^2 over the modes, and
-    d the share of modes that do not turn (axis 0: theta = 0, 4k = N).
+    and the average keeps each mode's part along its axis n_k, set by N and
+    theta alone (``spectral._mode_geometry``).  n_k's x and z parts are in
+    the ratio s : c, (c, s) = (cos theta, sin theta), and its y part flips
+    from mode k to N - k, so r_inf = m (s x0 + c z0) (s, 0, c) + a_yy y0 e_y
+    + d r0: m and a_yy are the means of n_x^2 + n_z^2 and n_y^2 over the
+    modes, and d the share of modes that do not turn (theta = 0, 4k = N).
     """
     if n_sites < 3:
         raise ParameterError(f"n_sites must be >= 3, got {n_sites}")
     # mode N - k has the axis of mode k with n_y negated, so k runs to N/2,
-    # counted twice but at k = 0 and 2k = N; _mode_axes is exact at 4k = N
-    # for k <= N/2
+    # counted twice but at k = 0 and 2k = N; _mode_geometry is exact at
+    # 4k = N for k <= N/2
     k = np.arange(n_sites // 2 + 1)
     weight = np.where(2 * k % n_sites == 0, 1.0, 2.0)
-    axis, cos_omega, _, _ = _mode_axes(n_sites, k, np.zeros((3, 0, k.size)), theta)
+    axis, cos_omega, _ = _mode_geometry(n_sites, k, theta)
     sums = (axis[0] ** 2 + axis[2] ** 2, axis[1] ** 2, cos_omega == 0.0)
     return tuple(float(np.sum(weight * x)) / n_sites for x in sums)
 

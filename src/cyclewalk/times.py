@@ -23,7 +23,8 @@ series' folded modes (``spectral._axis_limit``).  As exactly
 r_inf_hat . e <= 2d <= r_inf_hat . e + |e|^2/(2|r_inf|), no band is left
 from t*_axis = floor(K/delta) + 1 on, with delta = 2*min(hi, -lo), nor
 from t*_proj on, the first t with K_proj/(2t) <= -lo and
-K_proj/(2t) + K^2/(4|r_inf| t^2) <= hi (inf when r_inf = 0).  With every
+K_proj/(2t) + K^2/(4|r_inf| t^2) <= hi (inf when r_inf = 0, where a beta
+band is [-tanh(epsilon), tanh(epsilon)]/2 and t*_axis holds).  With every
 band edge shrunk by a relative 1e-9 to absorb the roundoff of the computed
 series, no violation can occur at or after t* = min(t*_axis, t*_proj),
 and the scan covers only [1, min(t*, t_max)].  Every reported value is the
@@ -31,10 +32,10 @@ one a scan over all of [1, t_max] gives.  ``satisfied`` still means "not
 violated at t_max"; it is a proof of convergence only when t* <= t_max.
 
 The averages are running sums of the coin series that ``simulate`` reads,
-from :func:`cyclewalk.spectral.coin_trajectory`, folded (with its mode axes)
-once per scan.
-That series stops at ``MAX_STEPS`` (10^6) steps, so a scan that needs
-more, min(t*, t_max) - 1, raises :class:`ParameterError`.
+from :func:`cyclewalk.spectral.coin_trajectory`, folded once per scan with
+its start-free mode geometry (``spectral._mode_geometry``).  That series
+stops at ``MAX_STEPS`` (10^6) steps, so a scan that needs more,
+min(t*, t_max) - 1, raises :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def convergence_sweep(
     threshold, keeps N-range sweeps affordable.
     """
     lam_inf, e0_beta_inf, c, scan = _setup(params, epsilons, t_max)
-    beta_ok = 0.0 < e0_beta_inf < math.inf
+    beta_ok = e0_beta_inf < math.inf
     beta_eps = [*epsilons, *(c * e for e in epsilons)] if beta_ok else []
     bands = [(-e, e) for e in epsilons] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
     last = scan(bands)
@@ -223,14 +224,13 @@ def thermalization_time(
 ) -> ConvergenceReport:
     """Scan for the last t in 1..t_max with e0*|beta(t) - beta(inf)| > epsilon.
 
-    When the asymptotic temperature is infinite (chi_inf = 0) the inverse
-    temperature has no finite limit to converge to; the report is returned
-    flagged unsatisfied rather than raising.
+    When the asymptotic temperature is zero (chi_inf = 1/4, beta_inf = inf)
+    beta(t) has no finite limit to converge to; the report is returned
+    flagged unsatisfied rather than raising.  At chi_inf = 0 (beta_inf = 0)
+    the scan stops at t*_axis = floor(K/tanh(epsilon)) + 1 (module docstring).
     """
     lam_inf, e0_beta_inf, c, scan = _setup(params, [epsilon], t_max)
-    if not 0.0 < e0_beta_inf < math.inf:
-        # chi_inf = 0: the asymptotic temperature is infinite and beta(t)
-        # only decays as 1/sqrt(t), so no finite horizon certifies the scan.
+    if e0_beta_inf == math.inf:
         return _report(epsilon, t_max, t_max, c)
     band = _beta_band(lam_inf, e0_beta_inf, epsilon)
     (last,) = scan([band])

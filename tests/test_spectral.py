@@ -452,8 +452,9 @@ def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
         "coin_trajectory takes its turns from np.longdouble, which needs a "
         "64-bit significand (the 80-bit x87 format of x86-64 Linux, or wider)"
     )
-    folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)), theta)
-    axis, _, turn, _ = folded[4]
+    start = localized_initial_state(WalkParams(n, theta, 1.0, 2.0))
+    _, u, _, (axis, _, turn) = _folded_modes(start, theta)
+    reps = np.arange(u.shape[-1])
     outer = axis[:, None] * axis[None]
     x, y, z = axis
     cross = np.array([[0 * x, -z, y], [z, 0 * x, -x], [-y, x, 0 * x]])
@@ -463,7 +464,7 @@ def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
         base = _turn_power(turn, steps)
         got = outer + base.real * (np.eye(3)[:, :, None] - outer) + base.imag * cross
         a, b, sign = power_of_walk(theta, n, steps)
-        want = rotation(a[folded[2]], b[folded[2]], sign)
+        want = rotation(a[reps], b[reps], sign)
         assert np.abs(got - want).max() < 1e-13 + 2 * steps * offset
 
 
@@ -474,7 +475,8 @@ def test_bases_by_squaring_are_the_phase_angle_bases(n, theta):
     # from cos omega_k and sin omega_k; the angle route takes cos and sin of
     # 2 B omega_k.  Both carry about B long double roundoffs before the one
     # rounding to double, so they differ by at most a few ulp
-    folded = _folded_modes(localized_initial_state(WalkParams(n, theta, 1.0, 2.0)), theta)
+    start = localized_initial_state(WalkParams(n, theta, 1.0, 2.0))
+    _, _, _, (_, _, turn) = _folded_modes(start, theta)
     for steps in (1, 2, 15, 29, 90, 101, 1001):
-        got = _turn_power(folded[4][2], steps)
+        got = _turn_power(turn, steps)
         assert np.abs(got - phase_base(n, theta, steps)).max() < 4.5e-16

@@ -18,9 +18,11 @@ from cyclewalk import (
 )
 from cyclewalk.spectral import _axis_limit, _folded_modes, coin_trajectory
 from cyclewalk.thermo import (
+    _limit_sums,
     asymptotic_density,
     averaged_trajectory_closed,
     beta_of_chi,
+    chi_reference,
     running_chi,
 )
 from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
@@ -158,6 +160,25 @@ class TestThermalizationTime:
         assert report.c_constant == math.inf
         assert not report.satisfied
 
+    def test_zero_asymptotic_chi_has_a_horizon(self):
+        # at theta = 0 every mode turns about +-e_z, and on a 6-cycle every
+        # mode turns, so the x-polarized start keeps nothing: r_inf is
+        # exactly 0 (beta_inf = 0, c = 2).  d(t) = |r(t)|/2 <= K/(2t), so
+        # the scan stops at t*_axis = floor(K/tanh(epsilon)) + 1
+        params = WalkParams(6, 0.0, math.pi / 2, 0.0)
+        assert _asymptotics(params)[3][2] == 0.0
+        recs = convergence_sweep(params, [1e-2, 1e-3], 10**5)
+        keys = ("tau_mix", "tau_therm", "tau_therm_scaled", "c", "satisfied")
+        rows = [tuple(r[k] for k in keys) for r in recs]
+        assert rows == [(50, 100, 51, 2.0, True), (501, 1000, 501, 2.0, True)]
+        # brute force: e0*beta(t) of the series' averages, t = 1..2*10^4
+        series = coin_trajectory(localized_initial_state(params), params.theta, 2 * 10**4 - 1)
+        beta = beta_of_chi(running_chi(*series), params.energy_scale) * params.energy_scale
+        for eps, tau in [(1e-2, 100), (1e-3, 1000)]:
+            report = thermalization_time(params, eps, 10**5)
+            assert (report.tau, report.satisfied) == (tau, True)
+            assert report.tau == _last_violation(beta, eps) + 1
+
 
 def test_linearization_slope():
     # eigenvalue deviation vs (1/c) * beta deviation: slope 1 for large t
@@ -212,10 +233,11 @@ def test_convergence_sweep_matches_individual_scans(start, n):
 
 
 def test_no_decomposition_per_sweep(monkeypatch):
-    # the limit and K come from the folded modes: one fold, one set of mode
-    # axes and one axis limit per sweep and no alpha/beta decomposition,
-    # through any module's binding; the series reads the same fold and axes
-    calls = {"decompose": 0, "_axis_limit": 0, "_folded_modes": 0, "_mode_axes": 0}
+    # the limit and K come from the folded modes: one fold, one mode geometry
+    # and one axis limit per sweep and no alpha/beta decomposition, through
+    # any module's binding; the series reads the same fold and geometry, and
+    # the limit map of T0 forms the geometry alone, with no start to fold
+    calls = {"decompose": 0, "_axis_limit": 0, "_folded_modes": 0, "_mode_geometry": 0}
     for name in calls:
         original = getattr(cyclewalk.spectral, name)
 
@@ -229,10 +251,14 @@ def test_no_decomposition_per_sweep(monkeypatch):
                     monkeypatch.setattr(module, attr, counting)
     params = WalkParams(30, **FIG3_PARAMS)
     convergence_sweep(params, [1e-2, 1e-3], 500)
-    assert calls == {"decompose": 0, "_axis_limit": 1, "_folded_modes": 1, "_mode_axes": 1}
-    calls["_mode_axes"] = 0
+    assert calls == {"decompose": 0, "_axis_limit": 1, "_folded_modes": 1, "_mode_geometry": 1}
+    calls.update(_folded_modes=0, _mode_geometry=0)
     coin_trajectory(localized_initial_state(params), params.theta, 500)
-    assert calls["_mode_axes"] == 1
+    assert (calls["_folded_modes"], calls["_mode_geometry"]) == (1, 1)
+    calls.update(_folded_modes=0, _mode_geometry=0)
+    _limit_sums.cache_clear()
+    chi_reference(params.n_sites, params.theta)
+    assert (calls["_folded_modes"], calls["_mode_geometry"]) == (0, 1)
 
 
 def test_scan_stops_at_horizon(monkeypatch):
@@ -296,7 +322,7 @@ def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     dec = decompose_localized(params)
     lam_inf, beta_inf, c, envelope = _asymptotics(params)
     k = envelope[0]
-    beta_ok = 0.0 < beta_inf < math.inf
+    beta_ok = beta_inf < math.inf
     beta_eps = [eps, c * eps] if beta_ok else []
     e0_beta_inf = params.energy_scale * beta_inf
     bands = [(-eps, eps)] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
@@ -351,7 +377,7 @@ def test_no_band_left_from_horizon(n, theta, cos_gamma, phi, log_eps):
     lam_inf, beta_inf, c, envelope = _asymptotics(params)
     e0_beta_inf = params.energy_scale * beta_inf
     bands = [(-eps, eps)]
-    if 0.0 < e0_beta_inf < math.inf:
+    if e0_beta_inf < math.inf:
         bands += [_beta_band(lam_inf, e0_beta_inf, e) for e in (eps, c * eps)]
     t_star = _horizon(envelope, bands)
     t_axis = _horizon((envelope[0], math.inf, envelope[2]), bands)
