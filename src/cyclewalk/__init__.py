@@ -15,7 +15,7 @@ from .markov import (
     markov_step,
     markov_thermalization_time,
 )
-from .spectral import coin_trajectory, fourier_coefficients, inverse_fourier
+from .spectral import coin_trajectory, fourier_coefficients
 from .thermo import (
     CoinDensity,
     ThermoState,
@@ -50,7 +50,6 @@ __all__ = [
     "step",
     "evolve",
     "fourier_coefficients",
-    "inverse_fourier",
     "coin_trajectory",
     "CoinDensity",
     "ThermoState",

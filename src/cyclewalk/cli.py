@@ -6,6 +6,7 @@ COMMAND is simulate, isotherms, mixing-sweep, markov or selftest; each takes
 dashes, and the token after a flag is its value.  All output is
 deterministic (identical config gives byte-identical files) and carries a
 commented header with the command and those settings, defaults resolved.
+e0 sets the unit of markov's beta_m; the other commands' rows do not read it.
 """
 
 from __future__ import annotations
@@ -236,25 +237,25 @@ def _write_dataset(config, table, summary=None):
 
 
 def _beta_ref(config: SimpleNamespace) -> float:
-    """Inverse temperature of T0, the temperature of the gamma = pi start
+    """Split angle e0*beta of T0, the temperature of the gamma = pi start
     (see :func:`cyclewalk.thermo.chi_reference`); T/T0 needs it finite and
     non-zero.  chi_ref tends to 0, and T0 to inf, as cos^2(theta) -> 0."""
     if math.cos(config.theta) ** 2 < 1e-15:
         raise ParameterError(f"T/T0 is undefined at theta = {config.theta}, where T0 is infinite")
-    beta_ref = beta_of_chi(chi_reference(config.n, config.theta), config.e0)
+    beta_ref = beta_of_chi(chi_reference(config.n, config.theta), 1.0)
     if math.isinf(beta_ref):
         raise ParameterError(f"T/T0 is undefined at theta = {config.theta}, where T0 = 0")
     return beta_ref
 
 
-def _t_over_t0(config: SimpleNamespace, beta_ref: float, chi) -> np.ndarray:
-    """T/T0 for an array of chi values."""
+def _t_over_t0(beta_ref: float, chi) -> np.ndarray:
+    """T/T0 for an array of chi values, as a ratio of split angles: e0 cancels."""
     with np.errstate(divide="ignore"):
-        return beta_ref / beta_of_chi(np.minimum(chi, 0.25), config.e0)
+        return beta_ref / beta_of_chi(np.minimum(chi, 0.25), 1.0)
 
 
 def cmd_simulate(config: SimpleNamespace) -> int:
-    params = WalkParams(config.n, config.theta, config.gamma, config.phi, config.e0)
+    params = WalkParams(config.n, config.theta, config.gamma, config.phi)
     beta_ref = _beta_ref(config)
     p_left, p_right, q = coin_trajectory(localized_initial_state(params), config.theta, config.t_max)
     # row t averages steps 0..t inclusive (t + 1 terms)
@@ -267,7 +268,7 @@ def cmd_simulate(config: SimpleNamespace) -> int:
         "im_q": q.imag,
         "entropy": entropy_of_chi(chi_of_entries(p_left, p_right, q)),
         "lambda_plus_avg": 0.5 + np.sqrt(chi_avg),
-        "t_over_t0": _t_over_t0(config, beta_ref, chi_avg),
+        "t_over_t0": _t_over_t0(beta_ref, chi_avg),
     }
     _write_dataset(config, columns)
     return EXIT_OK
@@ -281,7 +282,7 @@ def cmd_isotherms(config: SimpleNamespace) -> int:
     # their index, and chi, even in phi, repeats its values
     chi = _factored(chi_isotherm_grid(config.n, config.theta, gammas[:, None], phis[None, :]))
     # T/T0 is a function of chi, and rounds some neighbouring chi alike
-    t_over_t0 = _factored(_t_over_t0(config, _beta_ref(config), chi.values))
+    t_over_t0 = _factored(_t_over_t0(_beta_ref(config), chi.values))
     table = {
         "gamma": _Factored(gammas, np.repeat(np.arange(n_gamma), n_phi)),
         "phi": _Factored(phis, np.tile(np.arange(n_phi), n_gamma)),
@@ -295,7 +296,7 @@ def cmd_isotherms(config: SimpleNamespace) -> int:
 def cmd_mixing_sweep(config: SimpleNamespace) -> int:
     rows = []
     for n in config.n_range or [config.n]:
-        params = WalkParams(n, config.theta, config.gamma, config.phi, config.e0)
+        params = WalkParams(n, config.theta, config.gamma, config.phi)
         rows.extend(convergence_sweep(params, config.epsilon, config.t_max))
     any_unsatisfied = not all(rec["satisfied"] for rec in rows)
     columns = ["n", "epsilon", "tau_mix", "tau_therm", "c", "tau_therm_scaled", "satisfied"]
@@ -449,7 +450,10 @@ def _resolve_config(args: SimpleNamespace) -> SimpleNamespace:
     file_values: dict = {}
     if args.config:
         with open(args.config) as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not text, not JSON, or nested too deep
+                raise ParameterError(f"the config file cannot be read as JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ParameterError("the config file must hold a JSON object")
     values = {}
@@ -516,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_argv(argv)
         return _COMMANDS[args.command][0](_resolve_config(args))
-    except (CycleWalkError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (CycleWalkError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 

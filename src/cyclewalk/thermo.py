@@ -5,7 +5,8 @@ density matrix with diagonal chirality probabilities (P_L, P_R) and an
 off-diagonal interference term Q.  The instantaneous matrix never
 converges, but its running (Cesaro) average does; matching the eigenvalues
 of the averaged matrix to the Gibbs weights of a two-level system with gap
-``2 * energy_scale`` assigns the walk a temperature.
+``2 * energy_scale`` (e0) assigns the walk a temperature, through the split
+angle e0*beta = atanh(2*sqrt(chi)): e0 is only the unit of a returned beta or T.
 
 The CLI reads running averages from one route, the
 :func:`cyclewalk.spectral.coin_trajectory` series through
@@ -280,7 +281,8 @@ def beta_of_chi(chi, e0: float):
 
     tanh(beta * e0) = 2*sqrt(chi), elementwise over an array ``chi >= 0``:
     chi = 0 gives beta = 0 and a split of 1 or more (chi >= 1/4) gives inf.
-    This is the one chi -> beta map of the package.
+    This is the one chi -> beta map of the package; at e0 = 1.0 it gives the
+    split angle e0*beta that every dimensionless reading (T/T0, c) takes.
     """
     with np.errstate(divide="ignore"):
         return np.arctanh(np.minimum(2.0 * np.sqrt(chi), 1.0)) / e0
@@ -303,13 +305,6 @@ def transient_temperature(rho_avg: CoinDensity, e0: float) -> ThermoState:
     the asymptotic chi.
     """
     chi = chi_of_density(rho_avg)
-    root = math.sqrt(chi)
     beta = float(beta_of_chi(chi, e0))
-    return ThermoState(
-        lambda_plus=0.5 + root,
-        lambda_minus=0.5 - root,
-        chi=chi,
-        beta=beta,
-        temperature=math.inf if beta == 0.0 else 1.0 / beta,
-    )
+    return ThermoState(*rho_avg.eigenvalues(), chi, beta, math.inf if beta == 0.0 else 1.0 / beta)
 

@@ -5,7 +5,8 @@ t >= 1 at which the averaged density is farther than epsilon from its
 limit.  The mixing time measures the larger eigenvalue lambda+ of the
 averaged density; the thermalization time measures the inverse temperature
 beta.  The two deviations are asymptotically proportional with constant
-c = 2*cosh^2(beta_inf * e0).
+c = 2*cosh^2(e0*beta_inf).  Both read beta only as the split angle
+e0*beta = atanh(2*sqrt(chi)), so no time, band or c depends on e0.
 
 Both read one series, d(t) = lambda+(t) - lambda+_inf: every threshold is
 a band [lo, hi] that d must stay in.  A mixing threshold epsilon is
@@ -82,15 +83,15 @@ _PURE_COIN_E0_BETA = math.atanh(1.0 - 2.0**-53)
 
 
 def _asymptotics(params: WalkParams, folded=None):
-    """(lambda_plus_inf, beta_inf, c, (K, K_proj, |r_inf|)) of the localized
-    start of ``params``, from the limit r_inf and the envelope constants of
-    the rotations of its folded modes ``folded`` (folded here when None)."""
+    """(lambda_plus_inf, e0*beta_inf, c, (K, K_proj, |r_inf|)) of the localized
+    start of ``params``, from the limit and envelope constants of the rotations
+    of its folded modes ``folded`` (folded here when None)."""
     folded = folded or _folded_modes(localized_initial_state(params), params.theta)
     r_inf, k, k_proj = _axis_limit(folded)
     split = math.hypot(*r_inf[:, 0])  # |r_inf| = 2*sqrt(chi_inf)
-    beta = float(beta_of_chi(0.25 * split**2, params.energy_scale))
-    c = math.inf if math.isinf(beta) else 2.0 * math.cosh(beta * params.energy_scale) ** 2
-    return 0.5 + 0.5 * split, beta, c, (float(k[0]), float(k_proj[0]), split)
+    e0_beta = float(beta_of_chi(0.25 * split**2, 1.0))
+    c = math.inf if math.isinf(e0_beta) else 2.0 * math.cosh(e0_beta) ** 2
+    return 0.5 + 0.5 * split, e0_beta, c, (float(k[0]), float(k_proj[0]), split)
 
 
 def _beta_band(lam_inf: float, e0_beta_inf: float, e: float) -> tuple[float, float]:
@@ -130,9 +131,9 @@ def _setup(params: WalkParams, epsilons: list[float], t_max: int):
     if t_max < 1:
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
     folded = _folded_modes(localized_initial_state(params), params.theta)
-    lam_inf, beta_inf, c, envelope = _asymptotics(params, folded)
+    lam_inf, e0_beta_inf, c, envelope = _asymptotics(params, folded)
     scan = partial(_last_violations, folded, t_max, envelope, lam_inf)
-    return lam_inf, params.energy_scale * beta_inf, c, scan
+    return lam_inf, e0_beta_inf, c, scan
 
 
 def _last_violations(

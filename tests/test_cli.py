@@ -228,7 +228,7 @@ class TestIsotherms:
         phis = np.linspace(-math.pi / 2, math.pi / 2, n_phi)
         gg, pp = np.meshgrid(gammas, phis, indexing="ij")
         chi = cli.chi_isotherm_grid(config.n, config.theta, gg, pp)
-        t_over_t0 = cli._t_over_t0(config, cli._beta_ref(config), chi)
+        t_over_t0 = cli._t_over_t0(cli._beta_ref(config), chi)
         columns = {"gamma": gg, "phi": pp, "chi": chi, "t_over_t0": t_over_t0}
         cli._write_dataset(config, {key: cli._factored(a) for key, a in columns.items()})
 
@@ -486,6 +486,14 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         code, _, _ = run(["simulate", "--config", "/nonexistent.json"], capsys)
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100000], ids=["not-utf8", "too-deep"])
+    def test_unreadable_config_exits_one(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: the config file cannot be read as JSON: ")
 
 
 # (config file, argv) pairs that main rejects with exit 1
@@ -811,6 +819,36 @@ def test_header_config_reproduces_the_run(capsys, tmp_path, argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert run([argv[0], "--config", str(path)], capsys)[:2] == (code, out)
+
+
+def without_echo(text):
+    """A dataset without its config echo: a CSV comment line, or the JSON
+    "config" object."""
+    text = re.sub(r"^# config: .*\n", "", text, flags=re.M)
+    return re.sub(r'\n  "config": \{\n.*?\n  \},', "", text, flags=re.S)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mixing-sweep", "--n-range", "5:9:2", "--t-max", "3000"],
+        ["mixing-sweep", "--n", "4096", "--t-max", "2000", "--epsilon", "1e-2", "--epsilon", "1e-3"],
+        ["simulate", "--n", "101", "--t-max", "3000"],
+        ["simulate", "--n", "11", "--t-max", "300", "--format", "json"],
+        ["isotherms", "--n", "7", "--theta", "1.1", "--grid", "31x31"],
+    ],
+    ids=["sweep-range", "sweep-4096", "simulate-csv", "simulate-json", "isotherms"],
+)
+def test_e0_changes_only_the_echo(capsys, argv):
+    # tau, c and T/T0 read beta only as the split angle e0*beta, so only
+    # the header's echo of e0 may move, at any e0 that the walk accepts
+    code, out, err = run(argv, capsys)  # e0 = 1
+    want = (code, without_echo(out), err)
+    for e0 in ("5e-324", "1e-320", "0.7", "2.5", "1e300", "1.7976931348623157e308"):
+        code, out, err = run([*argv, "--e0", e0], capsys)
+        echo = f'"e0": {float(e0)!r}'
+        assert echo in out and echo not in without_echo(out)
+        assert (code, without_echo(out), err) == want, e0
 
 
 def test_out_of_memory_exits_one(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from cyclewalk import (
     coin_trajectory,
     evolve,
     fourier_coefficients,
-    inverse_fourier,
     localized_initial_state,
     step,
 )
@@ -25,6 +24,7 @@ from cyclewalk.spectral import (
     _turn_power,
     amplitudes_at,
     decompose,
+    inverse_fourier,
     mode_values_at,
 )
 from cyclewalk.thermo import asymptotic_density
