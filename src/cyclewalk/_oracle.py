@@ -18,7 +18,6 @@ import numpy as np
 from .markov import MarkovState, markov_solution, markov_step
 from .spectral import (
     SpectralDecomposition,
-    _axis_limit,
     _folded_modes,
     coin_trajectory,
     decompose,
@@ -95,17 +94,18 @@ def closed_average_vs_direct(decomps: list[SpectralDecomposition], direct) -> fl
     return _worst(closed, [np.cumsum(x, axis=0) / ts[:, None] for x in densities])
 
 
-def localized_vs_spectral(params: list[WalkParams]) -> tuple[float, float]:
+def localized_vs_spectral(groups: list[list[WalkParams]]) -> tuple[float, float]:
     """:func:`asymptotic_density_localized` and :func:`chi_isotherm`, one map
-    of the start's Bloch vector, against the limit that the scans read, the
-    axis limit r_inf of its folded modes: (density dev, chi dev)."""
+    of each start's Bloch vector, against the limit that the scans read, r_inf
+    of one fold per group, the starts of one cycle: (density dev, chi dev)."""
     worst = worst_chi = 0.0
-    for p in params:
-        rho = asymptotic_density_localized(p)
-        r = _axis_limit(_folded_modes(localized_initial_state(p), p.theta))[0][:, 0]
-        limit = ((1.0 + r[2]) / 2, (1.0 - r[2]) / 2, complex(r[0], -r[1]) / 2)
-        worst = max(worst, *(abs(x - y) for x, y in zip((rho.p_left, rho.p_right, rho.q), limit)))
-        worst_chi = max(worst_chi, abs(math.hypot(*r) ** 2 / 4 - chi_isotherm(p)))
+    for group in groups:
+        folded = _folded_modes([localized_initial_state(p) for p in group], group[0].theta)
+        for p, r in zip(group, folded[4]):
+            rho = asymptotic_density_localized(p)
+            limit = ((1.0 + r[2]) / 2, (1.0 - r[2]) / 2, complex(r[0], -r[1]) / 2)
+            worst = max(worst, *(abs(x - y) for x, y in zip((rho.p_left, rho.p_right, rho.q), limit)))
+            worst_chi = max(worst_chi, abs(math.hypot(*r) ** 2 / 4 - chi_isotherm(p)))
     return worst, worst_chi
 
 
@@ -120,7 +120,7 @@ def walk_checks(groups: list[list[WalkParams]], t_max: int) -> list[float]:
         max(series_vs_direct(*walk, direct) for walk, direct in zip(walks, directs)),
         max(map(closed_amplitudes_vs_direct, decomps, directs)),
         max(map(closed_average_vs_direct, decomps, directs)),
-        max(localized_vs_spectral(sum(groups, []))),
+        max(localized_vs_spectral(groups)),
     ]
 
 

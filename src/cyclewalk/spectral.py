@@ -28,8 +28,9 @@ per mode and time point.  The table bases are powers, taken by squaring, of
 each mode's turn, formed from cos omega_k and sin omega_k in long double (a
 plain double costs accuracy, not correctness).  It stays accurate where the
 two-frequency coefficients are singular and keeps the trace exact.  The
-limit of its running average and a K/t bound on the distance to it come
-from the same axes (:func:`_axis_limit`), as does the isotherms' limit map
+limit of its running average is summed in the fold (:func:`_folded_modes`),
+and a K/t bound on the distance to it comes from the same axes
+(:func:`_axis_limit`), as does the isotherms' limit map
 (``thermo._limit_sums``).  The alpha/beta form (:func:`decompose`) is an
 oracle of the tests and ``cyclewalk selftest``, imported from this module.
 """
@@ -172,11 +173,13 @@ def _abs2(x):
 
 
 def _folded_modes(starts: WalkState | Sequence[WalkState], theta: float):
-    """(batch, u, kept, geometry): the starts as a list, the summed Bloch
-    vectors u (3, 2B, K) of the folded modes k of :func:`coin_trajectory`
-    (start i's S + F S_p in u[:, 2i], S - F S_p in u[:, 2i + 1]), the parts
-    n_k (n_k . u) that the turns keep (all of u where cos omega_k = 0) and
-    the :func:`_mode_geometry` of the modes at ``theta``."""
+    """(batch, u, kept, geometry, r_inf, phasor): the starts as a list, the
+    summed Bloch vectors u (3, 2B, K) of the folded modes k of
+    :func:`coin_trajectory` (start i's S + F S_p in u[:, 2i], S - F S_p in
+    u[:, 2i + 1]), the parts n_k (n_k . u) that the turns keep (all of u
+    where cos omega_k = 0), the :func:`_mode_geometry` of the modes at
+    ``theta``, and per start the limit r_inf (B, 3) of the running average
+    of r and the phasors w = u_perp - i n_k x u (B, 3, K) of r_x, r_y, r_z."""
     batch = [starts] if isinstance(starts, WalkState) else list(starts)
     if len({s.n_sites for s in batch}) != 1:
         raise ParameterError("coin_trajectory needs one or more starts on one cycle")
@@ -196,7 +199,12 @@ def _folded_modes(starts: WalkState | Sequence[WalkState], theta: float):
     u = u.reshape(3, -1, reps.size)
     geometry = axis, cos_omega, _ = _mode_geometry(n, reps, theta)
     kept = np.where(cos_omega == 0.0, u, axis[:, None] * (axis[:, None] * u).sum(axis=0))
-    return batch, u, kept, geometry
+    # component o of start i reads column 2i + (0, 1, 0)[o] of u: r_x and
+    # r_z turn S + F S_p, r_y turns S - F S_p
+    parts, columns = np.arange(3), 2 * np.arange(len(batch))[:, None] + [0, 1, 0]
+    phasor = (u - kept - 1j * np.cross(axis[:, None], u, axis=0))[parts, columns]
+    r_inf = np.array([kept[parts, column].sum(axis=-1) for column in columns])
+    return batch, u, kept, geometry, r_inf, phasor
 
 
 def _mode_geometry(n: int, k: np.ndarray, theta: float):
@@ -248,10 +256,9 @@ def _phasors(base: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _axis_limit(folded):
-    """(r_inf (3, B), K (B,), K_proj (B,)) of the :func:`_folded_modes` of B
-    starts: the limit of the running average of the Bloch vector r of
-    :func:`coin_trajectory`, with |e(t)| <= K/t and |r_inf_hat . e(t)| <=
-    K_proj/t for e = r_avg - r_inf.
+    """(K (B,), K_proj (B,)) of the :func:`_folded_modes` of B starts:
+    |e(t)| <= K/t and |r_inf_hat . e(t)| <= K_proj/t for e = r_avg - r_inf,
+    r_avg the running average of r and r_inf the fold's limit.
 
     Mode k turns by alpha_k about n_k (see :func:`_mode_geometry`).  The average
     keeps each vector's part along its axis: r_x and r_z read sum_k n_k
@@ -264,11 +271,9 @@ def _axis_limit(folded):
     (theta = 0 with 4k = N) the mode keeps its whole vector and adds nothing
     to K or K_proj.
     """
-    _, u, kept, (axis, cos_omega, _) = folded
-    plus, minus = kept[:, 0::2].sum(axis=-1), kept[:, 1::2].sum(axis=-1)
-    r_inf = np.stack([plus[0], minus[1], plus[2]])
-    norm = np.sqrt(np.sum(r_inf**2, axis=0))
-    r_hat = np.divide(r_inf, norm, out=np.zeros_like(r_inf), where=norm > 0.0)
+    _, u, kept, (axis, cos_omega, _), r_inf, _ = folded
+    norm = np.sqrt(np.sum(r_inf**2, axis=-1))
+    r_hat = np.divide(r_inf.T, norm, out=np.zeros_like(r_inf.T), where=norm > 0.0)
     a = (r_hat[:, :, None] * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])[:, None]).reshape(3, -1)
     a_perp = a[:, :, None] - axis[:, None] * np.einsum("ok,ob->bk", axis, a)
     size = np.sqrt(np.sum((u - kept) ** 2, axis=0))
@@ -277,7 +282,7 @@ def _axis_limit(folded):
     with np.errstate(over="ignore"):
         perp, proj = np.divide(bounds, cos_omega, out=np.zeros_like(bounds), where=cos_omega > 0.0)
     k_proj = proj.reshape(-1, 2 * u.shape[-1]).sum(axis=-1)
-    return r_inf, np.hypot(*perp.sum(axis=-1).reshape(-1, 2).T), k_proj
+    return np.hypot(*perp.sum(axis=-1).reshape(-1, 2).T), k_proj
 
 
 def coin_trajectory(
@@ -352,22 +357,16 @@ def coin_trajectory(
 
 def _series(folded, t_max: int):
     """(B, t_max + 1) arrays (p_left, p_right, q) of :func:`coin_trajectory`
-    from the :func:`_folded_modes` of its B starts; t_max is not checked."""
-    batch, u, kept, (axis, _, turn) = folded
+    from the :func:`_folded_modes` of its B starts: each start's t = 0 row,
+    limit r_inf and phasors, and the modes' turns; t_max is not checked."""
+    batch, _, _, (_, _, turn), r_inf, phasor = folded
     n_times, n_baby = t_max + 1, math.isqrt(t_max) + 1
     n_giant = -(-n_times // n_baby)
     block = max(1, _WORK_ELEMENTS // (6 * n_baby))
-    # component o of start i reads column 2i + (0, 1, 0)[o] of u: r_x and
-    # r_z turn S + F S_p, r_y turns S - F S_p
-    parts, columns = np.arange(3), 2 * np.arange(len(batch))[:, None] + [0, 1, 0]
-    phasor = (u - kept - 1j * np.cross(axis[:, None], u, axis=0))[parts, columns]
-    # sums and products per start, of the shapes a single start has, so that
-    # a start's row does not depend on the batch it is in
-    const = np.array([kept[parts, column].sum(axis=-1) for column in columns])
     # acc[o, i, c, j]: component o (x, y, z) of start i's r at t = c*B + j
     acc = np.zeros((3, len(batch), n_giant, n_baby))
     baby_base, giant_base = _turn_power(turn, 1), _turn_power(turn, n_baby)
-    for lo in range(0, u.shape[-1], block):
+    for lo in range(0, phasor.shape[-1], block):
         modes = slice(lo, lo + block)
         baby, giant = _phasors(baby_base[modes], n_baby), _phasors(giant_base[modes], n_giant)
         # Re(g e) = Re g Re e - Im g Im e
@@ -376,7 +375,7 @@ def _series(folded, t_max: int):
             g = w[:, None] * giant
             features = np.concatenate([g.real, -g.imag], axis=-1).reshape(3 * n_giant, -1)
             acc[:, i] += (features @ baby.T).reshape(3, n_giant, n_baby)
-    r_x, r_y, r_z = acc.reshape(3, len(batch), -1)[..., :n_times] + const.T[..., None]
+    r_x, r_y, r_z = acc.reshape(3, len(batch), -1)[..., :n_times] + r_inf.T[..., None]
     # a localized start keeps its exactly pure coin at t = 0, where the
     # temperature reading is most sensitive to roundoff
     start = [np.array(x) for x in zip(*(coin_entries(s.a, s.b) for s in batch))]

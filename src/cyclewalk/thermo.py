@@ -10,16 +10,15 @@ angle e0*beta = atanh(2*sqrt(chi)): e0 is only the unit of a returned beta or T.
 
 The CLI reads running averages from one route, the
 :func:`cyclewalk.spectral.coin_trajectory` series through
-:func:`running_chi`.  The scans read their limits from the rotation axes
-of that series' folded modes (``spectral._axis_limit``), and the isotherms
-and T0 from one limit map of the same axes (``_limit_sums``).  The
-alpha/beta closed forms (:func:`asymptotic_density`, ``averaged_*_closed``)
-and the numeric average of the directly iterated walk
-(:func:`averaged_density_numeric`) are oracles that the tests and
-``cyclewalk selftest`` compare against; they are imported from this module,
-not from the package root.  The key scalar is ``chi = 1/4 - det(rho_avg)``:
-chi = 0 is infinite temperature (maximally mixed coin), chi = 1/4 a pure
-coin at zero temperature.
+:func:`running_chi`.  The scans read their limits from that series' fold
+(``spectral._folded_modes``), and the isotherms and T0 from one limit map
+of its mode axes (``_limit_sums``).  The alpha/beta closed forms
+(:func:`asymptotic_density`, ``averaged_*_closed``) and the numeric average
+of the directly iterated walk (:func:`averaged_density_numeric`) are oracles
+that the tests and ``cyclewalk selftest`` compare against; they are
+imported from this module, not from the package root.  The key scalar is
+``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature (maximally
+mixed coin), chi = 1/4 a pure coin at zero temperature.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class CoinDensity:
 class ThermoState:
     """Thermodynamic reading of an (averaged) coin density.
 
-    ``beta`` is the inverse temperature in units of 1/energy_scale; beta = 0
-    encodes infinite temperature, in which case ``temperature`` is inf.
+    ``beta`` is the inverse temperature in units of 1/e0, the e0 passed in;
+    beta = 0 encodes infinite temperature, in which case ``temperature`` is inf.
     """
 
     lambda_plus: float
@@ -271,9 +270,9 @@ def chi_isotherm(params: WalkParams) -> float:
 
 
 def chi_reference(n_sites: int, theta: float) -> float:
-    """chi of the gamma = pi start; sets the characteristic temperature T0."""
-    # sin(pi) rounds to 1.2e-16: at phi = pi/2 it enters r_y alone, squared
-    return float(chi_isotherm_grid(n_sites, theta, math.pi, math.pi / 2))
+    """chi of the gamma = pi start; sets the characteristic temperature T0.
+    chi is even in r0, so it is read at gamma = 0, free of a rounded sin(pi)."""
+    return float(chi_isotherm_grid(n_sites, theta, 0.0, 0.0))
 
 
 def beta_of_chi(chi, e0: float):

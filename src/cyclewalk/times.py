@@ -18,11 +18,11 @@ so a beta threshold is violated there when
 atanh(1 - 2**-53) - e0*beta_inf > epsilon.
 
 The scan need not run to ``t_max``.  With e(t) = r(t) - r_inf, the Bloch
-vector of the average obeys |e| <= K/t and |r_inf_hat . e| <= K_proj/t,
-with constants that do not grow with N, from the rotation axes of the
-series' folded modes (``spectral._axis_limit``).  As exactly
-r_inf_hat . e <= 2d <= r_inf_hat . e + |e|^2/(2|r_inf|), no band is left
-from t*_axis = floor(K/delta) + 1 on, with delta = 2*min(hi, -lo), nor
+vector of the average obeys |e| <= K/t and |r_inf_hat . e| <= K_proj/t, with
+r_inf from the series' fold (``spectral._folded_modes``) and constants that
+do not grow with N from its rotation axes (``spectral._axis_limit``).  As
+exactly r_inf_hat . e <= 2d <= r_inf_hat . e + |e|^2/(2|r_inf|), no band is
+left from t*_axis = floor(K/delta) + 1 on, with delta = 2*min(hi, -lo), nor
 from t*_proj on, the first t with K_proj/(2t) <= -lo and
 K_proj/(2t) + K^2/(4|r_inf| t^2) <= hi (inf when r_inf = 0, where a beta
 band is [-tanh(epsilon), tanh(epsilon)]/2 and t*_axis holds).  With every
@@ -84,11 +84,11 @@ _PURE_COIN_E0_BETA = math.atanh(1.0 - 2.0**-53)
 
 def _asymptotics(params: WalkParams, folded=None):
     """(lambda_plus_inf, e0*beta_inf, c, (K, K_proj, |r_inf|)) of the localized
-    start of ``params``, from the limit and envelope constants of the rotations
-    of its folded modes ``folded`` (folded here when None)."""
+    start of ``params``, from the limit and envelope constants of its folded
+    modes ``folded`` (folded here when None)."""
     folded = folded or _folded_modes(localized_initial_state(params), params.theta)
-    r_inf, k, k_proj = _axis_limit(folded)
-    split = math.hypot(*r_inf[:, 0])  # |r_inf| = 2*sqrt(chi_inf)
+    k, k_proj = _axis_limit(folded)
+    split = math.hypot(*folded[4][0])  # |r_inf| = 2*sqrt(chi_inf)
     e0_beta = float(beta_of_chi(0.25 * split**2, 1.0))
     c = math.inf if math.isinf(e0_beta) else 2.0 * math.cosh(e0_beta) ** 2
     return 0.5 + 0.5 * split, e0_beta, c, (float(k[0]), float(k_proj[0]), split)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Hard ceiling on iterated evolution; asymptotics are reached far earlier.
+# Ceiling on direct steps and on a series' length, a cycle's size and a grid's points.
 MAX_STEPS = 10**6
 
 
@@ -41,7 +41,9 @@ class WalkParams:
         Bloch-sphere angles of the initial coin state, gamma in [0, pi]
         and phi in [0, 2*pi).
     energy_scale:
-        Finite, positive energy gap of the two-level thermometer Hamiltonian.
+        Finite, positive energy gap e0 of the two-level thermometer, read only
+        by its own validation: every reading takes the split angle e0*beta, and
+        the functions that return beta take e0 as an argument.
     """
 
     n_sites: int

@@ -1,5 +1,6 @@
 import argparse
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cyclewalk import (
     cli,
     localized_initial_state,
 )
+from cyclewalk import spectral
 from cyclewalk.spectral import decompose
 from cyclewalk.walk import coin, coin_entries, iterate_arrays
 
@@ -27,6 +29,24 @@ def random_state(rng, n_sites: int) -> WalkState:
     b = amps[2] + 1j * amps[3]
     norm = np.sqrt(np.sum(np.abs(a) ** 2 + np.abs(b) ** 2))
     return WalkState(a / norm, b / norm)
+
+
+def count_spectral_calls(monkeypatch, names) -> dict:
+    """{name: calls} of the ``cyclewalk.spectral`` functions ``names``,
+    counted through every binding of them in a loaded ``cyclewalk`` module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(spectral, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cyclewalk"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def decompose_localized(params):

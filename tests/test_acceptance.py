@@ -127,13 +127,12 @@ def test_hadamard_lattice_sums():
 
 def test_localized_asymptotics_match_spectral():
     rng = np.random.default_rng(3)
-    params = [
-        WalkParams(n, theta, gamma, phi)
+    groups = [
+        [WalkParams(n, theta, gamma, phi) for gamma, phi in bloch_points(rng)]
         for n in (3, 5, 8, 100)
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
-        for gamma, phi in bloch_points(rng)
     ]
-    worst, _ = localized_vs_spectral(params)
+    worst, _ = localized_vs_spectral(groups)
     verdict("localized asymptotics vs spectral", worst < 1e-10, f"max dev {worst:.3e}")
 
 
@@ -235,7 +234,7 @@ def test_eigenvalue_beta_linearization():
     params = WalkParams(100, **FIG3)
     lam_inf, beta_inf, c, _ = _asymptotics(params)
     chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, 10**5 - 1))
-    lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, params.energy_scale)
+    lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, 1.0)
     # t = 10^3..10^5
     x = (beta[10**3 - 1 :] - beta_inf) / c
     y = lam_plus[10**3 - 1 :] - lam_inf

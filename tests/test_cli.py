@@ -41,7 +41,7 @@ from cyclewalk.cli import (
     main,
 )
 
-from conftest import direct_densities, reference_parser
+from conftest import count_spectral_calls, direct_densities, reference_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -361,7 +361,7 @@ class TestMixingSweep:
         chi = running_chi(*series)  # entry i averages t = i + 1 terms
         deviations = {
             "tau_mix": np.abs(0.5 + np.sqrt(chi) - lam_inf),
-            "tau_therm": np.abs(beta_of_chi(chi, params.energy_scale) - beta_inf),
+            "tau_therm": np.abs(beta_of_chi(chi, 1.0) - beta_inf),
         }
         header, *lines = [line.split(",") for line in data_lines(out)]
         for line in lines:
@@ -1052,18 +1052,22 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_walks_each_cycle_once(capsys, monkeypatch):
-    # one stepping loop of 200 steps walks the 20 starts of all four cycles
+    # one stepping loop of 200 steps walks the 20 starts of all four cycles,
+    # and each cycle is folded once for its series (check 1) and once for
+    # its limits (check 4), through any module's binding; no envelope is formed
     calls = []
     iterate_arrays = _oracle.iterate_arrays
     monkeypatch.setattr(
         _oracle, "iterate_arrays", lambda *args: calls.append(args) or iterate_arrays(*args)
     )
+    folds = count_spectral_calls(monkeypatch, ["_folded_modes", "_axis_limit"])
     code, out, _ = run(["selftest", "--seed", "0"], capsys)
     assert code == EXIT_OK
     assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS"] * 5
     assert len(calls) == 1
     _, _, _, steps, (first, _) = calls[0]
     assert steps == 200 and len(first) == 20
+    assert folds == {"_folded_modes": 8, "_axis_limit": 0}
 
 
 def test_selftest_reports_a_failed_check(capsys, monkeypatch):

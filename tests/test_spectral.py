@@ -274,16 +274,22 @@ class TestCoinTrajectory:
     def test_batch_is_the_per_start_calls_bit_for_bit(self, rng, n, theta):
         # t_max = 0 and 2 have one giant row; N = 1000 takes two blocks of
         # modes; at N = 4096 a sum over the sites of a (B, N) stack is not
-        # bit for bit the sum of each row
+        # bit for bit the sum of each row.  The fold's limit r_inf and the
+        # envelope (K, K_proj) of each start are its own fold's, too
         for t_max in (0, 2, 200, 2000) if n < 1000 else (0, 200):
             starts = [random_state(rng, n) for _ in range(4)]
             starts.append(localized_initial_state(WalkParams(n, theta, 2.0, 1.0)))
             batch = coin_trajectory(starts, theta, t_max)
             for got in batch:
                 assert got.shape == (len(starts), t_max + 1)
+            folded = _folded_modes(starts, theta)
+            limits = (folded[4], *_axis_limit(folded))
             for i, s0 in enumerate(starts):
                 for got, one in zip(batch, coin_trajectory(s0, theta, t_max)):
                     assert got[i].tobytes() == one.tobytes()
+                own = _folded_modes(s0, theta)
+                for got, one in zip(limits, (own[4], *_axis_limit(own))):
+                    assert got[i].tobytes() == one[0].tobytes()
 
     def test_batch_of_one(self, rng):
         s0 = random_state(rng, 9)
@@ -336,7 +342,8 @@ def test_axis_limit_and_envelope(n, theta, seed):
     # them; everywhere both envelopes are checked against running averages
     rng = np.random.default_rng(seed)
     starts = [random_state(rng, n), localized_initial_state(WalkParams(n, theta, 1.0, 2.0))]
-    r_inf, k, k_proj = _axis_limit(_folded_modes(starts, theta))
+    folded = _folded_modes(starts, theta)
+    r_inf, (k, k_proj) = folded[4], _axis_limit(folded)
     phi = 2 * np.pi * np.arange(n) / n
     cos_omega = np.hypot(math.sin(theta), math.cos(theta) * np.cos(phi))
     ts = np.arange(1, 2001)
@@ -349,13 +356,13 @@ def test_axis_limit_and_envelope(n, theta, seed):
                 limit = asymptotic_density(decompose(s0, theta))
                 p_left, p_right, q = limit.p_left, limit.p_right, limit.q
             want = [2 * q.real, -2 * q.imag, p_left - p_right]
-            assert np.abs(r_inf[:, i] - want).max() < 1e-10
+            assert np.abs(r_inf[i] - want).max() < 1e-10
         p_left, p_right, q = (np.cumsum(x[:-1]) / ts for x in series)
-        r_x, r_y, r_z = r_inf[:, i]
+        r_x, r_y, r_z = r_inf[i]
         e = np.stack([2 * q.real - r_x, -2 * q.imag - r_y, p_left - p_right - r_z])
         # |e(t)| <= K/t and |r_inf_hat . e(t)| <= K_proj/t for e = r_avg - r_inf,
         # up to 1e-13 of roundoff in the sums
-        r_hat = r_inf[:, i] / np.linalg.norm(r_inf[:, i])
+        r_hat = r_inf[i] / np.linalg.norm(r_inf[i])
         assert np.all(ts * (np.sqrt(np.sum(e**2, axis=0)) - 1e-13) <= k[i])
         assert np.all(ts * (np.abs(r_hat @ e) - 1e-13) <= k_proj[i])
 
@@ -453,7 +460,7 @@ def test_giant_turn_is_the_rotation_of_direct_steps(n, theta):
         "64-bit significand (the 80-bit x87 format of x86-64 Linux, or wider)"
     )
     start = localized_initial_state(WalkParams(n, theta, 1.0, 2.0))
-    _, u, _, (axis, _, turn) = _folded_modes(start, theta)
+    _, u, _, (axis, _, turn), _, _ = _folded_modes(start, theta)
     reps = np.arange(u.shape[-1])
     outer = axis[:, None] * axis[None]
     x, y, z = axis
@@ -476,7 +483,7 @@ def test_bases_by_squaring_are_the_phase_angle_bases(n, theta):
     # 2 B omega_k.  Both carry about B long double roundoffs before the one
     # rounding to double, so they differ by at most a few ulp
     start = localized_initial_state(WalkParams(n, theta, 1.0, 2.0))
-    _, _, _, (_, _, turn) = _folded_modes(start, theta)
+    _, _, _, (_, _, turn), _, _ = _folded_modes(start, theta)
     for steps in (1, 2, 15, 29, 90, 101, 1001):
         got = _turn_power(turn, steps)
         assert np.abs(got - phase_base(n, theta, steps)).max() < 4.5e-16

@@ -313,6 +313,16 @@ class TestLocalizedLimitAccuracy:
     def test_matches_fsum_everywhere(self, n, theta, gamma, phi):
         assert_limit_matches_fsum(WalkParams(n, theta, gamma, phi))
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 100, 1001, 4096])
+    def test_reference_at_half_pi(self, n):
+        # at theta = fl(pi/2), cos theta = 6.1e-17 and chi_ref = (m cos
+        # theta)^2 / 4 to a relative 1e-33; a rounded sin(pi) = 1.2e-16 in
+        # the start's Bloch vector would add about (a_yy sin(pi))^2 / 4
+        theta = math.pi / 2
+        m, _, _ = _limit_sums(n, theta)
+        want = (m * math.cos(theta)) ** 2 / 4
+        assert abs(chi_reference(n, theta) - want) <= 1e-15 * want
+
 
 class TestLocalizedAsymptotics:
     def test_hadamard_line_values(self):
@@ -321,18 +331,17 @@ class TestLocalizedAsymptotics:
         assert abs(rho.q - (-(4 - 2 * math.sqrt(2)) / 8)) < 1e-4
 
     def test_matches_spectral_limit(self, rng):
-        params = [
-            WalkParams(n, theta, gamma, phi)
+        # one group of starts per cycle, each folded as one batch
+        groups = [
+            [WalkParams(n, theta, gamma, phi) for gamma, phi in bloch_points(rng, 3)]
             for n in (3, 5, 8, 16)
             for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
-            for gamma, phi in bloch_points(rng, 3)
         ] + [
             # theta = 0 on a cycle divisible by 4: the modes at 4k = N do not turn
-            WalkParams(n, 0.0, gamma, phi)
+            [WalkParams(n, 0.0, gamma, phi) for gamma, phi in bloch_points(rng, 3)]
             for n in (8, 12, 16, 100)
-            for gamma, phi in bloch_points(rng, 3)
         ]
-        worst, _ = localized_vs_spectral(params)
+        worst, _ = localized_vs_spectral(groups)
         assert worst < 1e-10
 
     def test_antipodal_symmetry(self):

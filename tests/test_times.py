@@ -1,12 +1,10 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cyclewalk.spectral
 import cyclewalk.times
 from cyclewalk import (
     CoinDensity,
@@ -16,7 +14,7 @@ from cyclewalk import (
     mixing_time,
     thermalization_time,
 )
-from cyclewalk.spectral import _axis_limit, _folded_modes, coin_trajectory
+from cyclewalk.spectral import _folded_modes, coin_trajectory
 from cyclewalk.thermo import (
     _limit_sums,
     asymptotic_density,
@@ -28,7 +26,7 @@ from cyclewalk.thermo import (
 from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
 from cyclewalk.walk import MAX_STEPS, localized_initial_state
 
-from conftest import decompose_localized
+from conftest import count_spectral_calls, decompose_localized
 
 FIG3_PARAMS = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
 
@@ -127,7 +125,7 @@ class TestThermalizationTime:
         # roundoff of chi(1); the second start's chi(1) is 1/4 - 8.3e-17,
         # which alone would read as 18.37
         params = WalkParams(5, math.pi / 4, gamma, phi)
-        e0_beta_inf = params.energy_scale * _asymptotics(params)[1]
+        e0_beta_inf = _asymptotics(params)[1]
         assert thermalization_time(params, 18.5 - e0_beta_inf, 100).tau == 2
         assert thermalization_time(params, 18.8 - e0_beta_inf, 100).tau == 1
 
@@ -173,7 +171,7 @@ class TestThermalizationTime:
         assert rows == [(50, 100, 51, 2.0, True), (501, 1000, 501, 2.0, True)]
         # brute force: e0*beta(t) of the series' averages, t = 1..2*10^4
         series = coin_trajectory(localized_initial_state(params), params.theta, 2 * 10**4 - 1)
-        beta = beta_of_chi(running_chi(*series), params.energy_scale) * params.energy_scale
+        beta = beta_of_chi(running_chi(*series), 1.0)
         for eps, tau in [(1e-2, 100), (1e-3, 1000)]:
             report = thermalization_time(params, eps, 10**5)
             assert (report.tau, report.satisfied) == (tau, True)
@@ -185,7 +183,7 @@ def test_linearization_slope():
     params = WalkParams(100, **FIG3_PARAMS)
     lam_inf, beta_inf, c, _ = _asymptotics(params)
     chi = running_chi(*coin_trajectory(localized_initial_state(params), params.theta, 99999))
-    lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, params.energy_scale)
+    lam_plus, beta = 0.5 + np.sqrt(chi), beta_of_chi(chi, 1.0)
     # t = 1000..100000
     x = (beta[999:] - beta_inf) / c
     y = lam_plus[999:] - lam_inf
@@ -237,18 +235,8 @@ def test_no_decomposition_per_sweep(monkeypatch):
     # and one axis limit per sweep and no alpha/beta decomposition, through
     # any module's binding; the series reads the same fold and geometry, and
     # the limit map of T0 forms the geometry alone, with no start to fold
-    calls = {"decompose": 0, "_axis_limit": 0, "_folded_modes": 0, "_mode_geometry": 0}
-    for name in calls:
-        original = getattr(cyclewalk.spectral, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cyclewalk"]:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    names = ["decompose", "_axis_limit", "_folded_modes", "_mode_geometry"]
+    calls = count_spectral_calls(monkeypatch, names)
     params = WalkParams(30, **FIG3_PARAMS)
     convergence_sweep(params, [1e-2, 1e-3], 500)
     assert calls == {"decompose": 0, "_axis_limit": 1, "_folded_modes": 1, "_mode_geometry": 1}
@@ -320,11 +308,10 @@ def _last_violation(dev: np.ndarray, eps: float) -> int:
 def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     params = WalkParams(n, theta, math.acos(cos_gamma), phi)
     dec = decompose_localized(params)
-    lam_inf, beta_inf, c, envelope = _asymptotics(params)
+    lam_inf, e0_beta_inf, c, envelope = _asymptotics(params)
     k = envelope[0]
-    beta_ok = beta_inf < math.inf
+    beta_ok = e0_beta_inf < math.inf
     beta_eps = [eps, c * eps] if beta_ok else []
-    e0_beta_inf = params.energy_scale * beta_inf
     bands = [(-eps, eps)] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
     t_star = _horizon(envelope, bands)
     t_axis = _horizon((k, math.inf, envelope[2]), bands)  # no projected bound
@@ -336,15 +323,14 @@ def test_envelope_bound_and_horizon(n, theta, cos_gamma, phi, eps):
     # p_right and r_x - i r_y = 2q, and r_inf the axis limit the scans read
     ts = np.arange(1, 4 * t_axis + 1)
     p_left, p_right, q = averaged_trajectory_closed(dec, ts)
-    folded = _folded_modes(localized_initial_state(params), params.theta)
-    r_x, r_y, r_z = _axis_limit(folded)[0][:, 0]
+    r_x, r_y, r_z = _folded_modes(localized_initial_state(params), params.theta)[4][0]
     dr = np.sqrt((p_left - p_right - r_z) ** 2 + 4.0 * np.abs(q - complex(r_x, -r_y) / 2) ** 2)
     assert np.all(ts * dr <= k)
 
     # the sweep equals a brute-force scan over all of [1, t_max]
     chi = np.maximum(0.25 - (p_left * p_right - np.abs(q) ** 2), 0.0)
     lam_dev = np.abs(0.5 + np.sqrt(chi) - lam_inf)
-    beta_dev = np.abs(np.arctanh(np.minimum(2.0 * np.sqrt(chi), 1.0 - 1e-16)) - beta_inf)
+    beta_dev = np.abs(np.arctanh(np.minimum(2.0 * np.sqrt(chi), 1.0 - 1e-16)) - e0_beta_inf)
     for t_max in (max(1, t_star // 2), 2 * t_axis):
         (rec,) = convergence_sweep(params, [eps], t_max)
         assert rec["tau_mix"] == _last_violation(lam_dev[:t_max], eps) + 1
@@ -374,8 +360,7 @@ def test_no_band_left_from_horizon(n, theta, cos_gamma, phi, log_eps):
     # the K^2/(4|r_inf| t^2) term is large
     params = WalkParams(n, theta, math.acos(cos_gamma), phi)
     eps = 10.0**log_eps
-    lam_inf, beta_inf, c, envelope = _asymptotics(params)
-    e0_beta_inf = params.energy_scale * beta_inf
+    lam_inf, e0_beta_inf, c, envelope = _asymptotics(params)
     bands = [(-eps, eps)]
     if e0_beta_inf < math.inf:
         bands += [_beta_band(lam_inf, e0_beta_inf, e) for e in (eps, c * eps)]
