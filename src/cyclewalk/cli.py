@@ -127,9 +127,39 @@ def _factored(array) -> _Factored:
     return _Factored(values.view(np.float64), index)
 
 
-def _csv_spell(values: list[float]) -> list[str]:
+def _percent_spell(values: list[float]) -> list[str]:
     # "%.17g" for every value at once: one C-level % over a joined template
     return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+
+
+# the cell count below which the kernel's fixed cost outweighs what it saves
+# over %: 75 us against 0.32 us saved per cell, fitted on 64..2048 cells
+_KERNEL_MIN = 240
+
+
+def _csv_spell(values: list[float]) -> list[str]:
+    """The "%.17g" text of each value, _BLOCK values at a time: the exact
+    kernel spells the cells with 1e-6 < |v| < 1e17, one C-level % the rest
+    (non-finite, tiny and huge values) and blocks where the kernel would
+    cover fewer than _KERNEL_MIN cells."""
+    texts = []
+    for start in range(0, len(values), _BLOCK):
+        block = values[start : start + _BLOCK]
+        if len(block) >= _KERNEL_MIN:
+            x = np.fromiter(block, np.float64, len(block))
+            mag = np.abs(x)
+            covered = (mag > 1e-6) & (mag < 1e17)
+            rest = np.flatnonzero(~covered).tolist()
+            if len(block) - len(rest) >= _KERNEL_MIN:
+                from ._spell import exact_texts  # compiled by the first block it spells
+
+                spelled = exact_texts(np.where(covered, x, 1.0))
+                for i, text in zip(rest, _percent_spell([block[i] for i in rest])):
+                    spelled[i] = text
+                texts += spelled
+                continue
+        texts += _percent_spell(block)
+    return texts
 
 
 def _json_spell(values: list) -> list[str]:

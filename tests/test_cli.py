@@ -30,7 +30,7 @@ from cyclewalk import (
     markov_beta,
     markov_solution,
 )
-from cyclewalk import __version__, _oracle, cli
+from cyclewalk import __version__, _oracle, _spell, cli
 from cyclewalk.spectral import coin_trajectory
 from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics
@@ -745,7 +745,8 @@ def test_a_value_may_start_with_a_dash(capsys):
 
 def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     # a fresh interpreter runs each command, as the scripts and the
-    # benchmark do; none of them imports what it does not read
+    # benchmark do; none of them imports what it does not read, and blocks
+    # of fewer than _KERNEL_MIN floats leave the CSV kernel uncompiled
     calls = [
         ["simulate", "--n", "3", "--t-max", "5", "--out", "s.csv"],
         ["isotherms", "--n", "5", "--grid", "3x3", "--out", "i.csv"],
@@ -755,7 +756,8 @@ def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     code = (
         "import sys\nfrom cyclewalk.cli import main\n"
         f"assert [main(argv) for argv in {calls!r}] == [0, 0, 0, 0]\n"
-        "print(sorted({'argparse', 'gettext', 'locale', 'cyclewalk._oracle'} & set(sys.modules)))"
+        "print(sorted({'argparse', 'gettext', 'locale', 'cyclewalk._oracle', 'cyclewalk._spell'}"
+        " & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
@@ -992,6 +994,10 @@ def test_writer_matches_the_per_cell_writer(table, fmt, summary):
     fmt=st.sampled_from(["csv", "json"]),
     float_column=st.booleans(),
 )
+# a float column whose first block holds cells of the exact kernel and of
+# the % remainder, and whose last row is a block of one cell
+@example(cells=[0.25, 1e-7, -3.75e-3, 1e17, -0.0, 123.456, math.nan, -math.inf, 5e-324, 1e16 - 2],
+         rows=cli._BLOCK + 1, fmt="csv", float_column=True)
 def test_numpy_and_range_columns_read_as_lists(cells, rows, fmt, float_column):
     # simulate hands the writer numpy columns and markov a range of t: the
     # cell types come from the dtype, and the text is that of the same lists
@@ -1012,6 +1018,9 @@ def test_numpy_and_range_columns_read_as_lists(cells, rows, fmt, float_column):
     ["simulate", "--n", "20", "--t-max", "20000", "--format", "json"],
     # at small theta no value repeats, so markov's columns are plain
     ["markov", "--theta", "0.01", "--t-max", "50000"],
+    # 15,697 distinct chi: the kernel spells them _BLOCK values at a time
+    # (3.86 MiB, 3.73 through %); one pass over them all peaked at 5.65 MiB
+    ["isotherms", "--n", "100", "--grid", "181x181"],
 ])
 def test_writer_memory_is_bounded_by_the_block(tmp_path, argv):
     # the text is made per block of rows.  Whole-column cell lists and texts
@@ -1025,6 +1034,95 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path, argv):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def percent_texts(values):
+    return ["%.17g" % v for v in values]
+
+
+def spelled_by_kernel(values):
+    """The exact kernel's texts of values, each with 1e-6 < |v| < 1e17."""
+    return _spell.exact_texts(np.array(values, dtype=np.float64))
+
+
+def kernel_families():
+    """Values where an inexact %.17g kernel would go wrong, all with
+    1e-6 < |v| < 1e17, with both signs."""
+    rng = np.random.default_rng(29)
+    values = []
+    # exact ties: v * 10**(16 - e) = M * 5**(16 - e) / 2 is an integer and
+    # a half, with 17 digits, for odd M; none has e = 16, where M > 2**53
+    for e in range(-6, 17):
+        low = -(-2 * 10**16 // 5 ** (16 - e))
+        high = min(2**53, 2 * 10**17 // 5 ** (16 - e))
+        if low < high:
+            odd = rng.integers(low, high, 200) | 1
+            values += np.ldexp(odd.astype(np.float64), e - 17).tolist()
+    # three doubles either side of each power of ten, where e changes
+    for k in range(-10, 20):
+        for direction in (-math.inf, math.inf):
+            v = float(f"1e{k}")
+            for _ in range(4):
+                values.append(v)
+                v = math.nextafter(v, direction)
+    # the switches of %g's form: exponent below 1e-4 and from 1e17
+    values += [9.9999999999999991e-6, 1e-5, 1.0000000000000001e-5, 9.9999999999999991e-5, 1e-4,
+               1.0000000000000002e-4, 1e16, 1e16 + 2, 1e17 - 16, 5e-6, 1.5e-6, 7e16]
+    # integer-valued floats up to 2**53, and the digits' last place
+    values += [float(2**53), float(2**53 - 1), 1.0, 10.0, 100.0, 12345678901234567.0]
+    values += rng.integers(1, 2**53, 500).astype(np.float64).tolist()
+    values += [1 + 2.0**-52, 0.1, 0.5, 2 / 3, 123.456, 1e-6 * (1 + 2.0**-52)]
+    values = [v for v in values if 1e-6 < abs(v) < 1e17]
+    return values + [-v for v in values]
+
+
+def test_exact_kernel_matches_percent_on_pinned_families():
+    values = kernel_families()
+    got = spelled_by_kernel(values)
+    expected = percent_texts(values)
+    wrong = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
+    assert not wrong, wrong[:5]
+    assert len(got) == len(values) > 6000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e17, exclude_min=True, exclude_max=True) | st.floats(
+    -1e17, -1e-6, exclude_min=True, exclude_max=True), min_size=1, max_size=60))
+def test_exact_kernel_matches_percent(values):
+    assert spelled_by_kernel(values) == percent_texts(values)
+
+
+# the values outside the kernel: %'s spelling stays theirs
+OUTSIDE = [0.0, -0.0, 5e-324, -5e-324, 1e-6, -1e-6, 1e-7, 1e17, -1e17, 1.7976931348623157e308,
+           math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.floats() | st.sampled_from(OUTSIDE), min_size=1, max_size=40),
+    size=st.sampled_from([1, cli._KERNEL_MIN - 1, cli._KERNEL_MIN, cli._BLOCK, 2 * cli._BLOCK + 1]),
+)
+@example(cells=kernel_families()[:2000] + OUTSIDE, size=2 * cli._BLOCK + 1)
+def test_csv_spell_matches_percent(cells, size):
+    values = [cells[i % len(cells)] for i in range(size)]
+    assert cli._csv_spell(values) == percent_texts(values)
+
+
+@pytest.mark.parametrize("size, covered, kernel_calls", [
+    (cli._KERNEL_MIN - 1, cli._KERNEL_MIN - 1, 0),  # below the break-even: % alone
+    (cli._KERNEL_MIN, cli._KERNEL_MIN, 1),
+    (cli._BLOCK + cli._KERNEL_MIN, cli._BLOCK + cli._KERNEL_MIN, 2),  # one call per block
+    (cli._BLOCK, cli._KERNEL_MIN - 1, 0),  # the kernel would cover too few cells
+    (cli._BLOCK, cli._KERNEL_MIN, 1),
+])
+def test_csv_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, covered, kernel_calls):
+    calls = []
+    exact_texts = _spell.exact_texts
+    monkeypatch.setattr(_spell, "exact_texts", lambda x: calls.append(len(x)) or exact_texts(x))
+    values = [0.1 + i for i in range(covered)] + [0.0] * (size - covered)
+    assert cli._csv_spell(values) == percent_texts(values)
+    assert len(calls) == kernel_calls
+    assert all(n <= cli._BLOCK for n in calls)
 
 
 def test_factored_tells_values_apart_by_bit_pattern():
