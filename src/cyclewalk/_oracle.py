@@ -1,30 +1,25 @@
 """Oracle checks shared by ``cyclewalk selftest`` and the acceptance tests.
 
 Each check compares one route to a quantity with an independent one (direct
-iteration, the spectral limit, the iterated chain) and returns its worst
-absolute deviation; the callers draw the inputs and hold the bounds.  The
-walk checks take the starts at time 0 on one cycle, or their spectral
-decompositions, and ``direct``, their series from :func:`direct_walks`,
-which walks several cycles in one stepping loop.  :func:`walk_checks` runs
-the four walk checks as ``selftest`` does.
+iteration, an exact identity, the spectral limit, the iterated chain) and
+returns its worst absolute deviation; the callers draw the inputs and hold
+the bounds.  The walk checks read :func:`coin_trajectory` of localized
+starts, the one spectral route of the commands: against ``direct``, their
+series from :func:`direct_walks`, which walks several cycles in one stepping
+loop, and on the cycles of the light cone and the fold.  :func:`walk_checks`
+runs the four walk checks as ``selftest`` does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .markov import MarkovState, markov_solution, markov_step
-from .spectral import (
-    SpectralDecomposition,
-    _folded_modes,
-    coin_trajectory,
-    decompose,
-    inverse_fourier,
-    mode_values_at,
-)
-from .thermo import asymptotic_density_localized, averaged_trajectory_closed, chi_isotherm
+from .spectral import _folded_modes, coin_trajectory
+from .thermo import asymptotic_density_localized, chi_isotherm
 from .walk import WalkParams, WalkState, coin, coin_entries, iterate_arrays, localized_initial_state
 
 
@@ -64,13 +59,8 @@ def direct_walks(walks: list[tuple[list[WalkState], float]], t_max: int) -> list
 
 
 def _worst(got, direct) -> float:
-    """Largest deviation between two tuples of (T, B, ...) arrays."""
+    """Largest deviation between two tuples of arrays."""
     return max(float(np.abs(x - y).max()) for x, y in zip(got, direct))
-
-
-def _stacked(per_state):
-    """Per-state results, each a tuple of (T, ...) arrays, as (T, B, ...) arrays."""
-    return [np.stack(x, axis=1) for x in zip(*per_state)]
 
 
 def series_vs_direct(states: list[WalkState], theta: float, direct) -> float:
@@ -79,19 +69,26 @@ def series_vs_direct(states: list[WalkState], theta: float, direct) -> float:
     return _worst([x.T for x in series], coin_entries(*direct))
 
 
-def closed_amplitudes_vs_direct(decomps: list[SpectralDecomposition], direct) -> float:
-    """The :func:`mode_values_at` amplitudes of each start's decomposition against ``direct``."""
-    ts = np.arange(len(direct[0]))
-    return _worst(_stacked(inverse_fourier(*mode_values_at(d, ts)) for d in decomps), direct)
+def _series_on(group: list[WalkParams], n: int, t_max: int):
+    """The :func:`coin_trajectory` of the localized starts of ``group`` on an n-cycle."""
+    starts = [localized_initial_state(replace(p, n_sites=n)) for p in group]
+    return coin_trajectory(starts, group[0].theta, t_max)
 
 
-def closed_average_vs_direct(decomps: list[SpectralDecomposition], direct) -> float:
-    """:func:`averaged_trajectory_closed` against running averages of the
-    densities of ``direct``: the average at t = 1..T takes rows 0..t-1."""
-    ts = np.arange(1, len(direct[0]))
-    closed = _stacked(averaged_trajectory_closed(d, ts) for d in decomps)
-    densities = coin_entries(direct[0][:-1], direct[1][:-1])
-    return _worst(closed, [np.cumsum(x, axis=0) / ts[:, None] for x in densities])
+def light_cone_odd_vs_even(group: list[WalkParams], t_max: int) -> float:
+    """The series of ``group``'s starts on the cycles of 2 t_max + 1 and 2 t_max
+    + 2 sites, of which only the even one folds mode k + N/2 onto k: from site
+    0 the walk reaches sites -t..t only, so on both it is the line's (Nayak
+    and Vishwanath, quant-ph/0010117)."""
+    return _worst(_series_on(group, 2 * t_max + 1, t_max), _series_on(group, 2 * t_max + 2, t_max))
+
+
+def fold_odd_vs_double(group: list[WalkParams], t_max: int) -> float:
+    """The series of ``group``'s starts on the m-cycle and the 2m-cycle, m =
+    N | 1 odd: at step t the 2m-cycle's walk from site 0 holds sites of t's
+    parity only, which lay onto the m-cycle's sites one to one."""
+    m = group[0].n_sites | 1
+    return _worst(_series_on(group, m, t_max), _series_on(group, 2 * m, t_max))
 
 
 def localized_vs_spectral(groups: list[list[WalkParams]]) -> tuple[float, float]:
@@ -112,14 +109,14 @@ def localized_vs_spectral(groups: list[list[WalkParams]]) -> tuple[float, float]
 def walk_checks(groups: list[list[WalkParams]], t_max: int) -> list[float]:
     """The worst deviations of the four walk checks above, over the localized
     starts of ``groups``, one cycle each: every cycle is walked for t_max
-    steps in one stepping loop, and each start is decomposed once (checks 2-3)."""
+    steps in one stepping loop (check 1), the light cone takes the first
+    cycle's starts (check 2) and the fold every cycle's (check 3)."""
     walks = [([localized_initial_state(p) for p in group], group[0].theta) for group in groups]
     directs = direct_walks(walks, t_max)
-    decomps = [[decompose(s, theta) for s in states] for states, theta in walks]
     return [
         max(series_vs_direct(*walk, direct) for walk, direct in zip(walks, directs)),
-        max(map(closed_amplitudes_vs_direct, decomps, directs)),
-        max(map(closed_average_vs_direct, decomps, directs)),
+        light_cone_odd_vs_even(groups[0], t_max),
+        max(fold_odd_vs_double(group, t_max) for group in groups),
         max(localized_vs_spectral(groups)),
     ]
 

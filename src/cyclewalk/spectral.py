@@ -32,7 +32,7 @@ limit of its running average is summed in the fold (:func:`_folded_modes`),
 and a K/t bound on the distance to it comes from the same axes
 (:func:`_axis_limit`), as does the isotherms' limit map
 (``thermo._limit_sums``).  The alpha/beta form (:func:`decompose`) is an
-oracle of the tests and ``cyclewalk selftest``, imported from this module.
+oracle of the tests alone, imported from this module: no command reads it.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ The CLI reads running averages from one route, the
 of its mode axes (``_limit_sums``).  The alpha/beta closed forms
 (:func:`asymptotic_density`, ``averaged_*_closed``) and the numeric average
 of the directly iterated walk (:func:`averaged_density_numeric`) are oracles
-that the tests and ``cyclewalk selftest`` compare against; they are
-imported from this module, not from the package root.  The key scalar is
+that only the tests compare against; they are imported from this module,
+not from the package root.  The key scalar is
 ``chi = 1/4 - det(rho_avg)``: chi = 0 is infinite temperature (maximally
 mixed coin), chi = 1/4 a pure coin at zero temperature.
 """

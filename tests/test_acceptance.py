@@ -26,19 +26,18 @@ from cyclewalk import (
     transient_temperature,
 )
 from cyclewalk._oracle import (
+    _worst,
     bloch_points,
-    closed_amplitudes_vs_direct,
-    closed_average_vs_direct,
     direct_walks,
     localized_vs_spectral,
     markov_vs_iterated,
 )
-from cyclewalk.spectral import decompose
+from cyclewalk.spectral import decompose, inverse_fourier, mode_values_at
 from cyclewalk.thermo import asymptotic_density, averaged_trajectory_closed
 from cyclewalk.spectral import coin_trajectory
 from cyclewalk.thermo import beta_of_chi, running_chi
 from cyclewalk.times import _asymptotics
-from cyclewalk.walk import coin, iterate_arrays
+from cyclewalk.walk import coin, coin_entries, iterate_arrays
 
 from conftest import decompose_localized, f_g_h, hadamard_f_closed
 
@@ -60,6 +59,26 @@ def bloch_walk(rng, n, theta, t_max):
     """(decompositions, direct series) of :func:`bloch_states`, as the closed-form checks take them."""
     states = bloch_states(rng, n, theta)
     return [decompose(s, theta) for s in states], direct_walks([(states, theta)], t_max)[0]
+
+
+def _stacked(per_state):
+    """Per-state results, each a tuple of (T, ...) arrays, as (T, B, ...) arrays."""
+    return [np.stack(x, axis=1) for x in zip(*per_state)]
+
+
+def closed_amplitudes_vs_direct(decomps, direct) -> float:
+    """The :func:`mode_values_at` amplitudes of each start's decomposition against ``direct``."""
+    ts = np.arange(len(direct[0]))
+    return _worst(_stacked(inverse_fourier(*mode_values_at(d, ts)) for d in decomps), direct)
+
+
+def closed_average_vs_direct(decomps, direct) -> float:
+    """:func:`averaged_trajectory_closed` against running averages of the
+    densities of ``direct``: the average at t = 1..T takes rows 0..t-1."""
+    ts = np.arange(1, len(direct[0]))
+    closed = _stacked(averaged_trajectory_closed(d, ts) for d in decomps)
+    densities = coin_entries(direct[0][:-1], direct[1][:-1])
+    return _worst(closed, [np.cumsum(x, axis=0) / ts[:, None] for x in densities])
 
 
 def test_batched_step_is_walk_step():

@@ -767,27 +767,32 @@ def test_commands_start_without_argparse_or_the_oracles(tmp_path):
 
 
 def test_walk_commands_never_load_the_fft(tmp_path):
-    # every start of simulate and mixing-sweep is on site 0, whose modes are
-    # flat, so a fresh interpreter never imports numpy.fft for them (89 and
-    # 101 are sizes where numpy's FFT of a delta is not exactly flat)
+    # every start of simulate, mixing-sweep and selftest's walks is on site
+    # 0, whose modes are flat, so a fresh interpreter that runs all five
+    # commands never imports numpy.fft (89 and 101 are sizes where numpy's
+    # FFT of a delta is not exactly flat)
     calls = [
         ["mixing-sweep", "--n-range", "89:101:12", "--epsilon", "1e-2", "--t-max", "2000",
          "--out", "m.csv"],
         ["simulate", "--n", "101", "--t-max", "50", "--out", "s.csv"],
+        ["isotherms", "--n", "5", "--grid", "3x3", "--out", "i.csv"],
+        ["markov", "--t-max", "5", "--out", "k.csv"],
+        ["selftest", "--seed", "0"],
     ]
     code = (
-        "import sys\nimport numpy\nbefore = 'numpy.fft' in sys.modules\n"
+        "import sys\nimport numpy\nprint('numpy.fft' in sys.modules)\n"
         "from cyclewalk.cli import main\n"
         f"codes = [main(argv) for argv in {calls!r}]\n"
-        "print(before, codes, 'numpy.fft' in sys.modules)"
+        "print(codes, 'numpy.fft' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    if child.stdout.startswith("True"):
+    lines = child.stdout.splitlines()
+    if lines[0] == "True":
         pytest.skip("this numpy imports numpy.fft with numpy itself")
-    assert child.stdout == "False [0, 0] False\n", child.stderr
+    assert lines[-1] == "[0, 0, 0, 0, 0] False", child.stderr
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -1151,8 +1156,10 @@ def test_selftest_passes(capsys):
 
 def test_selftest_walks_each_cycle_once(capsys, monkeypatch):
     # one stepping loop of 200 steps walks the 20 starts of all four cycles,
-    # and each cycle is folded once for its series (check 1) and once for
-    # its limits (check 4), through any module's binding; no envelope is formed
+    # and each cycle is folded once for its series (check 1), twice for the
+    # fold's m- and 2m-cycles (check 3) and once for its limits (check 4),
+    # through any module's binding; the light cone folds the cycles of 401
+    # and 402 sites (check 2), and no envelope is formed
     calls = []
     iterate_arrays = _oracle.iterate_arrays
     monkeypatch.setattr(
@@ -1165,11 +1172,11 @@ def test_selftest_walks_each_cycle_once(capsys, monkeypatch):
     assert len(calls) == 1
     _, _, _, steps, (first, _) = calls[0]
     assert steps == 200 and len(first) == 20
-    assert folds == {"_folded_modes": 8, "_axis_limit": 0}
+    assert folds == {"_folded_modes": 18, "_axis_limit": 0}
 
 
 def test_selftest_reports_a_failed_check(capsys, monkeypatch):
-    monkeypatch.setattr(_oracle, "closed_average_vs_direct", lambda *args: 1.0)
+    monkeypatch.setattr(_oracle, "fold_odd_vs_double", lambda *args: 1.0)
     code, out, _ = run(["selftest", "--seed", "0"], capsys)
     lines = out.splitlines()
     assert code == EXIT_VALIDATION

@@ -50,3 +50,25 @@ def test_benchmark_reads_names_that_exist():
     missing = [f"{mod}.{name}" for mod, name in names
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing, f"perfbench reads names the package lacks: {missing}"
+
+
+# the alpha/beta closed form and the numeric average: oracles of the tests,
+# defined in spectral.py and thermo.py and read by no other package module
+ALPHA_BETA = {
+    "decompose", "mode_values_at", "amplitudes_at", "inverse_fourier",
+    "averaged_trajectory_closed", "averaged_density_closed", "asymptotic_density",
+    "averaged_density_numeric",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_the_alpha_beta_form(path):
+    # by name or as an attribute of a module, so that moving the form out of
+    # the package is a relocation only
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert not read & ALPHA_BETA, f"{path.name} reads {sorted(read & ALPHA_BETA)}"

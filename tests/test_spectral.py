@@ -18,6 +18,7 @@ from cyclewalk import (
     localized_initial_state,
     step,
 )
+from cyclewalk._oracle import bloch_points, fold_odd_vs_double, light_cone_odd_vs_even
 from cyclewalk.spectral import (
     _axis_limit,
     _folded_modes,
@@ -487,3 +488,27 @@ def test_bases_by_squaring_are_the_phase_angle_bases(n, theta):
     for steps in (1, 2, 15, 29, 90, 101, 1001):
         got = _turn_power(turn, steps)
         assert np.abs(got - phase_base(n, theta, steps)).max() < 4.5e-16
+
+
+# the two exact identities of the series that selftest checks 2 and 3 read
+IDENTITY_THETAS = [0.0, 1e-9, 0.3, math.pi / 4, math.pi / 2]
+
+
+@pytest.mark.parametrize("t_max", [200, 201])
+@pytest.mark.parametrize("theta", IDENTITY_THETAS)
+def test_cycles_past_the_light_cone_share_the_series(theta, t_max):
+    # a walk from site 0 stays on sites -t..t, so the cycles of 2T + 1 and
+    # 2T + 2 sites both carry the line's series; at T = 201 the even cycle
+    # has 404 sites, and at theta = 0 its mode 4k = N does not turn
+    group = [WalkParams(3, theta, g, p) for g, p in bloch_points(np.random.default_rng(30), 5)]
+    assert light_cone_odd_vs_even(group, t_max) < 1e-14
+
+
+@pytest.mark.parametrize("t_max", [200, 201])
+@pytest.mark.parametrize("theta", IDENTITY_THETAS)
+def test_odd_cycle_and_its_double_share_the_series(theta, t_max):
+    # m = N | 1: the odd sizes 3, 5, 13 and 25 against 6, 10, 26 and 50
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 12, 25):
+        group = [WalkParams(n, theta, g, p) for g, p in bloch_points(rng, 5)]
+        assert fold_odd_vs_double(group, t_max) < 1e-14
