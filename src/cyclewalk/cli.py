@@ -4,8 +4,9 @@ Usage: ``cyclewalk COMMAND [--flag VALUE | --flag=VALUE]...`` or ``--help``.
 COMMAND is simulate, isotherms, mixing-sweep, markov or selftest; each takes
 --config and the settings it reads (``_COMMANDS``), spelled in full with
 dashes, and the token after a flag is its value.  All output is
-deterministic (identical config gives byte-identical files) and carries a
-commented header with the command and those settings, defaults resolved.
+deterministic (identical config gives byte-identical files on one machine
+and BLAS kernel: another kernel may move float cells in their last bits) and
+carries a header with the command and those settings, defaults resolved.
 e0 sets the unit of markov's beta_m; the other commands' rows do not read it.
 """
 
@@ -42,7 +43,9 @@ EXIT_UNSATISFIED = 2
 
 # Every setting a subcommand can read: its default, the JSON types --config
 # accepts for it (matched exactly, so that true is not an integer; list
-# entries are integers, numbers for epsilon) and its flag's argparse keywords.
+# entries are integers, numbers for epsilon) and its flag's keywords, which
+# _parse_argv and _help read: the type that parses the value, the choices,
+# "append" for a repeatable flag, and the help text.
 _NUMBER = (int, float)
 _SETTINGS = {
     "n": (3, (int,), {"type": int}),
@@ -132,37 +135,58 @@ def _percent_spell(values: list[float]) -> list[str]:
     return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
 
 
-# the cell count below which the kernel's fixed cost outweighs what it saves
-# over %: 75 us against 0.32 us saved per cell, fitted on 64..2048 cells
+def _dumps_spell(values: list) -> list[str]:
+    # a flat list through the C encoder; no number, bool or None spells ", "
+    return json.dumps(values)[1:-1].split(", ")
+
+
+# the cell count below which a kernel's fixed cost outweighs what it saves,
+# fitted on 64..2048 cells: 65 us against 0.32 us saved per cell over % for
+# "%.17g" (break-even 211), 85 us against 0.40 us saved over the C encoder
+# for repr (212); one count serves both
 _KERNEL_MIN = 240
 
 
 def _csv_spell(values: list[float] | np.ndarray) -> list[str]:
-    """The "%.17g" text of each value of a list or float64 array, _BLOCK at a
-    time: the exact kernel spells the cells with 1e-6 < |v| < 1e17, one
-    C-level % of Python floats the rest (non-finite, tiny and huge values)
-    and blocks where the kernel would cover fewer than _KERNEL_MIN cells."""
+    """The "%.17g" text of each value of a list or float64 array
+    (_kernel_spell)."""
+    return _kernel_spell(values, shortest=False)
+
+
+def _json_spell(values: list | np.ndarray) -> list[str]:
+    """The JSON text of each cell of a list or numpy array: a float64
+    array's cells as repr spells them (_kernel_spell), any other cells
+    (ints, bools, None) through the C encoder as one flat list."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return _kernel_spell(values, shortest=True)
+    return _dumps_spell(values.tolist() if isinstance(values, np.ndarray) else values)
+
+
+def _kernel_spell(values, shortest: bool) -> list[str]:
+    """The texts of floats, _BLOCK at a time.  A _spell kernel spells the
+    cells it covers: "%.17g" with 1e-6 < |v| < 1e17 for CSV or, with
+    shortest, repr with 1e-6 < |v| < 1e16 for JSON.  One C-level % or one
+    flat list through the C encoder spells the rest (non-finite, tiny and
+    huge values) and blocks where the kernel would cover fewer than
+    _KERNEL_MIN cells."""
+    top, spell = (1e16, _dumps_spell) if shortest else (1e17, _percent_spell)
     texts = []
     for start in range(0, len(values), _BLOCK):
         x = np.asarray(values[start : start + _BLOCK], np.float64)
         mag = np.abs(x)
-        covered = (mag > 1e-6) & (mag < 1e17)
+        covered = (mag > 1e-6) & (mag < top)
         if np.count_nonzero(covered) < _KERNEL_MIN:
-            texts += _percent_spell(x.tolist())
+            texts += spell(x.tolist())
             continue
-        from ._spell import exact_texts  # compiled by the first block it spells
+        from . import _spell  # compiled by the first block it spells
 
-        spelled = exact_texts(np.where(covered, x, 1.0))
+        kernel = _spell.shortest_texts if shortest else _spell.exact_texts
+        spelled = kernel(np.where(covered, x, 1.0))
         rest = np.flatnonzero(~covered)
-        for i, text in zip(rest.tolist(), _percent_spell(x[rest].tolist())):
+        for i, text in zip(rest.tolist(), spell(x[rest].tolist())):
             spelled[i] = text
         texts += spelled
     return texts
-
-
-def _json_spell(values: list) -> list[str]:
-    # a flat list through the C encoder; no number, bool or None spells ", "
-    return json.dumps(values)[1:-1].split(", ")
 
 
 _BLOCK = 2048  # rows per joined block of text, and per spell of a plain column
@@ -179,9 +203,10 @@ def _cell_types(column) -> set:
 def _block_reader(column, spell):
     """``read(start, stop)``: the texts of the column's cells in those rows,
     one block at a time, as ``spell`` writes a list of cells (the CSV float
-    spell takes a numpy column's float64 slices as they are); a factored
-    column's values are spelled once and its cells gather their texts."""
-    cells = (lambda x: x) if spell is _csv_spell else np.ndarray.tolist
+    spell and the JSON spell take a numpy column's slices as they are); a
+    factored column's values are spelled once and its cells gather their
+    texts."""
+    cells = (lambda x: x) if spell in (_csv_spell, _json_spell) else np.ndarray.tolist
     if isinstance(column, _Factored):
         texts = np.array(spell(cells(column.values)), dtype=object)
         return lambda a, b: texts[column.index[a:b]].tolist()
@@ -230,9 +255,10 @@ def _json_chunks(config, table, summary):
     """The text of a JSON dataset, in pieces of at most _BLOCK records.
 
     json.dumps with an indent runs the pure-Python encoder, so each block of
-    a plain column goes through the C encoder as one flat list, and a
-    factored column's values go through it once.  Number, bool and None
-    cells read the same there, and ", " splits them: no cell is a string.
+    a plain column is spelled at once by _json_spell, and a factored
+    column's values once: float64 cells by the shortest-repr kernel, other
+    cells by the C encoder as one flat list.  Number, bool and None cells
+    read the same there, and ", " splits them: no cell is a string.
     """
     plain = [column for column in table.values() if not isinstance(column, _Factored)]
     cell_types = set().union(*map(_cell_types, plain))

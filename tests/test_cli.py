@@ -746,16 +746,20 @@ def test_a_value_may_start_with_a_dash(capsys):
 def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     # a fresh interpreter runs each command, as the scripts and the
     # benchmark do; none of them imports what it does not read, and blocks
-    # of fewer than _KERNEL_MIN floats leave the CSV kernel uncompiled
+    # of fewer than _KERNEL_MIN floats leave the CSV and JSON kernels
+    # uncompiled
     calls = [
         ["simulate", "--n", "3", "--t-max", "5", "--out", "s.csv"],
         ["isotherms", "--n", "5", "--grid", "3x3", "--out", "i.csv"],
         ["mixing-sweep", "--n", "5", "--epsilon", "1e-2", "--t-max", "2000", "--out", "m.csv"],
         ["markov", "--t-max", "5", "--out", "k.csv"],
+        ["simulate", "--n", "3", "--t-max", "5", "--format", "json", "--out", "s.json"],
+        ["isotherms", "--n", "5", "--grid", "3x3", "--format", "json", "--out", "i.json"],
+        ["markov", "--t-max", "5", "--format", "json", "--out", "k.json"],
     ]
     code = (
         "import sys\nfrom cyclewalk.cli import main\n"
-        f"assert [main(argv) for argv in {calls!r}] == [0, 0, 0, 0]\n"
+        f"assert [main(argv) for argv in {calls!r}] == [0] * {len(calls)}\n"
         "print(sorted({'argparse', 'gettext', 'locale', 'cyclewalk._oracle', 'cyclewalk._spell'}"
         " & set(sys.modules)))"
     )
@@ -763,7 +767,9 @@ def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                            capture_output=True, text=True)
     assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["i.csv", "k.csv", "m.csv", "s.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "i.csv", "i.json", "k.csv", "k.json", "m.csv", "s.csv", "s.json"
+    ]
 
 
 def test_walk_commands_never_load_the_fft(tmp_path):
@@ -1126,6 +1132,109 @@ def test_csv_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, cover
     monkeypatch.setattr(_spell, "exact_texts", lambda x: calls.append(len(x)) or exact_texts(x))
     values = [0.1 + i for i in range(covered)] + [0.0] * (size - covered)
     assert cli._csv_spell(values) == percent_texts(values)
+    assert len(calls) == kernel_calls
+    assert all(n <= cli._BLOCK for n in calls)
+
+
+def encoder_texts(values):
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def json_families():
+    """Values where an inexact shortest-repr kernel would go wrong, with both
+    signs, and the values around and outside its range 1e-6 < |v| < 1e16."""
+    rng = np.random.default_rng(31)
+    values = []
+    # one to three ulps either side of each power of ten, where e changes
+    # and where the 15- and 16-digit roundings carry into a new digit
+    for k in range(-7, 18):
+        for direction in (-math.inf, math.inf):
+            v = float(f"1e{k}")
+            for _ in range(4):
+                values.append(v)
+                v = math.nextafter(v, direction)
+    # powers of two, whose rounding interval is asymmetric
+    values += [2.0**q for q in range(-24, 56)]
+    # values whose shortest text has 1..17 digits, at every exponent
+    for digits in range(1, 18):
+        for e in range(-7, 17):
+            values += [float(f"{m}e{e - digits + 1}") for m in
+                       rng.integers(10 ** (digits - 1), 10**digits, 8).tolist()]
+    # 16- and 17-digit exact decimal ties: v * 10**(p - 1 - e) is an odd
+    # multiple of 1/2, with p digits
+    for p in (16, 17):
+        for e in range(-6, 16):
+            low = -(-2 * 10 ** (p - 1) // 5 ** (p - 1 - e))
+            high = min(2**53, 2 * 10**p // 5 ** (p - 1 - e))
+            if low < high:
+                odd = rng.integers(low, high, 40) | 1
+                values += np.ldexp(odd.astype(np.float64), e - p).tolist()
+    # integral values ('12.0') up to and past 2**53, and the switches of
+    # repr's form: the exponent below 1e-4 and from 1e16
+    values += [1.0, 12.0, 100.0, 1e15, float(2**53 - 1), float(2**53 + 2), 9007199254740993e3]
+    values += rng.integers(1, 2**53, 200).astype(np.float64).tolist()
+    values += [9.9999999999999991e-5, 1e-4, 1.0000000000000002e-4, 1e16 - 2, 1e16, 1e16 + 2,
+               0.1, 0.5, 2 / 3, 123.456, 1 + 2.0**-52]
+    # zeros, subnormals, huge and non-finite values: outside the range
+    values += [0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, math.inf, math.nan]
+    return values + [-v for v in values]
+
+
+def test_json_spell_matches_the_encoder_on_pinned_families():
+    # the kernel spells every value of its range, powers of two and ties too
+    values = json_families()
+    assert cli._json_spell(np.array(values)) == encoder_texts(values)
+    assert {2.0**q for q in range(-19, 54)} <= set(values)
+    assert len(values) > 5 * cli._BLOCK
+
+
+def test_shortest_kernel_matches_repr_on_random_bits():
+    # 10**5 random bit patterns of each sign with 1e-6 < |v| < 1e16
+    rng = np.random.default_rng(31)
+    exponent = rng.integers(1023 - 20, 1023 + 54, 120_000, dtype=np.int64)
+    bits = exponent << 52 | rng.integers(0, 2**52, exponent.size)
+    bits |= rng.integers(0, 2, exponent.size) << 63
+    values = bits.view(np.float64)
+    values = values[(np.abs(values) > 1e-6) & (np.abs(values) < 1e16)]
+    texts = []
+    for start in range(0, values.size, cli._BLOCK):
+        texts += _spell.shortest_texts(values[start : start + cli._BLOCK])
+    wrong = [(v, t) for v, t in zip(values.tolist(), texts) if t != repr(v)]
+    assert not wrong, wrong[:5]
+    assert values.size > 10**5
+
+
+# the JSON cells outside the kernel: the C encoder's spelling stays theirs
+JSON_OUTSIDE = [0.0, -0.0, 5e-324, -5e-324, 1e-6, -1e-6, 1e-7, 1e16, -1e16,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.floats() | st.sampled_from(JSON_OUTSIDE), min_size=1, max_size=40),
+    size=st.sampled_from([1, cli._KERNEL_MIN - 1, cli._KERNEL_MIN, cli._BLOCK, 2 * cli._BLOCK + 1]),
+)
+@example(cells=json_families()[: 2 * cli._BLOCK + 1], size=2 * cli._BLOCK + 1)
+@example(cells=json_families()[-2 * cli._BLOCK - 1 :], size=2 * cli._BLOCK + 1)
+def test_json_spell_matches_the_encoder(cells, size):
+    values = [cells[i % len(cells)] for i in range(size)]
+    assert cli._json_spell(np.array(values)) == encoder_texts(values)
+
+
+@pytest.mark.parametrize("size, covered, kernel_calls", [
+    (cli._KERNEL_MIN - 1, cli._KERNEL_MIN - 1, 0),  # below the break-even: the encoder alone
+    (cli._KERNEL_MIN, cli._KERNEL_MIN, 1),
+    (cli._BLOCK + cli._KERNEL_MIN, cli._BLOCK + cli._KERNEL_MIN, 2),  # one call per block
+    (cli._BLOCK, cli._KERNEL_MIN - 1, 0),  # the kernel would cover too few cells
+    (cli._BLOCK, cli._KERNEL_MIN, 1),
+])
+def test_json_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, covered, kernel_calls):
+    calls = []
+    shortest_texts = _spell.shortest_texts
+    monkeypatch.setattr(_spell, "shortest_texts",
+                        lambda x: calls.append(len(x)) or shortest_texts(x))
+    values = [0.1 + i for i in range(covered)] + [0.0] * (size - covered)
+    assert cli._json_spell(np.array(values)) == encoder_texts(values)
     assert len(calls) == kernel_calls
     assert all(n <= cli._BLOCK for n in calls)
 
