@@ -29,7 +29,8 @@ each mode's turn, formed from cos omega_k and sin omega_k in long double (a
 plain double costs accuracy, not correctness).  It stays accurate where the
 two-frequency coefficients are singular and keeps the trace exact.  The
 limit of its running average is summed in the fold (:func:`_folded_modes`),
-and a K/t bound on the distance to it comes from the same axes
+which takes starts on site 0 as one flat vector each, with no N-length
+array, and a K/t bound on the distance to it comes from the same axes
 (:func:`_axis_limit`), as does the isotherms' limit map
 (``thermo._limit_sums``).  The alpha/beta form (:func:`decompose`) is an
 oracle of the tests alone, imported from this module: no command reads it.
@@ -61,9 +62,14 @@ def fourier_coefficients(state: WalkState) -> tuple[np.ndarray, np.ndarray]:
     """
     n = state.n_sites
     root_n = np.sqrt(n)
-    if not (state.a[1:].any() or state.b[1:].any()):
+    if _on_site_0(state):
         return np.full(n, state.a[0]) / root_n, np.full(n, state.b[0]) / root_n
     return np.fft.fft(state.a) / root_n, np.fft.fft(state.b) / root_n
+
+
+def _on_site_0(state: WalkState) -> bool:
+    """Whether ``state`` has no amplitude off site 0."""
+    return not (state.a[1:].any() or state.b[1:].any())
 
 
 def inverse_fourier(
@@ -179,19 +185,32 @@ def _folded_modes(starts: WalkState | Sequence[WalkState], theta: float):
     u[:, 2i + 1]), the parts n_k (n_k . u) that the turns keep (all of u
     where cos omega_k = 0), the :func:`_mode_geometry` of the modes at
     ``theta``, and per start the limit r_inf (B, 3) of the running average
-    of r and the phasors w = u_perp - i n_k x u (B, 3, K) of r_x, r_y, r_z."""
+    of r and the phasors w = u_perp - i n_k x u (B, 3, K) of r_x, r_y, r_z.
+
+    When every start is on site 0, its modes are flat
+    (:func:`fourier_coefficients`), so each folded mode sums N/m equal Bloch
+    vectors: the fold takes one vector per start, times N/m, broadcast over
+    the modes, and returns the arrays, zero signs included, of the (B, N)
+    mode vectors it skips."""
     batch = [starts] if isinstance(starts, WalkState) else list(starts)
     if len({s.n_sites for s in batch}) != 1:
         raise ParameterError("coin_trajectory needs one or more starts on one cycle")
     n = batch[0].n_sites
-    # (B, N) mode vectors; per start, as the sums below, so that a start's
-    # row does not depend on the batch it is in
-    v_l, v_r = (np.array(v) for v in zip(*map(fourier_coefficients, batch)))
+    # (B, N) mode vectors, or the (B, 1) flat ones amp[0] / sqrt(N) when
+    # every start is on site 0; per start, as the sums below, so that a
+    # start's row does not depend on the batch it is in
+    flat, root_n = all(map(_on_site_0, batch)), np.sqrt(n)
+    modes = ((s.a[:1] / root_n, s.b[:1] / root_n) if flat else fourier_coefficients(s) for s in batch)
+    v_l, v_r = (np.array(v) for v in zip(*modes))
     cross = 2 * v_l * v_r.conj()
-    # fold mode k + N/2 onto k (even N), then pair k with m - k
+    # fold mode k + N/2 onto k (even N), then pair k with m - k; n // m flat
+    # vectors sum to n // m times theirs, exactly (+ 0.0: a sum starts at +0)
     m = n // 2 if n % 2 == 0 else n
     bloch = np.stack([cross.real, -cross.imag, _abs2(v_l) - _abs2(v_r)])
-    bloch = bloch.reshape(3, len(batch), -1, m).sum(axis=2)
+    if flat:
+        bloch = np.broadcast_to(bloch * (n // m) + 0.0, (3, len(batch), m))
+    else:
+        bloch = bloch.reshape(3, len(batch), -1, m).sum(axis=2)
     reps = np.arange(m // 2 + 1)
     partner = bloch[..., -reps % m] * np.array([1.0, -1.0, 1.0])[:, None, None]
     partner[..., reps == -reps % m] = 0.0

@@ -33,16 +33,21 @@ one a scan over all of [1, t_max] gives.  ``satisfied`` still means "not
 violated at t_max"; it is a proof of convergence only when t* <= t_max.
 
 The averages are running sums of the coin series that ``simulate`` reads,
-from :func:`cyclewalk.spectral.coin_trajectory`, folded once per scan with
-its start-free mode geometry (``spectral._mode_geometry``).  That series
-stops at ``MAX_STEPS`` (10^6) steps, so a scan that needs more,
-min(t*, t_max) - 1, raises :class:`ParameterError`.
+from :func:`cyclewalk.spectral.coin_trajectory`, folded with its
+start-free mode geometry (``spectral._mode_geometry``).  That series stops
+at ``MAX_STEPS`` (10^6) steps, so a scan that needs more, steps =
+min(t*, t_max) - 1, raises :class:`ParameterError`.  A walk from site 0
+reaches sites -t..t only (the light cone), so its series up to step t is
+the same on every cycle of 2t + 1 sites or more.  Past it, N > 2 steps + 2,
+the series comes from the same start folded on the cycle of 2 steps + 2
+sites, about steps/2 modes against N/4; the limit lambda+_inf, c, the
+envelope, the bands and t* stay the N-cycle's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -132,26 +137,30 @@ def _setup(params: WalkParams, epsilons: list[float], t_max: int):
         raise ParameterError(f"t_max must be >= 1, got {t_max}")
     folded = _folded_modes(localized_initial_state(params), params.theta)
     lam_inf, e0_beta_inf, c, envelope = _asymptotics(params, folded)
-    scan = partial(_last_violations, folded, t_max, envelope, lam_inf)
+    scan = partial(_last_violations, params, folded, t_max, envelope, lam_inf)
     return lam_inf, e0_beta_inf, c, scan
 
 
 def _last_violations(
-    folded, t_max: int, envelope, lam_inf: float, bands: list[tuple[float, float]]
+    params: WalkParams, folded, t_max: int, envelope, lam_inf: float, bands: list[tuple[float, float]]
 ) -> list[int]:
     """Last t in 1..t_max at which d(t) = lambda+(t) - lam_inf leaves each
     band [lo, hi], 0 where none does.
 
-    All bands share one series of the folded modes ``folded``, which stops
-    at the horizon t* of ``envelope`` when that comes before t_max: no band
-    can be left from t* on, so the result equals that of a scan over all of
-    1..t_max.
+    All bands share one series of the localized start of ``params``, which
+    stops at the horizon t* of ``envelope`` when that comes before t_max: no
+    band can be left from t* on, so the result equals that of a scan over
+    all of 1..t_max.  The series is that of the folded modes ``folded``, or
+    of the light-cone cycle when that is smaller (module docstring).
     """
     steps = min(t_max, _horizon(envelope, bands)) - 1
     if steps > MAX_STEPS:
         raise ParameterError(
             f"the scan needs {steps} steps (min(horizon, t_max) - 1); the ceiling is {MAX_STEPS}"
         )
+    if 1 <= steps and 2 * steps + 2 < params.n_sites:
+        cone = replace(params, n_sites=2 * steps + 2)
+        folded = _folded_modes(localized_initial_state(cone), params.theta)
     chi = running_chi(*(x[0] for x in _series(folded, steps)))
     dev = np.sqrt(chi, out=chi)  # in place: no second series-long array
     dev += 0.5

@@ -22,6 +22,7 @@ from cyclewalk._oracle import bloch_points, fold_odd_vs_double, light_cone_odd_v
 from cyclewalk.spectral import (
     _axis_limit,
     _folded_modes,
+    _mode_geometry,
     _turn_power,
     amplitudes_at,
     decompose,
@@ -32,6 +33,7 @@ from cyclewalk.thermo import asymptotic_density
 from cyclewalk.walk import coin
 
 from conftest import (
+    count_spectral_calls,
     direct_densities,
     long_double_densities,
     phase_base,
@@ -512,3 +514,73 @@ def test_odd_cycle_and_its_double_share_the_series(theta, t_max):
     for n in (3, 4, 12, 25):
         group = [WalkParams(n, theta, g, p) for g, p in bloch_points(rng, 5)]
         assert fold_odd_vs_double(group, t_max) < 1e-14
+
+
+def _n_length_fold(starts, theta):
+    """The fold of ``_folded_modes`` through N-length mode vectors, for any
+    starts: (modes (2, B, N), Bloch stack (3, B, N), its fold sum (3, B, m),
+    and the tuple ``_folded_modes`` returns)."""
+    n = starts[0].n_sites
+    v_l, v_r = (np.array(v) for v in zip(*map(fourier_coefficients, starts)))
+    cross = 2 * v_l * v_r.conj()
+    m = n // 2 if n % 2 == 0 else n
+    abs2 = [x.real**2 + x.imag**2 for x in (v_l, v_r)]
+    stack = np.stack([cross.real, -cross.imag, abs2[0] - abs2[1]])
+    bloch = stack.reshape(3, len(starts), -1, m).sum(axis=2)
+    reps = np.arange(m // 2 + 1)
+    partner = bloch[..., -reps % m] * np.array([1.0, -1.0, 1.0])[:, None, None]
+    partner[..., reps == -reps % m] = 0.0
+    u = np.stack([bloch[..., reps] + partner, bloch[..., reps] - partner], axis=2)
+    u = u.reshape(3, -1, reps.size)
+    geometry = axis, cos_omega, _ = _mode_geometry(n, reps, theta)
+    kept = np.where(cos_omega == 0.0, u, axis[:, None] * (axis[:, None] * u).sum(axis=0))
+    parts, columns = np.arange(3), 2 * np.arange(len(starts))[:, None] + [0, 1, 0]
+    phasor = (u - kept - 1j * np.cross(axis[:, None], u, axis=0))[parts, columns]
+    r_inf = np.array([kept[parts, column].sum(axis=-1) for column in columns])
+    return np.stack([v_l, v_r]), stack, bloch, (list(starts), u, kept, geometry, r_inf, phasor)
+
+
+def _same(x, y):
+    """Equal shapes and values, zero signs included."""
+    parts = [(f(x), f(y)) for f in (np.real, np.imag)]
+    return x.shape == y.shape and all(np.array_equal(a, b) for a, b in parts) and all(
+        np.array_equal(np.signbit(a), np.signbit(b)) for a, b in parts
+    )
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 0.3, math.pi / 4, math.pi / 2])
+def test_site_0_fold_is_the_n_length_fold(monkeypatch, theta):
+    # starts on site 0 fold their flat per-start vector, n // m times itself,
+    # broadcast over the folded modes; every array equals the one the
+    # N-length mode vectors give, zero signs included, alone and in a batch,
+    # and no start of theirs is transformed.  A start off site 0 takes the
+    # N-length route, so a batch that holds one does too
+    transforms = count_spectral_calls(monkeypatch, ["fourier_coefficients"])
+    for n in [*range(3, 41), 100, 101, 4096, 4097]:
+        delta = np.eye(1, n)[0]
+        angles = ((1.0, 2.0), (0.0, 0.0), (math.pi, 1.5))
+        starts = [localized_initial_state(WalkParams(n, theta, g, p)) for g, p in angles]
+        starts += [
+            WalkState(0 * delta, (0.6 - 0.8j) * delta),
+            WalkState(-0.6 * delta, 0.8j * delta),
+            WalkState(-0.0 * delta, -0.0 * delta),
+        ]
+        m = n // 2 if n % 2 == 0 else n
+        for batch in [*([s] for s in starts), starts]:
+            modes, stack, summed, want = _n_length_fold(batch, theta)
+            assert np.array_equal(modes, np.broadcast_to(modes[..., :1], modes.shape))
+            assert np.array_equal(stack, np.broadcast_to(stack[..., :1], stack.shape))
+            assert np.array_equal(summed, np.broadcast_to(stack[..., :1] * (n // m), summed.shape))
+            transforms["fourier_coefficients"] = 0
+            got = _folded_modes(batch, theta)
+            assert transforms["fourier_coefficients"] == 0
+            assert got[0] == want[0]
+            for g, w in zip([*got[1:3], *got[3], *got[4:]], [*want[1:3], *want[3], *want[4:]]):
+                assert _same(g, w)
+        mixed = [*starts[:2], random_state(np.random.default_rng(n), n)]
+        transforms["fourier_coefficients"] = 0
+        got = _folded_modes(mixed, theta)
+        assert transforms["fourier_coefficients"] == len(mixed)
+        want = _n_length_fold(mixed, theta)[3]
+        for g, w in zip([*got[1:3], *got[4:]], [*want[1:3], *want[4:]]):
+            assert _same(g, w)

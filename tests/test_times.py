@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from cyclewalk.thermo import (
     chi_reference,
     running_chi,
 )
-from cyclewalk.times import _asymptotics, _beta_band, _horizon, convergence_sweep
+from cyclewalk.times import (
+    _asymptotics,
+    _beta_band,
+    _horizon,
+    _therm_last,
+    convergence_sweep,
+)
 from cyclewalk.walk import MAX_STEPS, localized_initial_state
 
 from conftest import count_spectral_calls, decompose_localized
@@ -228,6 +235,98 @@ def test_convergence_sweep_matches_individual_scans(start, n):
         assert rec["tau_therm"] == thermalization_time(params, eps, t_max).tau
         scaled = thermalization_time(params, rec["c"] * eps, t_max).tau
         assert rec["tau_therm_scaled"] == scaled
+
+
+def _full_cycle_last_violations(params, epsilons, t_max):
+    """(last mixing violations, last beta violations or None, c) of a scan
+    over all of 1..t_max of the series on the n_sites-cycle itself: the
+    beta list holds epsilons, then c * epsilons."""
+    lam_inf, e0_beta_inf, c, _ = _asymptotics(params)
+    beta_eps = [*epsilons, *(c * e for e in epsilons)] if e0_beta_inf < math.inf else []
+    bands = [(-e, e) for e in epsilons] + [_beta_band(lam_inf, e0_beta_inf, e) for e in beta_eps]
+    series = coin_trajectory(localized_initial_state(params), params.theta, t_max - 1)
+    dev = np.sqrt(running_chi(*series)) + 0.5 - lam_inf
+    last = []
+    for lo, hi in bands:
+        outside = np.flatnonzero((dev < lo) | (dev > hi))
+        last.append(int(outside[-1]) + 1 if outside.size else 0)
+    beta = [_therm_last(t, e, e0_beta_inf) for t, e in zip(last[len(epsilons) :], beta_eps)]
+    return last[: len(epsilons)], beta or None, c
+
+
+# (n, theta, start, epsilons, t_max, sites of the scanned series): a scan
+# of s steps reads the series of the (2s + 2)-cycle when that is smaller
+# than n; each triple n = 2s + 1, 2s + 2, 2s + 3 straddles that boundary.
+# At theta = 0 with 4 | n one mode does not turn (on the 64-cycle too)
+LIGHT_CONE_CASES = [
+    (4096, math.pi / 4, "fig3", [1e-2, 1e-3], 2000, 1602),
+    (4096, math.pi / 4, "seed1", [1e-2, 1e-3], 2000, 1580),
+    (4096, math.pi / 4, "seed2", [1e-2, 1e-3], 2000, 1448),
+    (4096, math.pi / 4, "seed3", [1e-2, 1e-3], 2000, 1302),
+    (4097, math.pi / 4, "fig3", [1e-2, 1e-3], 2000, 1602),
+    (1601, math.pi / 4, "fig3", [1e-2, 1e-3], 2000, 1601),
+    (1602, math.pi / 4, "fig3", [1e-2, 1e-3], 2000, 1602),
+    (1603, math.pi / 4, "fig3", [1e-2, 1e-3], 2000, 1602),
+    (2081, 0.3, "fig3", [1e-2, 1e-3], 2000, 2081),
+    (2082, 0.3, "fig3", [1e-2, 1e-3], 2000, 2082),
+    (2083, 0.3, "fig3", [1e-2, 1e-3], 2000, 2082),
+    (1365, 1.2, "seed1", [1e-2, 1e-3], 2000, 1365),
+    (1366, 1.2, "seed1", [1e-2, 1e-3], 2000, 1366),
+    (1367, 1.2, "seed1", [1e-2, 1e-3], 2000, 1366),
+    (4096, 0.0, "fig3", [1e-2, 1e-3], 2000, 318),
+    (100, 0.0, "fig3", [1e-2], 2000, 64),
+    # t_max cuts the scan before its horizon, and 1e-3 is still violated
+    (4096, math.pi / 4, "fig3", [1e-3], 100, 200),
+]
+
+
+@pytest.mark.parametrize("n, theta, start, epsilons, t_max, sites", LIGHT_CONE_CASES)
+def test_light_cone_scan_is_the_full_cycle_scan(
+    monkeypatch, n, theta, start, epsilons, t_max, sites
+):
+    # the series of a start on site 0 reaches sites -t..t only, so up to
+    # step s every cycle of 2s + 1 sites or more has the same one; the
+    # limit, c and the bands stay the n-cycle's
+    scanned = []
+    series = cyclewalk.times._series
+
+    def recording(folded, steps):
+        scanned.append(folded[0][0].n_sites)
+        return series(folded, steps)
+
+    monkeypatch.setattr(cyclewalk.times, "_series", recording)
+    params = WalkParams(n, theta, *SEED_STARTS[start])
+    mix, beta, c = _full_cycle_last_violations(params, epsilons, t_max)
+    recs = convergence_sweep(params, epsilons, t_max)
+    assert scanned == [sites]
+    for i, (e, rec) in enumerate(zip(epsilons, recs)):
+        therm, scaled = (beta[i], beta[len(epsilons) + i]) if beta else (t_max, t_max)
+        taus = (therm + 1, scaled + 1) if beta else (None, None)
+        assert (rec["tau_mix"], rec["tau_therm"], rec["tau_therm_scaled"]) == (mix[i] + 1, *taus)
+        assert rec["satisfied"] == (beta is not None and max(mix[i], therm) < t_max)
+        assert rec["c"] == c
+        reports = [mixing_time(params, e, t_max), thermalization_time(params, e, t_max)]
+        for report, last in zip(reports, (mix[i], therm)):
+            assert (report.tau, report.last_violation) == (last + 1, last)
+            assert (report.satisfied, report.c_constant) == (last < t_max, c)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_large_n_plateau_pins(n):
+    # the Fig. 3 times stop depending on N: at 1e-2 and 1e-3, N = 10^5 and
+    # 10^6 read the N = 4096 pins.  The series runs on the light-cone cycle
+    # of 15,984 sites (7991 steps), and only the limit and envelope read the
+    # ~N/4 folded modes; at N = 10^6 the traced peak was 191 MiB with the
+    # series on the N-cycle and is 134 MiB now: 150 MiB leaves 16 MiB
+    tracemalloc.start()
+    try:
+        recs = convergence_sweep(WalkParams(n, **FIG3_PARAMS), [1e-2, 1e-3, 1e-4], 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = [(r["tau_mix"], r["tau_therm"], r["tau_therm_scaled"], r["satisfied"]) for r in recs]
+    assert rows == [(14, 42, 14, True), (138, 378, 138, True), (1290, 3638, 1290, True)]
+    assert peak < 150 * 2**20
 
 
 def test_no_decomposition_per_sweep(monkeypatch):
