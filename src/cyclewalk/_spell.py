@@ -5,9 +5,10 @@ byte as ``"%.17g" % v`` does, and ``shortest_texts(x)`` each with
 1e-6 < |v| < 1e16 as ``repr(v)``, and so ``json.dumps``, does: the shortest
 decimal that reads back as v (Steele & White; Gay, 1990).  Both work a block
 at a time, in a few vector passes.  ``cli._csv_spell`` and ``cli._json_spell``
-read them for blocks where they cover enough cells and spell every other
-value with ``%`` or the C encoder; they import this module only then, so
-commands that write no such block never compile it.
+read them, and ``cli._run_cells`` their words (``_cells``), for blocks where
+they cover enough cells and spell every other value with ``%`` or the C
+encoder; they import this module only then, so commands that write no such
+block never compile it.
 """
 
 from __future__ import annotations

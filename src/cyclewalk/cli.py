@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,10 +142,13 @@ def _dumps_spell(values: list) -> list[str]:
 
 
 # the cell count below which a kernel's fixed cost outweighs what it saves,
-# fitted on 64..2048 cells: 65 us against 0.32 us saved per cell over % for
-# "%.17g" (break-even 211), 85 us against 0.40 us saved over the C encoder
-# for repr (212); one count serves both
-_KERNEL_MIN = 240
+# fitted on 64..2048 floats of a run's column (_run_cells), whose cells stay
+# words: 50 us against 0.48 us saved per cell over % for "%.17g" (break-even
+# 104..111), 60 us against 0.56 us saved over the C encoder for repr
+# (106..118).  One count serves both, a run's int columns (break-even about
+# 400) and the per-cell texts of factored columns (about 195): between the
+# break-evens these lose at most 35 us per block
+_KERNEL_MIN = 110
 
 
 def _csv_spell(values: list[float] | np.ndarray) -> list[str]:
@@ -215,11 +219,101 @@ def _block_reader(column, spell):
     return lambda a, b: spell(list(column[a:b]))
 
 
+def _numeric(column) -> bool:
+    """Whether a column joins a run (_run_reader): a float64 or integer numpy
+    array, or a range (markov's t)."""
+    if isinstance(column, np.ndarray):
+        return column.dtype == np.float64 or column.dtype.kind in "iu"
+    return isinstance(column, range)
+
+
+def _run_cells(x: np.ndarray, shortest: bool, end: int) -> np.ndarray:
+    """The texts of a block of a float64 or integer column as (7, len(x))
+    words in the layout of _spell._cells, each ending in the byte ``end`` at
+    byte 52.  The kernel spells the cells it covers, as in _kernel_spell,
+    and integers with 0 < |v| <= 2**53 as "%.17g" spells their float, which
+    is their str; every other cell (and every cell of a block where the
+    kernel would cover fewer than _KERNEL_MIN) gets the text of % or of the
+    C encoder in its own words, NUL-padded: none is longer than 24 bytes."""
+    ints = x.dtype.kind != "f"
+    if ints:
+        covered = (x != 0) & (x >= -(2**53)) & (x <= 2**53)
+    else:
+        mag = np.abs(x)
+        covered = (mag > 1e-6) & (mag < (1e16 if shortest else 1e17))
+    if np.count_nonzero(covered) < _KERNEL_MIN:
+        covered[:] = False
+        cells = np.zeros((7, x.size), np.int64)
+    else:
+        from . import _spell  # compiled by the first block it spells
+
+        cells = _spell._cells(np.where(covered, x, 1.0), shortest and not ints)
+    rest = np.flatnonzero(~covered)
+    if rest.size:
+        spell = _dumps_spell if shortest or ints else _percent_spell
+        texts = np.array(spell(x[rest].tolist()), "S56")
+        cells[:, rest] = texts.view(np.int64).reshape(-1, 7).T
+    cells[6].view(np.uint8)[4::8] = end
+    return cells
+
+
+_ROW_END = "\x01"  # ends a run's row: no cell or separator holds it
+
+
+def _run_reader(columns, seps, shortest: bool):
+    """``read(start, stop)``: one text per row of a run of adjacent numeric
+    columns (_numeric), with ``seps[i]`` after the cell of column i, but the
+    last.  Per block, each column's cells (_run_cells) end in the first byte
+    of the separator that follows them, and its other bytes go in as
+    constant words; the last column's cells end in _ROW_END.  The words
+    that hold text are laid side by side row by row, and one translate
+    drops their NULs."""
+    ends, tails = [], []
+    for sep in [*seps, _ROW_END]:
+        tail = sep[1:].encode()
+        ends.append(ord(sep[0]))
+        tails.append(np.frombuffer(tail + b"\0" * (-len(tail) % 8), np.int64))
+
+    def read(start, stop):
+        words = []
+        for column, end, tail in zip(columns, ends, tails):
+            x = column[start:stop]
+            if isinstance(x, range):
+                x = np.arange(x.start, x.stop, x.step)
+            words += [w for w in _run_cells(x, shortest, end) if w.any()]
+            words += [np.broadcast_to(w, x.size) for w in tail]
+        text = np.array(words).T.tobytes().translate(None, b"\0").decode("ascii")
+        return text.split(_ROW_END)[:-1]
+
+    return read
+
+
+def _readers(columns, seps, shortest: bool, spell_of):
+    """The readers of _joined_blocks and the separators after them: each run
+    of adjacent numeric columns is one _run_reader, with the separators
+    inside it, and any other column a _block_reader through spell_of(column)."""
+    # below _KERNEL_MIN rows no block reaches the kernel, and per-column
+    # texts cost less than the words
+    def runs(pair):
+        return _numeric(pair[0]) and len(pair[0]) >= _KERNEL_MIN
+
+    readers, after = [], []
+    for numeric, group in groupby(zip(columns, seps), runs):
+        group_columns, group_seps = zip(*group)
+        if numeric:
+            readers.append(_run_reader(group_columns, group_seps[:-1], shortest))
+            after.append(group_seps[-1])
+        else:
+            readers += [_block_reader(column, spell_of(column)) for column in group_columns]
+            after += group_seps
+    return readers, after
+
+
 def _joined_blocks(readers, n_rows, seps, end):
     """The rows as text, _BLOCK rows per string: ``readers[i](start, stop)``
-    gives column i's texts for those rows, ``seps[i]`` follows column i's
-    cell and ``end`` follows the last cell.  One join per block over a list
-    whose strided slices hold the columns."""
+    gives the texts of column i, or of run i of columns, for those rows,
+    ``seps[i]`` follows each of them and ``end`` follows the last.  One join
+    per block over a list whose strided slices hold the readers' texts."""
     k = len(seps)
     pattern = [x for sep in seps for x in (None, sep)]
     for start in range(0, n_rows, _BLOCK):
@@ -234,31 +328,36 @@ def _joined_blocks(readers, n_rows, seps, end):
 
 def _csv_lines(config, table, summary):
     """The text of a CSV dataset: header lines, then the rows, joined
-    _BLOCK at a time from each column's texts."""
+    _BLOCK at a time from each run's row texts and each other column's
+    texts (_readers)."""
     yield f"# cyclewalk {__version__}\n"
     yield "# config: " + json.dumps(_echo(config), sort_keys=True) + "\n"
     for key, value in (summary or {}).items():
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(table) + "\n"
     columns = list(table.values())
-    readers = []
-    for column in columns:
-        # the cells are spelled as _fmt spells them: floats through one
-        # C-level %, ints by str; a factored column's values are floats
+
+    def spell_of(column):
+        # outside a run, the cells are spelled as _fmt spells them: floats by
+        # "%.17g", ints by str; a factored column's values are floats
         kinds = {float} if isinstance(column, _Factored) else _cell_types(column)
-        spell = _csv_spell if kinds <= {float} else partial(map, str if kinds <= {int} else _fmt)
-        readers.append(_block_reader(column, spell))
-    yield from _joined_blocks(readers, len(columns[0]), [","] * (len(columns) - 1) + ["\n"], "\n")
+        return _csv_spell if kinds <= {float} else partial(map, str if kinds <= {int} else _fmt)
+
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    readers, seps = _readers(columns, seps, False, spell_of)
+    yield from _joined_blocks(readers, len(columns[0]), seps, "\n")
 
 
 def _json_chunks(config, table, summary):
     """The text of a JSON dataset, in pieces of at most _BLOCK records.
 
     json.dumps with an indent runs the pure-Python encoder, so each block of
-    a plain column is spelled at once by _json_spell, and a factored
-    column's values once: float64 cells by the shortest-repr kernel, other
-    cells by the C encoder as one flat list.  Number, bool and None cells
-    read the same there, and ", " splits them: no cell is a string.
+    a run of numeric columns is spelled at once, keys included, as row texts
+    (_readers), each block of another plain column by _json_spell, and a
+    factored column's values once: float64 cells by the shortest-repr
+    kernel, other cells by the C encoder as one flat list.  Number, bool and
+    None cells read the same there, and ", " splits them: no cell is a
+    string.
     """
     plain = [column for column in table.values() if not isinstance(column, _Factored)]
     cell_types = set().union(*map(_cell_types, plain))
@@ -275,9 +374,8 @@ def _json_chunks(config, table, summary):
     # a record's first key follows the previous record's closing brace
     seps = [f",\n      {k}: " for k in keys[1:]] + ["\n    },\n    {\n      " + keys[0] + ": "]
     yield head + (f"[\n    {{\n      {keys[0]}: " if n_rows else "[]")
-    yield from _joined_blocks(
-        [_block_reader(table[k], _json_spell) for k in names], n_rows, seps, "\n    }"
-    )
+    readers, seps = _readers([table[k] for k in names], seps, True, lambda column: _json_spell)
+    yield from _joined_blocks(readers, n_rows, seps, "\n    }")
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 
 

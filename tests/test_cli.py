@@ -944,10 +944,35 @@ def tables(draw):
 
 
 def materialized(table):
-    """The table with each factored column as the plain list of its cells."""
+    """The table with each factored column, numpy column and range as the
+    plain list of its cells."""
+    def cells(column):
+        if isinstance(column, cli._Factored):
+            return column.values[column.index].tolist()
+        return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+    return {key: cells(column) for key, column in table.items()}
+
+
+def run_table(rows):
+    """simulate's shape: runs of adjacent numpy columns and a range, beside
+    a factored column.  p_left's first and last row of each block take the
+    fallback; in each block, few's kernel would cover _KERNEL_MIN - 1 cells
+    and enough's _KERNEL_MIN; n holds ints the kernel must not spell (0,
+    2**53 + 1, -2**63) and ints it must (+-2**53); im_q is all zeros."""
+    t = np.arange(rows)
+    at = t % cli._BLOCK  # the row's place in its block
+    edge = (at == 0) | (at == cli._BLOCK - 1) | (t == rows - 1)
+    fallback = np.array([math.nan, 1e-7, 1e17, -math.inf])[t % 4]
+    ints = np.array([0, 2**53 + 1, -(2**63), 2**53, -(2**53)])[t // 5 % 5]
     return {
-        key: column.values[column.index].tolist() if isinstance(column, cli._Factored) else column
-        for key, column in table.items()
+        "t": range(rows),
+        "n": np.where(t % 5 == 0, ints, t * 3 - 7),
+        "p_left": np.where(edge, fallback, np.sin(t * 0.7) * 10.0 ** (t % 23 - 5)),
+        "chi": cli._factored(np.cos(t % 7)),
+        "few": np.where(at < cli._KERNEL_MIN - 1, 0.25 + t, 0.0),
+        "enough": np.where(at < cli._KERNEL_MIN, 0.25 + t, -0.0),
+        "im_q": np.where(t % 3 == 0, -0.0, 0.0),
     }
 
 
@@ -988,6 +1013,15 @@ MARKOV_SHAPE = {
          fmt="csv", summary=None)
 @example(table={**MARKOV_SHAPE, "t": [(2**64 + 1, -(2**70), 0)[t % 3] for t in MARKOV_SHAPE["t"]]},
          fmt="json", summary=None)
+# runs of numpy columns around a block's edges
+@example(table=run_table(cli._BLOCK - 1), fmt="csv", summary=None)
+@example(table=run_table(cli._BLOCK - 1), fmt="json", summary=None)
+@example(table=run_table(cli._BLOCK), fmt="csv", summary=None)
+@example(table=run_table(cli._BLOCK), fmt="json", summary=None)
+@example(table=run_table(cli._BLOCK + 1), fmt="csv", summary=None)
+@example(table=run_table(cli._BLOCK + 1), fmt="json", summary=None)
+@example(table=run_table(2 * cli._BLOCK + 1), fmt="csv", summary=None)
+@example(table=run_table(2 * cli._BLOCK + 1), fmt="json", summary=None)
 def test_writer_matches_the_per_cell_writer(table, fmt, summary):
     config = SimpleNamespace(command="markov", t_max=3, epsilon=[1e-4], format=fmt, out=None)
     # line by line: pytest's diff of two long unequal texts takes minutes
@@ -1009,6 +1043,11 @@ def test_writer_matches_the_per_cell_writer(table, fmt, summary):
 # the % remainder, and whose last row is a block of one cell
 @example(cells=[0.25, 1e-7, -3.75e-3, 1e17, -0.0, 123.456, math.nan, -math.inf, 5e-324, 1e16 - 2],
          rows=cli._BLOCK + 1, fmt="csv", float_column=True)
+# a run's float column of zeros only, over three blocks
+@example(cells=[0.0, -0.0], rows=2 * cli._BLOCK + 1, fmt="csv", float_column=True)
+@example(cells=[0.0, -0.0], rows=2 * cli._BLOCK + 1, fmt="json", float_column=True)
+@example(cells=[0.25, 1e-7, -3.75e-3, 1e16, 123.456, math.nan], rows=2 * cli._BLOCK + 1,
+         fmt="json", float_column=True)
 def test_numpy_and_range_columns_read_as_lists(cells, rows, fmt, float_column):
     # simulate hands the writer numpy columns and markov a range of t: the
     # cell types come from the dtype, and the text is that of the same lists
@@ -1017,10 +1056,42 @@ def test_numpy_and_range_columns_read_as_lists(cells, rows, fmt, float_column):
     table = {"t": range(rows), "n": np.arange(rows) * 3 - 7, "chi": cli._factored(floats)}
     if float_column:
         table["p_left"] = floats
-    plain = {k: list(c) if isinstance(c, range) else c.tolist() for k, c in table.items()
-             if not isinstance(c, cli._Factored)}
-    expected = reference_dataset(config, materialized({**table, **plain}), None)
+    expected = reference_dataset(config, materialized(table), None)
     assert written(config, table, None) == expected
+
+
+def test_plain_columns_reach_the_assembler_as_one_run(monkeypatch):
+    # simulate's eight numpy columns are one reader of row texts, and each
+    # block spells each column with one kernel call; the block of one row
+    # takes no kernel call
+    rows = 2 * cli._BLOCK + 1
+    t = np.arange(rows)
+    table = {"t": t} | {f"x{i}": np.sin(t + i) + 1.5 for i in range(7)}
+    reads, kernel_calls = [], []
+
+    def counted(read):
+        def wrapped(start, stop):
+            texts = read(start, stop)
+            reads.append((start, stop, len(texts)))
+            return texts
+        return wrapped
+
+    joined = cli._joined_blocks
+    monkeypatch.setattr(cli, "_joined_blocks", lambda readers, *args: joined(
+        [counted(read) for read in readers], *args))
+    cells = _spell._cells
+    monkeypatch.setattr(_spell, "_cells", lambda x, shortest=False: (
+        kernel_calls.append((len(x), shortest)) or cells(x, shortest)))
+    for fmt in ("csv", "json"):
+        reads.clear()
+        kernel_calls.clear()
+        config = SimpleNamespace(command="simulate", t_max=3, format=fmt, out=None)
+        assert written(config, table, None) == reference_dataset(config, materialized(table), None)
+        blocks = [(0, cli._BLOCK), (cli._BLOCK, 2 * cli._BLOCK), (2 * cli._BLOCK, rows)]
+        assert reads == [(start, stop, stop - start) for start, stop in blocks]
+        # per full block: the ints of t in the "%.17g" form, the floats in
+        # the format's (t sorts first in JSON too)
+        assert kernel_calls == ([(cli._BLOCK, False)] + [(cli._BLOCK, fmt == "json")] * 7) * 2
 
 
 @pytest.mark.parametrize("argv", [
