@@ -141,14 +141,17 @@ def _dumps_spell(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-# the cell count below which a kernel's fixed cost outweighs what it saves,
-# fitted on 64..2048 floats of a run's column (_run_cells), whose cells stay
-# words: 50 us against 0.48 us saved per cell over % for "%.17g" (break-even
-# 104..111), 60 us against 0.56 us saved over the C encoder for repr
-# (106..118).  One count serves both, a run's int columns (break-even about
-# 400) and the per-cell texts of factored columns (about 195): between the
-# break-evens these lose at most 35 us per block
-_KERNEL_MIN = 110
+# the cell counts below which a kernel's fixed cost outweighs what it saves.
+# Per-cell texts (_kernel_spell: lists, factored columns), fitted on 64..2048
+# cells: 65 us against 0.32 us saved per cell over % for "%.17g" (break-even
+# 211), 85 us against 0.40 us saved over the C encoder for repr (212); a
+# later refit read 192..198 (one round 276), within the spread, so the count
+# stays.  A run's column (_run_cells), whose cells stay words: 50 us against
+# 0.48 us saved per cell over % (break-even 104..111), 60 us against 0.56 us
+# over the C encoder (106..118); a run's int columns break even at about 400,
+# and lose at most 35 us per block between the two
+_KERNEL_MIN = 240
+_RUN_MIN = 110
 
 
 def _csv_spell(values: list[float] | np.ndarray) -> list[str]:
@@ -233,7 +236,7 @@ def _run_cells(x: np.ndarray, shortest: bool, end: int) -> np.ndarray:
     byte 52.  The kernel spells the cells it covers, as in _kernel_spell,
     and integers with 0 < |v| <= 2**53 as "%.17g" spells their float, which
     is their str; every other cell (and every cell of a block where the
-    kernel would cover fewer than _KERNEL_MIN) gets the text of % or of the
+    kernel would cover fewer than _RUN_MIN) gets the text of % or of the
     C encoder in its own words, NUL-padded: none is longer than 24 bytes."""
     ints = x.dtype.kind != "f"
     if ints:
@@ -241,7 +244,7 @@ def _run_cells(x: np.ndarray, shortest: bool, end: int) -> np.ndarray:
     else:
         mag = np.abs(x)
         covered = (mag > 1e-6) & (mag < (1e16 if shortest else 1e17))
-    if np.count_nonzero(covered) < _KERNEL_MIN:
+    if np.count_nonzero(covered) < _RUN_MIN:
         covered[:] = False
         cells = np.zeros((7, x.size), np.int64)
     else:
@@ -292,10 +295,10 @@ def _readers(columns, seps, shortest: bool, spell_of):
     """The readers of _joined_blocks and the separators after them: each run
     of adjacent numeric columns is one _run_reader, with the separators
     inside it, and any other column a _block_reader through spell_of(column)."""
-    # below _KERNEL_MIN rows no block reaches the kernel, and per-column
+    # below _RUN_MIN rows no block reaches the kernel, and per-column
     # texts cost less than the words
     def runs(pair):
-        return _numeric(pair[0]) and len(pair[0]) >= _KERNEL_MIN
+        return _numeric(pair[0]) and len(pair[0]) >= _RUN_MIN
 
     readers, after = [], []
     for numeric, group in groupby(zip(columns, seps), runs):

@@ -746,7 +746,7 @@ def test_a_value_may_start_with_a_dash(capsys):
 def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     # a fresh interpreter runs each command, as the scripts and the
     # benchmark do; none of them imports what it does not read, and blocks
-    # of fewer than _KERNEL_MIN floats leave the CSV and JSON kernels
+    # of fewer than _RUN_MIN floats leave the CSV and JSON kernels
     # uncompiled
     calls = [
         ["simulate", "--n", "3", "--t-max", "5", "--out", "s.csv"],
@@ -957,8 +957,8 @@ def materialized(table):
 def run_table(rows):
     """simulate's shape: runs of adjacent numpy columns and a range, beside
     a factored column.  p_left's first and last row of each block take the
-    fallback; in each block, few's kernel would cover _KERNEL_MIN - 1 cells
-    and enough's _KERNEL_MIN; n holds ints the kernel must not spell (0,
+    fallback; in each block, few's kernel would cover _RUN_MIN - 1 cells
+    and enough's _RUN_MIN; n holds ints the kernel must not spell (0,
     2**53 + 1, -2**63) and ints it must (+-2**53); im_q is all zeros."""
     t = np.arange(rows)
     at = t % cli._BLOCK  # the row's place in its block
@@ -970,8 +970,8 @@ def run_table(rows):
         "n": np.where(t % 5 == 0, ints, t * 3 - 7),
         "p_left": np.where(edge, fallback, np.sin(t * 0.7) * 10.0 ** (t % 23 - 5)),
         "chi": cli._factored(np.cos(t % 7)),
-        "few": np.where(at < cli._KERNEL_MIN - 1, 0.25 + t, 0.0),
-        "enough": np.where(at < cli._KERNEL_MIN, 0.25 + t, -0.0),
+        "few": np.where(at < cli._RUN_MIN - 1, 0.25 + t, 0.0),
+        "enough": np.where(at < cli._RUN_MIN, 0.25 + t, -0.0),
         "im_q": np.where(t % 3 == 0, -0.0, 0.0),
     }
 
