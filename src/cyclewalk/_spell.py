@@ -1,14 +1,14 @@
-"""The exact float kernels of the CSV and JSON writers.
+"""The exact float kernel of the CSV and JSON writers.
 
-``exact_texts(x)`` spells each float64 of x with 1e-6 < |v| < 1e17 byte for
-byte as ``"%.17g" % v`` does, and ``shortest_texts(x)`` each with
+``_cells(x)`` spells each float64 of x with 1e-6 < |v| < 1e17 byte for byte
+as ``"%.17g" % v`` does, and ``_cells(x, shortest=True)`` each with
 1e-6 < |v| < 1e16 as ``repr(v)``, and so ``json.dumps``, does: the shortest
-decimal that reads back as v (Steele & White; Gay, 1990).  Both work a block
-at a time, in a few vector passes.  ``cli._csv_spell`` and ``cli._json_spell``
-read them, and ``cli._run_cells`` their words (``_cells``), for blocks where
-they cover enough cells and spell every other value with ``%`` or the C
-encoder; they import this module only then, so commands that write no such
-block never compile it.
+decimal that reads back as v (Steele & White; Gay, 1990).  It works a block
+at a time, in a few vector passes, and gives each text as seven 8-byte words.
+``cli._run_cells`` reads them for blocks where the kernel covers enough
+cells and spells every other value with ``%`` or the C encoder; it imports
+this module only then, so commands that write no such block never compile
+it.
 """
 
 from __future__ import annotations
@@ -63,25 +63,6 @@ def _tables(shortest: bool):
     high -= high - powers
     tens = np.array([float(f"1e{j}") for j in range(-6, 18)])
     return layout, np.stack([powers, high, powers - high]), tens
-
-
-def exact_texts(x: np.ndarray) -> list[str]:
-    """The "%.17g" texts of x, each with 1e-6 < |v| < 1e17 (_cells)."""
-    return _texts(_cells(x))
-
-
-def shortest_texts(x: np.ndarray) -> list[str]:
-    """The repr texts of x, each with 1e-6 < |v| < 1e16 (_cells)."""
-    return _texts(_cells(x, shortest=True))
-
-
-def _texts(cells: np.ndarray) -> list[str]:
-    # one bytes.translate drops the cells' unused bytes, after the words no
-    # cell of the block uses (the integer slot of values below 1, say); "\n"
-    # ends each text
-    used = np.flatnonzero(np.count_nonzero(cells, axis=1))
-    text = cells.take(used, axis=0).T.tobytes().translate(None, b"\0").decode("ascii")
-    return text.split("\n")[:-1]
 
 
 def _cells(x: np.ndarray, shortest: bool = False) -> np.ndarray:

@@ -141,62 +141,15 @@ def _dumps_spell(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-# the cell counts below which a kernel's fixed cost outweighs what it saves.
-# Per-cell texts (_kernel_spell: lists, factored columns), fitted on 64..2048
-# cells: 65 us against 0.32 us saved per cell over % for "%.17g" (break-even
-# 211), 85 us against 0.40 us saved over the C encoder for repr (212); a
-# later refit read 192..198 (one round 276), within the spread, so the count
-# stays.  A run's column (_run_cells), whose cells stay words: 50 us against
-# 0.48 us saved per cell over % (break-even 104..111), 60 us against 0.56 us
-# over the C encoder (106..118); a run's int columns break even at about 400,
-# and lose at most 35 us per block between the two
-_KERNEL_MIN = 240
+# the cells of a column block below which the kernel's fixed cost outweighs
+# what it saves (_run_cells): 50 us against 0.48 us saved per cell over %
+# (break-even 104..111), 60 us against 0.56 us over the C encoder
+# (106..118); a run's int columns break even at about 400, and lose at most
+# 35 us per block between the two
 _RUN_MIN = 110
 
 
-def _csv_spell(values: list[float] | np.ndarray) -> list[str]:
-    """The "%.17g" text of each value of a list or float64 array
-    (_kernel_spell)."""
-    return _kernel_spell(values, shortest=False)
-
-
-def _json_spell(values: list | np.ndarray) -> list[str]:
-    """The JSON text of each cell of a list or numpy array: a float64
-    array's cells as repr spells them (_kernel_spell), any other cells
-    (ints, bools, None) through the C encoder as one flat list."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        return _kernel_spell(values, shortest=True)
-    return _dumps_spell(values.tolist() if isinstance(values, np.ndarray) else values)
-
-
-def _kernel_spell(values, shortest: bool) -> list[str]:
-    """The texts of floats, _BLOCK at a time.  A _spell kernel spells the
-    cells it covers: "%.17g" with 1e-6 < |v| < 1e17 for CSV or, with
-    shortest, repr with 1e-6 < |v| < 1e16 for JSON.  One C-level % or one
-    flat list through the C encoder spells the rest (non-finite, tiny and
-    huge values) and blocks where the kernel would cover fewer than
-    _KERNEL_MIN cells."""
-    top, spell = (1e16, _dumps_spell) if shortest else (1e17, _percent_spell)
-    texts = []
-    for start in range(0, len(values), _BLOCK):
-        x = np.asarray(values[start : start + _BLOCK], np.float64)
-        mag = np.abs(x)
-        covered = (mag > 1e-6) & (mag < top)
-        if np.count_nonzero(covered) < _KERNEL_MIN:
-            texts += spell(x.tolist())
-            continue
-        from . import _spell  # compiled by the first block it spells
-
-        kernel = _spell.shortest_texts if shortest else _spell.exact_texts
-        spelled = kernel(np.where(covered, x, 1.0))
-        rest = np.flatnonzero(~covered)
-        for i, text in zip(rest.tolist(), spell(x[rest].tolist())):
-            spelled[i] = text
-        texts += spelled
-    return texts
-
-
-_BLOCK = 2048  # rows per joined block of text, and per spell of a plain column
+_BLOCK = 2048  # rows per joined block of text, and cells per spell of a column block
 
 
 def _cell_types(column) -> set:
@@ -207,18 +160,23 @@ def _cell_types(column) -> set:
     return {int} if isinstance(column, range) else set(map(type, column))
 
 
-def _block_reader(column, spell):
+def _block_reader(column, spell, shortest: bool):
     """``read(start, stop)``: the texts of the column's cells in those rows,
-    one block at a time, as ``spell`` writes a list of cells (the CSV float
-    spell and the JSON spell take a numpy column's slices as they are); a
-    factored column's values are spelled once and its cells gather their
-    texts."""
-    cells = (lambda x: x) if spell in (_csv_spell, _json_spell) else np.ndarray.tolist
+    one block at a time, as ``spell`` writes a list of cells.  A factored
+    column's values are spelled once, as _readers spells a one-column table
+    of them, and its cells gather their texts."""
     if isinstance(column, _Factored):
-        texts = np.array(spell(cells(column.values)), dtype=object)
+        values = column.values
+        if len(values) < _RUN_MIN:
+            texts = spell(values.tolist())
+        else:
+            read, texts = _run_reader([values], [], shortest), []
+            for start in range(0, len(values), _BLOCK):
+                texts += read(start, start + _BLOCK)
+        texts = np.array(texts, dtype=object)
         return lambda a, b: texts[column.index[a:b]].tolist()
     if isinstance(column, np.ndarray):
-        return lambda a, b: spell(cells(column[a:b]))
+        return lambda a, b: spell(column[a:b].tolist())
     return lambda a, b: spell(list(column[a:b]))
 
 
@@ -233,11 +191,12 @@ def _numeric(column) -> bool:
 def _run_cells(x: np.ndarray, shortest: bool, end: int) -> np.ndarray:
     """The texts of a block of a float64 or integer column as (7, len(x))
     words in the layout of _spell._cells, each ending in the byte ``end`` at
-    byte 52.  The kernel spells the cells it covers, as in _kernel_spell,
-    and integers with 0 < |v| <= 2**53 as "%.17g" spells their float, which
-    is their str; every other cell (and every cell of a block where the
-    kernel would cover fewer than _RUN_MIN) gets the text of % or of the
-    C encoder in its own words, NUL-padded: none is longer than 24 bytes."""
+    byte 52.  The kernel spells the floats it covers, "%.17g" with
+    1e-6 < |v| < 1e17 or, with shortest, repr with 1e-6 < |v| < 1e16, and
+    integers with 0 < |v| <= 2**53 as "%.17g" spells their float, which is
+    their str; every other cell (and every cell of a block where the kernel
+    would cover fewer than _RUN_MIN) gets the text of % or of the C encoder
+    in its own words, NUL-padded: none is longer than 24 bytes."""
     ints = x.dtype.kind != "f"
     if ints:
         covered = (x != 0) & (x >= -(2**53)) & (x <= 2**53)
@@ -307,7 +266,7 @@ def _readers(columns, seps, shortest: bool, spell_of):
             readers.append(_run_reader(group_columns, group_seps[:-1], shortest))
             after.append(group_seps[-1])
         else:
-            readers += [_block_reader(column, spell_of(column)) for column in group_columns]
+            readers += [_block_reader(c, spell_of(c), shortest) for c in group_columns]
             after += group_seps
     return readers, after
 
@@ -344,7 +303,9 @@ def _csv_lines(config, table, summary):
         # outside a run, the cells are spelled as _fmt spells them: floats by
         # "%.17g", ints by str; a factored column's values are floats
         kinds = {float} if isinstance(column, _Factored) else _cell_types(column)
-        return _csv_spell if kinds <= {float} else partial(map, str if kinds <= {int} else _fmt)
+        if kinds <= {float}:
+            return _percent_spell
+        return partial(map, str if kinds <= {int} else _fmt)
 
     seps = [","] * (len(columns) - 1) + ["\n"]
     readers, seps = _readers(columns, seps, False, spell_of)
@@ -356,11 +317,10 @@ def _json_chunks(config, table, summary):
 
     json.dumps with an indent runs the pure-Python encoder, so each block of
     a run of numeric columns is spelled at once, keys included, as row texts
-    (_readers), each block of another plain column by _json_spell, and a
-    factored column's values once: float64 cells by the shortest-repr
-    kernel, other cells by the C encoder as one flat list.  Number, bool and
-    None cells read the same there, and ", " splits them: no cell is a
-    string.
+    (_readers), each block of another plain column through the C encoder as
+    one flat list, and a factored column's values once, as a one-column run
+    or a list (_block_reader).  Number, bool and None cells read the same
+    there, and ", " splits them: no cell is a string.
     """
     plain = [column for column in table.values() if not isinstance(column, _Factored)]
     cell_types = set().union(*map(_cell_types, plain))
@@ -377,7 +337,7 @@ def _json_chunks(config, table, summary):
     # a record's first key follows the previous record's closing brace
     seps = [f",\n      {k}: " for k in keys[1:]] + ["\n    },\n    {\n      " + keys[0] + ": "]
     yield head + (f"[\n    {{\n      {keys[0]}: " if n_rows else "[]")
-    readers, seps = _readers([table[k] for k in names], seps, True, lambda column: _json_spell)
+    readers, seps = _readers([table[k] for k in names], seps, True, lambda column: _dumps_spell)
     yield from _joined_blocks(readers, n_rows, seps, "\n    }")
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 

@@ -756,6 +756,11 @@ def test_commands_start_without_argparse_or_the_oracles(tmp_path):
         ["simulate", "--n", "3", "--t-max", "5", "--format", "json", "--out", "s.json"],
         ["isotherms", "--n", "5", "--grid", "3x3", "--format", "json", "--out", "i.json"],
         ["markov", "--t-max", "5", "--format", "json", "--out", "k.json"],
+        # the benchmark's markov runs: 101-row plain columns
+        ["markov", "--theta", "0.39269908169872414", "--gamma", "0", "--t-max", "100",
+         "--out", "p.csv"],
+        ["markov", "--theta", "0.39269908169872414", "--gamma", "0", "--t-max", "100",
+         "--format", "json", "--out", "p.json"],
     ]
     code = (
         "import sys\nfrom cyclewalk.cli import main\n"
@@ -768,7 +773,7 @@ def test_commands_start_without_argparse_or_the_oracles(tmp_path):
                            capture_output=True, text=True)
     assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "i.csv", "i.json", "k.csv", "k.json", "m.csv", "s.csv", "s.json"
+        "i.csv", "i.json", "k.csv", "k.json", "m.csv", "p.csv", "p.json", "s.csv", "s.json"
     ]
 
 
@@ -986,6 +991,18 @@ MARKOV_SHAPE = {
     "beta_m": cli._Factored(np.array([math.inf, 0.5, -0.25, 0.0, -0.0]), _X.index),
 }
 
+# factored columns at _block_reader's break-even, over _BLOCK + 1 rows: few's
+# _RUN_MIN - 1 values take the list spell, enough's _RUN_MIN a one-column
+# run, and so do mixed's _RUN_MIN covered values beside values that the
+# kernel leaves to % or the C encoder (1e16 only in JSON)
+_EDGE = np.arange(cli._BLOCK + 1)
+_MIXED = np.array([*np.linspace(0.1, 2.0, cli._RUN_MIN), 0.0, -0.0, 1e-7, 1e16, 1e17, math.nan])
+FACTORED_EDGE = {
+    "few": cli._Factored(np.linspace(0.0, math.pi, cli._RUN_MIN - 1), _EDGE % (cli._RUN_MIN - 1)),
+    "enough": cli._Factored(np.linspace(-1.5, 1.5, cli._RUN_MIN), _EDGE % cli._RUN_MIN),
+    "mixed": cli._Factored(_MIXED, _EDGE % len(_MIXED)),
+}
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -1003,6 +1020,8 @@ MARKOV_SHAPE = {
 # the joined blocks: every column factored or all ints, across a block
 @example(table={"gamma": cli._factored(np.arange(cli._BLOCK + 1) // 7 / 3),
                 "chi": cli._factored(np.arange(cli._BLOCK + 1) % 3 / 2)}, fmt="csv", summary=None)
+@example(table=FACTORED_EDGE, fmt="csv", summary=None)
+@example(table=FACTORED_EDGE, fmt="json", summary=None)
 @example(table=MARKOV_SHAPE, fmt="csv", summary={"outcome": "thermalizing"})
 @example(table=MARKOV_SHAPE, fmt="json", summary={"outcome": "thermalizing"})
 @example(table={"satisfied": [t % 2 == 0 for t in MARKOV_SHAPE["t"]], **MARKOV_SHAPE}, fmt="csv",
@@ -1100,8 +1119,8 @@ def test_plain_columns_reach_the_assembler_as_one_run(monkeypatch):
     ["simulate", "--n", "20", "--t-max", "20000", "--format", "json"],
     # at small theta no value repeats, so markov's columns are plain
     ["markov", "--theta", "0.01", "--t-max", "50000"],
-    # 15,697 distinct chi: the kernel spells them _BLOCK values at a time
-    # (3.86 MiB, 3.73 through %); one pass over them all peaked at 5.65 MiB
+    # 15,697 distinct chi: a one-column run spells them _BLOCK values at a
+    # time (3.60 MiB); one pass over them all peaked at 5.65 MiB
     ["isotherms", "--n", "100", "--grid", "181x181"],
 ])
 def test_writer_memory_is_bounded_by_the_block(tmp_path, argv):
@@ -1122,9 +1141,28 @@ def percent_texts(values):
     return ["%.17g" % v for v in values]
 
 
-def spelled_by_kernel(values):
-    """The exact kernel's texts of values, each with 1e-6 < |v| < 1e17."""
-    return _spell.exact_texts(np.array(values, dtype=np.float64))
+def spelled_by_kernel(values, shortest=False):
+    """The exact kernel's texts of values, each with 1e-6 < |v| < 1e17 (or,
+    with shortest, 1e16): one translate drops the NULs of _spell._cells'
+    words, and "\n" ends each text."""
+    cells = _spell._cells(np.array(values, dtype=np.float64), shortest)
+    return cells.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def factored_texts(values, shortest=False):
+    """The texts the writer gives a factored column of values, one per
+    value (_block_reader): "%.17g" or, with shortest, the JSON text."""
+    column = cli._Factored(np.array(values, dtype=np.float64), np.arange(len(values)))
+    spell = cli._dumps_spell if shortest else cli._percent_spell
+    return cli._block_reader(column, spell, shortest)(0, len(values))
+
+
+def spy_on_kernel(monkeypatch):
+    """The lengths of the blocks _spell._cells spells from now on."""
+    calls, cells = [], _spell._cells
+    monkeypatch.setattr(_spell, "_cells", lambda x, shortest=False: (
+        calls.append(len(x)) or cells(x, shortest)))
+    return calls
 
 
 def kernel_families():
@@ -1182,27 +1220,25 @@ OUTSIDE = [0.0, -0.0, 5e-324, -5e-324, 1e-6, -1e-6, 1e-7, 1e17, -1e17, 1.7976931
 @settings(max_examples=60, deadline=None)
 @given(
     cells=st.lists(st.floats() | st.sampled_from(OUTSIDE), min_size=1, max_size=40),
-    size=st.sampled_from([1, cli._KERNEL_MIN - 1, cli._KERNEL_MIN, cli._BLOCK, 2 * cli._BLOCK + 1]),
+    size=st.sampled_from([1, cli._RUN_MIN - 1, cli._RUN_MIN, cli._BLOCK, 2 * cli._BLOCK + 1]),
 )
 @example(cells=kernel_families()[:2000] + OUTSIDE, size=2 * cli._BLOCK + 1)
 def test_csv_spell_matches_percent(cells, size):
     values = [cells[i % len(cells)] for i in range(size)]
-    assert cli._csv_spell(values) == percent_texts(values)
+    assert factored_texts(values) == percent_texts(values)
 
 
 @pytest.mark.parametrize("size, covered, kernel_calls", [
-    (cli._KERNEL_MIN - 1, cli._KERNEL_MIN - 1, 0),  # below the break-even: % alone
-    (cli._KERNEL_MIN, cli._KERNEL_MIN, 1),
-    (cli._BLOCK + cli._KERNEL_MIN, cli._BLOCK + cli._KERNEL_MIN, 2),  # one call per block
-    (cli._BLOCK, cli._KERNEL_MIN - 1, 0),  # the kernel would cover too few cells
-    (cli._BLOCK, cli._KERNEL_MIN, 1),
+    (cli._RUN_MIN - 1, cli._RUN_MIN - 1, 0),  # below the break-even: % alone
+    (cli._RUN_MIN, cli._RUN_MIN, 1),
+    (cli._BLOCK + cli._RUN_MIN, cli._BLOCK + cli._RUN_MIN, 2),  # one call per block
+    (cli._BLOCK, cli._RUN_MIN - 1, 0),  # the kernel would cover too few cells
+    (cli._BLOCK, cli._RUN_MIN, 1),
 ])
 def test_csv_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, covered, kernel_calls):
-    calls = []
-    exact_texts = _spell.exact_texts
-    monkeypatch.setattr(_spell, "exact_texts", lambda x: calls.append(len(x)) or exact_texts(x))
+    calls = spy_on_kernel(monkeypatch)
     values = [0.1 + i for i in range(covered)] + [0.0] * (size - covered)
-    assert cli._csv_spell(values) == percent_texts(values)
+    assert factored_texts(values) == percent_texts(values)
     assert len(calls) == kernel_calls
     assert all(n <= cli._BLOCK for n in calls)
 
@@ -1254,7 +1290,7 @@ def json_families():
 def test_json_spell_matches_the_encoder_on_pinned_families():
     # the kernel spells every value of its range, powers of two and ties too
     values = json_families()
-    assert cli._json_spell(np.array(values)) == encoder_texts(values)
+    assert factored_texts(values, shortest=True) == encoder_texts(values)
     assert {2.0**q for q in range(-19, 54)} <= set(values)
     assert len(values) > 5 * cli._BLOCK
 
@@ -1269,7 +1305,7 @@ def test_shortest_kernel_matches_repr_on_random_bits():
     values = values[(np.abs(values) > 1e-6) & (np.abs(values) < 1e16)]
     texts = []
     for start in range(0, values.size, cli._BLOCK):
-        texts += _spell.shortest_texts(values[start : start + cli._BLOCK])
+        texts += spelled_by_kernel(values[start : start + cli._BLOCK], shortest=True)
     wrong = [(v, t) for v, t in zip(values.tolist(), texts) if t != repr(v)]
     assert not wrong, wrong[:5]
     assert values.size > 10**5
@@ -1283,29 +1319,26 @@ JSON_OUTSIDE = [0.0, -0.0, 5e-324, -5e-324, 1e-6, -1e-6, 1e-7, 1e16, -1e16,
 @settings(max_examples=60, deadline=None)
 @given(
     cells=st.lists(st.floats() | st.sampled_from(JSON_OUTSIDE), min_size=1, max_size=40),
-    size=st.sampled_from([1, cli._KERNEL_MIN - 1, cli._KERNEL_MIN, cli._BLOCK, 2 * cli._BLOCK + 1]),
+    size=st.sampled_from([1, cli._RUN_MIN - 1, cli._RUN_MIN, cli._BLOCK, 2 * cli._BLOCK + 1]),
 )
 @example(cells=json_families()[: 2 * cli._BLOCK + 1], size=2 * cli._BLOCK + 1)
 @example(cells=json_families()[-2 * cli._BLOCK - 1 :], size=2 * cli._BLOCK + 1)
 def test_json_spell_matches_the_encoder(cells, size):
     values = [cells[i % len(cells)] for i in range(size)]
-    assert cli._json_spell(np.array(values)) == encoder_texts(values)
+    assert factored_texts(values, shortest=True) == encoder_texts(values)
 
 
 @pytest.mark.parametrize("size, covered, kernel_calls", [
-    (cli._KERNEL_MIN - 1, cli._KERNEL_MIN - 1, 0),  # below the break-even: the encoder alone
-    (cli._KERNEL_MIN, cli._KERNEL_MIN, 1),
-    (cli._BLOCK + cli._KERNEL_MIN, cli._BLOCK + cli._KERNEL_MIN, 2),  # one call per block
-    (cli._BLOCK, cli._KERNEL_MIN - 1, 0),  # the kernel would cover too few cells
-    (cli._BLOCK, cli._KERNEL_MIN, 1),
+    (cli._RUN_MIN - 1, cli._RUN_MIN - 1, 0),  # below the break-even: the encoder alone
+    (cli._RUN_MIN, cli._RUN_MIN, 1),
+    (cli._BLOCK + cli._RUN_MIN, cli._BLOCK + cli._RUN_MIN, 2),  # one call per block
+    (cli._BLOCK, cli._RUN_MIN - 1, 0),  # the kernel would cover too few cells
+    (cli._BLOCK, cli._RUN_MIN, 1),
 ])
 def test_json_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, covered, kernel_calls):
-    calls = []
-    shortest_texts = _spell.shortest_texts
-    monkeypatch.setattr(_spell, "shortest_texts",
-                        lambda x: calls.append(len(x)) or shortest_texts(x))
+    calls = spy_on_kernel(monkeypatch)
     values = [0.1 + i for i in range(covered)] + [0.0] * (size - covered)
-    assert cli._json_spell(np.array(values)) == encoder_texts(values)
+    assert factored_texts(values, shortest=True) == encoder_texts(values)
     assert len(calls) == kernel_calls
     assert all(n <= cli._BLOCK for n in calls)
 
