@@ -32,7 +32,7 @@ from .thermo import (
     temperature_from_chi,
     transient_temperature,
 )
-from .times import ConvergenceReport, density_seminorm, mixing_time, thermalization_time
+from .times import ConvergenceReport, mixing_time, thermalization_time
 from .walk import WalkParams, WalkState, evolve, localized_initial_state, step
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "temperature_from_chi",
     "transient_temperature",
     "ConvergenceReport",
-    "density_seminorm",
     "mixing_time",
     "thermalization_time",
     "MarkovState",

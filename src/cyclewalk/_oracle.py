@@ -13,7 +13,6 @@ runs the four walk checks as ``selftest`` does.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -71,7 +70,8 @@ def series_vs_direct(states: list[WalkState], theta: float, direct) -> float:
 
 def _series_on(group: list[WalkParams], n: int, t_max: int):
     """The :func:`coin_trajectory` of the localized starts of ``group`` on an n-cycle."""
-    starts = [localized_initial_state(replace(p, n_sites=n)) for p in group]
+    starts = [localized_initial_state(WalkParams(n, p.theta, p.gamma, p.phi, p.energy_scale))
+              for p in group]
     return coin_trajectory(starts, group[0].theta, t_max)
 
 

@@ -16,7 +16,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from types import SimpleNamespace
@@ -24,6 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
+from ._record import Record
 from .errors import CycleWalkError, NonThermalizingError, ParameterError
 from .markov import MarkovState, beta_of_imbalance, markov_imbalances, markov_thermalization_time
 from .spectral import coin_trajectory
@@ -100,14 +100,16 @@ def _echo(config: SimpleNamespace) -> dict:
     return {key: value for key, value in vars(config).items() if key != "out"}
 
 
-@dataclass(frozen=True)
-class _Factored:
+class _Factored(Record):
     """A float column as an array of values and, per cell, the index of its
     value.  The writer formats each value once and gathers the cells' text,
     so a column with few distinct values costs few float conversions."""
 
-    values: np.ndarray
-    index: np.ndarray
+    __slots__ = ("values", "index")
+
+    def __init__(self, values: np.ndarray, index: np.ndarray) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.index)

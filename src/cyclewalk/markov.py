@@ -15,26 +15,24 @@ depends on the cycle size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NonThermalizingError, ParameterError
 
 
-@dataclass(frozen=True)
-class MarkovState:
+class MarkovState(Record):
     """Classical chirality probability pair."""
 
-    p_left: float
-    p_right: float
-    time: int = 0
+    __slots__ = ("p_left", "p_right", "time")
 
-    def __post_init__(self) -> None:
-        if abs(self.p_left + self.p_right - 1.0) > 1e-14:
-            raise ParameterError(
-                f"probabilities must sum to 1, got {self.p_left + self.p_right}"
-            )
-        if self.p_left < 0 or self.p_right < 0:
+    def __init__(self, p_left: float, p_right: float, time: int = 0) -> None:
+        if abs(p_left + p_right - 1.0) > 1e-14:
+            raise ParameterError(f"probabilities must sum to 1, got {p_left + p_right}")
+        if p_left < 0 or p_right < 0:
             raise ParameterError("probabilities must be non-negative")
+        object.__setattr__(self, "p_left", p_left)
+        object.__setattr__(self, "p_right", p_right)
+        object.__setattr__(self, "time", time)
 
 
 def markov_step(state: MarkovState, theta: float) -> MarkovState:

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DegenerateSpectrumError, ParameterError
 from .walk import MAX_STEPS, WalkState, coin_entries, step
 
@@ -84,21 +84,26 @@ def inverse_fourier(
     return np.fft.ifft(c_left) * root_n, np.fft.ifft(c_right) * root_n
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Per-mode phases and coefficients solving the walk in closed form.
 
     ``omega`` holds the mode phases; ``alpha_l/beta_l`` (``alpha_r/beta_r``)
     the two-frequency coefficients of the left (right) chirality channel.
     """
 
-    n_sites: int
-    theta: float
-    omega: np.ndarray
-    alpha_l: np.ndarray
-    beta_l: np.ndarray
-    alpha_r: np.ndarray
-    beta_r: np.ndarray
+    __slots__ = ("n_sites", "theta", "omega", "alpha_l", "beta_l", "alpha_r", "beta_r")
+
+    def __init__(
+        self, n_sites: int, theta: float, omega: np.ndarray, alpha_l: np.ndarray,
+        beta_l: np.ndarray, alpha_r: np.ndarray, beta_r: np.ndarray,
+    ) -> None:
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "alpha_l", alpha_l)
+        object.__setattr__(self, "beta_l", beta_l)
+        object.__setattr__(self, "alpha_r", alpha_r)
+        object.__setattr__(self, "beta_r", beta_r)
 
 
 def decompose(state0: WalkState, theta: float) -> SpectralDecomposition:

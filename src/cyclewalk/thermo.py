@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     DegenerateSpectrumError,
     InvalidDensityError,
@@ -42,22 +42,20 @@ _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CoinDensity:
+class CoinDensity(Record):
     """2x2 Hermitian coin density matrix (p_left, p_right on the diagonal,
     q in the upper-right corner)."""
 
-    p_left: float
-    p_right: float
-    q: complex
+    __slots__ = ("p_left", "p_right", "q")
 
-    def __post_init__(self) -> None:
-        if abs(self.p_left + self.p_right - 1.0) > _TRACE_TOL:
-            raise InvalidDensityError(
-                f"trace must be 1, got {self.p_left + self.p_right}"
-            )
-        if self.p_left * self.p_right - abs(self.q) ** 2 < -_PSD_TOL:
+    def __init__(self, p_left: float, p_right: float, q: complex) -> None:
+        if abs(p_left + p_right - 1.0) > _TRACE_TOL:
+            raise InvalidDensityError(f"trace must be 1, got {p_left + p_right}")
+        if p_left * p_right - abs(q) ** 2 < -_PSD_TOL:
             raise InvalidDensityError("density matrix is not positive semidefinite")
+        object.__setattr__(self, "p_left", p_left)
+        object.__setattr__(self, "p_right", p_right)
+        object.__setattr__(self, "q", q)
 
     def eigenvalues(self) -> tuple[float, float]:
         """(larger, smaller) eigenvalue; they are 1/2 +- sqrt(chi)."""
@@ -65,19 +63,23 @@ class CoinDensity:
         return 0.5 + root, 0.5 - root
 
 
-@dataclass(frozen=True)
-class ThermoState:
+class ThermoState(Record):
     """Thermodynamic reading of an (averaged) coin density.
 
     ``beta`` is the inverse temperature in units of 1/e0, the e0 passed in;
     beta = 0 encodes infinite temperature, in which case ``temperature`` is inf.
     """
 
-    lambda_plus: float
-    lambda_minus: float
-    chi: float
-    beta: float
-    temperature: float
+    __slots__ = ("lambda_plus", "lambda_minus", "chi", "beta", "temperature")
+
+    def __init__(
+        self, lambda_plus: float, lambda_minus: float, chi: float, beta: float, temperature: float
+    ) -> None:
+        object.__setattr__(self, "lambda_plus", lambda_plus)
+        object.__setattr__(self, "lambda_minus", lambda_minus)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "temperature", temperature)
 
 
 def coin_density(state: WalkState) -> CoinDensity:

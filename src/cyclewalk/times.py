@@ -47,19 +47,18 @@ envelope, the bands and t* stay the N-cycle's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from ._record import Record
 from .errors import ParameterError
 from .spectral import _axis_limit, _folded_modes, _series
-from .thermo import CoinDensity, beta_of_chi, chi_of_density, running_chi
+from .thermo import beta_of_chi, running_chi
 from .walk import MAX_STEPS, WalkParams, localized_initial_state
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Outcome of a deviation scan over t = 1..t_max.
 
     ``tau`` is last_violation + 1 (so tau = 1 means the criterion held from
@@ -70,17 +69,18 @@ class ConvergenceReport:
     at most t_max.
     """
 
-    epsilon: float
-    tau: int
-    t_max: int
-    last_violation: int
-    c_constant: float
-    satisfied: bool
+    __slots__ = ("epsilon", "tau", "t_max", "last_violation", "c_constant", "satisfied")
 
-
-def density_seminorm(rho1: CoinDensity, rho2: CoinDensity) -> float:
-    """Distance |lambda+(rho1) - lambda+(rho2)| between two coin densities."""
-    return abs(math.sqrt(chi_of_density(rho1)) - math.sqrt(chi_of_density(rho2)))
+    def __init__(
+        self, epsilon: float, tau: int, t_max: int, last_violation: int, c_constant: float,
+        satisfied: bool,
+    ) -> None:
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "last_violation", last_violation)
+        object.__setattr__(self, "c_constant", c_constant)
+        object.__setattr__(self, "satisfied", satisfied)
 
 
 # e0*beta of the one-term average, a pure coin (module docstring)
@@ -159,7 +159,7 @@ def _last_violations(
             f"the scan needs {steps} steps (min(horizon, t_max) - 1); the ceiling is {MAX_STEPS}"
         )
     if 1 <= steps and 2 * steps + 2 < params.n_sites:
-        cone = replace(params, n_sites=2 * steps + 2)
+        cone = WalkParams(2 * steps + 2, params.theta, params.gamma, params.phi, params.energy_scale)
         folded = _folded_modes(localized_initial_state(cone), params.theta)
     chi = running_chi(*(x[0] for x in _series(folded, steps)))
     dev = np.sqrt(chi, out=chi)  # in place: no second series-long array

@@ -17,24 +17,24 @@ probability is conserved to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
+from ._record import Record
 from .errors import ParameterError
 
 # Ceiling on direct steps and on a series' length, a cycle's size and a grid's points.
 MAX_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class WalkParams:
+class WalkParams(Record):
     """Walk configuration: cycle size, coin bias, and initial Bloch angles.
 
     Parameters
     ----------
     n_sites:
-        Number of cycle sites, at least 3.
+        Number of cycle sites, an integer (Python or numpy) of at least 3.
     theta:
         Coin bias in [0, pi/2]; pi/4 is the unbiased (Hadamard) coin.
     gamma, phi:
@@ -46,25 +46,31 @@ class WalkParams:
         the functions that return beta take e0 as an argument.
     """
 
-    n_sites: int
-    theta: float
-    gamma: float = 0.0
-    phi: float = 0.0
-    energy_scale: float = 1.0
+    __slots__ = ("n_sites", "theta", "gamma", "phi", "energy_scale")
 
-    def __post_init__(self) -> None:
-        if self.n_sites < 3:
-            raise ParameterError(f"n_sites must be >= 3, got {self.n_sites}")
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ParameterError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if not 0.0 <= self.gamma <= math.pi:
-            raise ParameterError(f"gamma must lie in [0, pi], got {self.gamma}")
-        if not 0.0 <= self.phi < 2 * math.pi:
-            raise ParameterError(f"phi must lie in [0, 2*pi), got {self.phi}")
-        if not 0.0 < self.energy_scale < math.inf:
-            raise ParameterError(
-                f"energy_scale must be finite and positive, got {self.energy_scale}"
-            )
+    def __init__(
+        self, n_sites: int, theta: float, gamma: float = 0.0, phi: float = 0.0,
+        energy_scale: float = 1.0,
+    ) -> None:
+        try:
+            n_sites = operator.index(n_sites)
+        except TypeError:
+            raise ParameterError(f"n_sites must be an integer, got {n_sites!r}") from None
+        if n_sites < 3:
+            raise ParameterError(f"n_sites must be >= 3, got {n_sites}")
+        if not 0.0 <= theta <= math.pi / 2:
+            raise ParameterError(f"theta must lie in [0, pi/2], got {theta}")
+        if not 0.0 <= gamma <= math.pi:
+            raise ParameterError(f"gamma must lie in [0, pi], got {gamma}")
+        if not 0.0 <= phi < 2 * math.pi:
+            raise ParameterError(f"phi must lie in [0, 2*pi), got {phi}")
+        if not 0.0 < energy_scale < math.inf:
+            raise ParameterError(f"energy_scale must be finite and positive, got {energy_scale}")
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "energy_scale", energy_scale)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -73,21 +79,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WalkState:
-    """Immutable walk state: amplitude vectors and the current step count."""
+class WalkState(Record):
+    """Immutable walk state: amplitude vectors and the current step count.
 
-    a: np.ndarray
-    b: np.ndarray
-    time: int = 0
+    The state holds read-only complex128 copies of the arrays it is given.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frozen(self.a))
-        object.__setattr__(self, "b", _frozen(self.b))
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
+    __slots__ = ("a", "b", "time")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, time: int = 0) -> None:
+        a, b = _frozen(a), _frozen(b)
+        if a.shape != b.shape or a.ndim != 1:
             raise ParameterError("amplitude vectors must be 1-d and equal length")
-        if self.time < 0:
+        if time < 0:
             raise ParameterError("time must be non-negative")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "time", time)
 
     @property
     def n_sites(self) -> int:
@@ -108,7 +116,15 @@ def localized_initial_state(params: WalkParams) -> WalkState:
     b = np.zeros(params.n_sites, dtype=np.complex128)
     a[0] = math.cos(params.gamma / 2)
     b[0] = np.exp(1j * params.phi) * math.sin(params.gamma / 2)
-    return WalkState(a, b, time=0)
+    # no caller holds these fresh arrays: the state takes them read-only,
+    # without the copy that WalkState(a, b) makes
+    a.setflags(write=False)
+    b.setflags(write=False)
+    state = object.__new__(WalkState)
+    object.__setattr__(state, "a", a)
+    object.__setattr__(state, "b", b)
+    object.__setattr__(state, "time", 0)
+    return state
 
 
 def coin(theta: float) -> tuple[float, float]:

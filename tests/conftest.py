@@ -14,6 +14,7 @@ from cyclewalk import (
 )
 from cyclewalk import spectral
 from cyclewalk.spectral import decompose
+from cyclewalk.thermo import chi_of_density
 from cyclewalk.walk import coin, coin_entries, iterate_arrays
 
 
@@ -52,6 +53,11 @@ def count_spectral_calls(monkeypatch, names) -> dict:
 def decompose_localized(params):
     """The alpha/beta spectral solution of the localized start of ``params``."""
     return decompose(localized_initial_state(params), params.theta)
+
+
+def density_seminorm(rho1, rho2) -> float:
+    """Distance |lambda+(rho1) - lambda+(rho2)| between two coin densities."""
+    return abs(math.sqrt(chi_of_density(rho1)) - math.sqrt(chi_of_density(rho2)))
 
 
 def direct_densities(states, theta, t_max):

@@ -806,6 +806,33 @@ def test_walk_commands_never_load_the_fft(tmp_path):
     assert lines[-1] == "[0, 0, 0, 0, 0] False", child.stderr
 
 
+def test_commands_compile_no_generated_code(tmp_path):
+    # the value records are plain classes: importing the package and running
+    # all five commands compiles the package's own source files and nothing
+    # else (a frozen dataclass execs a source string per generated method),
+    # and never loads dataclasses; numpy is imported before the hook is added
+    calls = [
+        ["mixing-sweep", "--n-range", "89:101:12", "--epsilon", "1e-2", "--t-max", "2000",
+         "--out", "m.csv"],
+        ["simulate", "--n", "101", "--t-max", "50", "--out", "s.csv"],
+        ["isotherms", "--n", "5", "--grid", "3x3", "--out", "i.csv"],
+        ["markov", "--t-max", "5", "--out", "k.csv"],
+        ["selftest", "--seed", "0"],
+    ]
+    code = (
+        "import sys\nimport numpy\nnames = []\n"
+        "sys.addaudithook(lambda event, args: names.append(str(args[1])) if event == 'compile' else None)\n"
+        "from cyclewalk.cli import main\n"
+        f"codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, [n for n in names if not n.endswith('.py')], 'dataclasses' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] False", child.stderr
+
+
 def test_main_reads_sys_argv(capsys, monkeypatch):
     argv = ["markov", "--theta", "1.0", "--t-max", "7"]
     expected = run(argv, capsys)

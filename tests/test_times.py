@@ -11,7 +11,6 @@ from cyclewalk import (
     CoinDensity,
     ParameterError,
     WalkParams,
-    density_seminorm,
     mixing_time,
     thermalization_time,
 )
@@ -33,7 +32,7 @@ from cyclewalk.times import (
 )
 from cyclewalk.walk import MAX_STEPS, localized_initial_state
 
-from conftest import count_spectral_calls, decompose_localized
+from conftest import count_spectral_calls, decompose_localized, density_seminorm
 
 FIG3_PARAMS = dict(theta=math.pi / 4, gamma=math.pi / 3, phi=math.pi / 6)
 

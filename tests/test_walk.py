@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ class TestWalkParams:
     def test_valid(self):
         WalkParams(3, math.pi / 4, math.pi / 3, math.pi / 6, 2.0)
 
+    @pytest.mark.parametrize("n_sites", [5, np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_sizes(self, n_sites):
+        params = WalkParams(n_sites, 0.5)
+        assert params.n_sites == 5 and type(params.n_sites) is int
+        assert params == WalkParams(5, 0.5)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -38,6 +45,11 @@ class TestWalkParams:
             {"energy_scale": 0.0},
             {"energy_scale": math.inf},
             {"energy_scale": math.nan},
+            {"n_sites": 3.5},
+            {"n_sites": math.nan},
+            {"n_sites": 5.0},
+            {"n_sites": "5"},
+            {"n_sites": np.float64(5.0)},
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):
@@ -70,6 +82,32 @@ class TestLocalizedInitialState:
     def test_normalized(self):
         s = localized_initial_state(WalkParams(7, 0.3, gamma=1.0, phi=2.0))
         assert abs(s.norm_squared - 1.0) < 1e-12
+
+    def test_start_is_not_copied(self):
+        # the two N-length arrays hold 30.5 MiB at N = 10**6; the state takes
+        # them as built, so the start peaks there, not at twice that
+        tracemalloc.start()
+        try:
+            s = localized_initial_state(WalkParams(10**6, 0.3, gamma=1.0, phi=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert s.a.dtype == s.b.dtype == np.complex128 and s.a.shape == s.b.shape == (10**6,)
+        for x in (s.a, s.b):
+            assert not x.flags.writeable and x.base is None
+            with pytest.raises(ValueError):
+                x[1] = 1.0
+
+    def test_state_copies_caller_arrays(self):
+        a, b = np.zeros(4, complex), np.zeros(4, complex)
+        a[0] = 1.0
+        s = WalkState(a, b)
+        a[0], b[1] = 0.5, 0.5
+        assert s.a.tolist() == [1, 0, 0, 0] and not s.b.any()
+        frozen = np.array([1, 0, 0, 0], complex)
+        frozen.setflags(write=False)
+        assert WalkState(frozen, b).a is not frozen
 
 
 class TestStep:
