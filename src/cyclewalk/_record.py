@@ -4,10 +4,13 @@ Each record is a slotted class whose ``__init__`` validates its arguments
 and sets each field with ``object.__setattr__``; its ``__slots__`` name the
 fields in the order ``__init__`` takes them.  The base gives what a frozen
 dataclass would, without generating code at import: fields that cannot be
-assigned or deleted, value equality and hash over the fields, the
+assigned or deleted, value equality and hash over the fields (numpy array
+fields compare by ``np.array_equal`` and leave the record unhashable), the
 ``Name(field=value, ...)`` repr, and a ``__reduce__`` that rebuilds a
 record through its ``__init__``, so that pickle and ``copy`` work.
 """
+
+import numpy as np
 
 
 class Record:
@@ -23,9 +26,13 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # as a tuple compares its items: by identity, then by value
+        return all(
+            x is y or (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y)
+            for x, y in zip(self._fields(), other._fields())
+        )
 
     def __hash__(self):
         return hash(self._fields())

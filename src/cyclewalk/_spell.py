@@ -5,10 +5,10 @@ as ``"%.17g" % v`` does, and ``_cells(x, shortest=True)`` each with
 1e-6 < |v| < 1e16 as ``repr(v)``, and so ``json.dumps``, does: the shortest
 decimal that reads back as v (Steele & White; Gay, 1990).  It works a block
 at a time, in a few vector passes, and gives each text as seven 8-byte words.
-``cli._run_cells`` reads them for blocks where the kernel covers enough
-cells and spells every other value with ``%`` or the C encoder; it imports
-this module only then, so commands that write no such block never compile
-it.
+``cli._run_cells`` reads them for each block of a run where the kernel
+covers a cell and spells every other value with ``%`` or the C encoder; it
+imports this module only then, so commands that write no such block never
+compile it.
 """
 
 from __future__ import annotations

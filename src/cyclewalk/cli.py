@@ -16,7 +16,6 @@ import json
 import math
 import random
 import sys
-from functools import partial
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -133,21 +132,23 @@ def _factored(array) -> _Factored:
     return _Factored(values.view(np.float64), index)
 
 
-def _percent_spell(values: list[float]) -> list[str]:
-    # "%.17g" for every value at once: one C-level % over a joined template
+def _texts(cells, shortest: bool) -> list[str]:
+    """The texts of numeric cells the kernel does not write, in one C-level
+    call: "%.17g" for the floats of a CSV numpy array, through one joined
+    template, and the C encoder for the rest, ints and JSON cells (no
+    number, bool or None it spells holds ", ")."""
+    values = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+    if shortest or not isinstance(cells, np.ndarray) or cells.dtype.kind != "f":
+        return json.dumps(values)[1:-1].split(", ")
     return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
 
 
-def _dumps_spell(values: list) -> list[str]:
-    # a flat list through the C encoder; no number, bool or None spells ", "
-    return json.dumps(values)[1:-1].split(", ")
-
-
-# the cells of a column block below which the kernel's fixed cost outweighs
-# what it saves (_run_cells): 50 us against 0.48 us saved per cell over %
-# (break-even 104..111), 60 us against 0.56 us over the C encoder
-# (106..118); a run's int columns break even at about 400, and lose at most
-# 35 us per block between the two
+# the rows from which a numeric column joins a run (_readers), below which
+# the kernel's fixed cost outweighs what it saves; fit on one block of that
+# many cells: 50 us against 0.48 us saved per cell over % (break-even
+# 104..111), 60 us against 0.56 us over the C encoder (106..118); a run's
+# int columns break even at about 400, and lose at most 35 us per block
+# between the two
 _RUN_MIN = 110
 
 
@@ -162,24 +163,19 @@ def _cell_types(column) -> set:
     return {int} if isinstance(column, range) else set(map(type, column))
 
 
-def _block_reader(column, spell, shortest: bool):
-    """``read(start, stop)``: the texts of the column's cells in those rows,
-    one block at a time, as ``spell`` writes a list of cells.  A factored
-    column's values are spelled once, as _readers spells a one-column table
-    of them, and its cells gather their texts."""
+def _column_reader(column, shortest: bool):
+    """``read(start, stop)``: the texts of the cells of a column outside a
+    run in those rows.  A factored column's values are spelled once, as
+    _readers spells a one-column table of them, and its cells gather their
+    texts; a CSV list's cells are spelled by _fmt, any other by _texts."""
     if isinstance(column, _Factored):
-        values = column.values
-        if len(values) < _RUN_MIN:
-            texts = spell(values.tolist())
-        else:
-            read, texts = _run_reader([values], [], shortest), []
-            for start in range(0, len(values), _BLOCK):
-                texts += read(start, start + _BLOCK)
-        texts = np.array(texts, dtype=object)
+        [read], _ = _readers([column.values], [""], shortest)
+        n = len(column.values)
+        texts = np.array([t for a in range(0, n, _BLOCK) for t in read(a, a + _BLOCK)], object)
         return lambda a, b: texts[column.index[a:b]].tolist()
-    if isinstance(column, np.ndarray):
-        return lambda a, b: spell(column[a:b].tolist())
-    return lambda a, b: spell(list(column[a:b]))
+    if isinstance(column, list) and not shortest:
+        return lambda a, b: list(map(_fmt, column[a:b]))
+    return lambda a, b: _texts(column[a:b], shortest)
 
 
 def _numeric(column) -> bool:
@@ -196,26 +192,24 @@ def _run_cells(x: np.ndarray, shortest: bool, end: int) -> np.ndarray:
     byte 52.  The kernel spells the floats it covers, "%.17g" with
     1e-6 < |v| < 1e17 or, with shortest, repr with 1e-6 < |v| < 1e16, and
     integers with 0 < |v| <= 2**53 as "%.17g" spells their float, which is
-    their str; every other cell (and every cell of a block where the kernel
-    would cover fewer than _RUN_MIN) gets the text of % or of the C encoder
-    in its own words, NUL-padded: none is longer than 24 bytes."""
+    their str, and is not called for a block where it covers no cell; every
+    other cell gets its _texts in its own words, NUL-padded: none is longer
+    than 24 bytes."""
     ints = x.dtype.kind != "f"
     if ints:
         covered = (x != 0) & (x >= -(2**53)) & (x <= 2**53)
     else:
         mag = np.abs(x)
         covered = (mag > 1e-6) & (mag < (1e16 if shortest else 1e17))
-    if np.count_nonzero(covered) < _RUN_MIN:
-        covered[:] = False
-        cells = np.zeros((7, x.size), np.int64)
-    else:
+    if covered.any():
         from . import _spell  # compiled by the first block it spells
 
         cells = _spell._cells(np.where(covered, x, 1.0), shortest and not ints)
+    else:
+        cells = np.zeros((7, x.size), np.int64)
     rest = np.flatnonzero(~covered)
     if rest.size:
-        spell = _dumps_spell if shortest or ints else _percent_spell
-        texts = np.array(spell(x[rest].tolist()), "S56")
+        texts = np.array(_texts(x[rest], shortest), "S56")
         cells[:, rest] = texts.view(np.int64).reshape(-1, 7).T
     cells[6].view(np.uint8)[4::8] = end
     return cells
@@ -252,12 +246,10 @@ def _run_reader(columns, seps, shortest: bool):
     return read
 
 
-def _readers(columns, seps, shortest: bool, spell_of):
+def _readers(columns, seps, shortest: bool):
     """The readers of _joined_blocks and the separators after them: each run
-    of adjacent numeric columns is one _run_reader, with the separators
-    inside it, and any other column a _block_reader through spell_of(column)."""
-    # below _RUN_MIN rows no block reaches the kernel, and per-column
-    # texts cost less than the words
+    of adjacent numeric columns of _RUN_MIN rows or more is one _run_reader,
+    with the separators inside it, and any other column a _column_reader."""
     def runs(pair):
         return _numeric(pair[0]) and len(pair[0]) >= _RUN_MIN
 
@@ -268,7 +260,7 @@ def _readers(columns, seps, shortest: bool, spell_of):
             readers.append(_run_reader(group_columns, group_seps[:-1], shortest))
             after.append(group_seps[-1])
         else:
-            readers += [_block_reader(c, spell_of(c), shortest) for c in group_columns]
+            readers += [_column_reader(c, shortest) for c in group_columns]
             after += group_seps
     return readers, after
 
@@ -300,17 +292,8 @@ def _csv_lines(config, table, summary):
         yield f"# {key}: {_fmt(value)}\n"
     yield ",".join(table) + "\n"
     columns = list(table.values())
-
-    def spell_of(column):
-        # outside a run, the cells are spelled as _fmt spells them: floats by
-        # "%.17g", ints by str; a factored column's values are floats
-        kinds = {float} if isinstance(column, _Factored) else _cell_types(column)
-        if kinds <= {float}:
-            return _percent_spell
-        return partial(map, str if kinds <= {int} else _fmt)
-
     seps = [","] * (len(columns) - 1) + ["\n"]
-    readers, seps = _readers(columns, seps, False, spell_of)
+    readers, seps = _readers(columns, seps, False)
     yield from _joined_blocks(readers, len(columns[0]), seps, "\n")
 
 
@@ -320,8 +303,8 @@ def _json_chunks(config, table, summary):
     json.dumps with an indent runs the pure-Python encoder, so each block of
     a run of numeric columns is spelled at once, keys included, as row texts
     (_readers), each block of another plain column through the C encoder as
-    one flat list, and a factored column's values once, as a one-column run
-    or a list (_block_reader).  Number, bool and None cells read the same
+    one flat list, and a factored column's values once, as a one-column
+    table (_column_reader).  Number, bool and None cells read the same
     there, and ", " splits them: no cell is a string.
     """
     plain = [column for column in table.values() if not isinstance(column, _Factored)]
@@ -339,7 +322,7 @@ def _json_chunks(config, table, summary):
     # a record's first key follows the previous record's closing brace
     seps = [f",\n      {k}: " for k in keys[1:]] + ["\n    },\n    {\n      " + keys[0] + ": "]
     yield head + (f"[\n    {{\n      {keys[0]}: " if n_rows else "[]")
-    readers, seps = _readers([table[k] for k in names], seps, True, lambda column: _dumps_spell)
+    readers, seps = _readers([table[k] for k in names], seps, True)
     yield from _joined_blocks(readers, n_rows, seps, "\n    }")
     yield "\n  ]" * (n_rows > 0) + tail + "\n"
 

@@ -26,10 +26,13 @@ class MarkovState(Record):
     __slots__ = ("p_left", "p_right", "time")
 
     def __init__(self, p_left: float, p_right: float, time: int = 0) -> None:
-        if abs(p_left + p_right - 1.0) > 1e-14:
+        # written so that NaN fails each check
+        if not abs(p_left + p_right - 1.0) <= 1e-14:
             raise ParameterError(f"probabilities must sum to 1, got {p_left + p_right}")
-        if p_left < 0 or p_right < 0:
+        if not (p_left >= 0 and p_right >= 0):
             raise ParameterError("probabilities must be non-negative")
+        if time < 0:
+            raise ParameterError("time must be non-negative")
         object.__setattr__(self, "p_left", p_left)
         object.__setattr__(self, "p_right", p_right)
         object.__setattr__(self, "time", time)

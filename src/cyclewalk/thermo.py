@@ -49,9 +49,10 @@ class CoinDensity(Record):
     __slots__ = ("p_left", "p_right", "q")
 
     def __init__(self, p_left: float, p_right: float, q: complex) -> None:
-        if abs(p_left + p_right - 1.0) > _TRACE_TOL:
+        # written so that NaN fails each check
+        if not abs(p_left + p_right - 1.0) <= _TRACE_TOL:
             raise InvalidDensityError(f"trace must be 1, got {p_left + p_right}")
-        if p_left * p_right - abs(q) ** 2 < -_PSD_TOL:
+        if not p_left * p_right - abs(q) ** 2 >= -_PSD_TOL:
             raise InvalidDensityError("density matrix is not positive semidefinite")
         object.__setattr__(self, "p_left", p_left)
         object.__setattr__(self, "p_right", p_right)
@@ -98,20 +99,21 @@ def chi_of_entries(p_left, p_right, q) -> np.ndarray:
 
     Applies the :class:`CoinDensity` trace and positivity checks, then
     requires chi >= 0 up to roundoff and clamps it there; raises
-    :class:`InvalidDensityError` at the first entry that fails.
+    :class:`InvalidDensityError` at the first entry that fails, NaN entries
+    included.
     """
     p_left, p_right, q = np.asarray(p_left), np.asarray(p_right), np.asarray(q)
     trace = p_left + p_right
-    bad = np.flatnonzero(np.abs(trace - 1.0) > _TRACE_TOL)
+    bad = np.flatnonzero(~(np.abs(trace - 1.0) <= _TRACE_TOL))
     if bad.size:
         raise InvalidDensityError(f"trace must be 1, got {trace.flat[bad[0]]} (entry {bad[0]})")
     # hypot, as abs() of a Python complex computes it
     det = p_left * p_right - np.hypot(q.real, q.imag) ** 2
-    bad = np.flatnonzero(det < -_PSD_TOL)
+    bad = np.flatnonzero(~(det >= -_PSD_TOL))
     if bad.size:
         raise InvalidDensityError(f"density matrix is not positive semidefinite (entry {bad[0]})")
     chi = 0.25 - det
-    bad = np.flatnonzero(chi < -_PSD_TOL)
+    bad = np.flatnonzero(~(chi >= -_PSD_TOL))
     if bad.size:
         raise InvalidDensityError(
             f"determinant exceeds 1/4: chi = {chi.flat[bad[0]]} (entry {bad[0]})"

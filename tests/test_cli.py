@@ -745,9 +745,9 @@ def test_a_value_may_start_with_a_dash(capsys):
 
 def test_commands_start_without_argparse_or_the_oracles(tmp_path):
     # a fresh interpreter runs each command, as the scripts and the
-    # benchmark do; none of them imports what it does not read, and blocks
-    # of fewer than _RUN_MIN floats leave the CSV and JSON kernels
-    # uncompiled
+    # benchmark do; none of them imports what it does not read, and tables
+    # of fewer than _RUN_MIN rows, and factored columns of fewer than
+    # _RUN_MIN values, leave the CSV and JSON kernels uncompiled
     calls = [
         ["simulate", "--n", "3", "--t-max", "5", "--out", "s.csv"],
         ["isotherms", "--n", "5", "--grid", "3x3", "--out", "i.csv"],
@@ -989,8 +989,8 @@ def materialized(table):
 def run_table(rows):
     """simulate's shape: runs of adjacent numpy columns and a range, beside
     a factored column.  p_left's first and last row of each block take the
-    fallback; in each block, few's kernel would cover _RUN_MIN - 1 cells
-    and enough's _RUN_MIN; n holds ints the kernel must not spell (0,
+    fallback; in each block, the kernel covers _RUN_MIN - 1 of few's cells
+    and _RUN_MIN of enough's; n holds ints the kernel must not spell (0,
     2**53 + 1, -2**63) and ints it must (+-2**53); im_q is all zeros."""
     t = np.arange(rows)
     at = t % cli._BLOCK  # the row's place in its block
@@ -1018,10 +1018,10 @@ MARKOV_SHAPE = {
     "beta_m": cli._Factored(np.array([math.inf, 0.5, -0.25, 0.0, -0.0]), _X.index),
 }
 
-# factored columns at _block_reader's break-even, over _BLOCK + 1 rows: few's
-# _RUN_MIN - 1 values take the list spell, enough's _RUN_MIN a one-column
-# run, and so do mixed's _RUN_MIN covered values beside values that the
-# kernel leaves to % or the C encoder (1e16 only in JSON)
+# factored columns at the break-even of _readers' length rule, over
+# _BLOCK + 1 rows: few's _RUN_MIN - 1 values are spelled per column,
+# enough's _RUN_MIN as a one-column run, and so are mixed's values, beside
+# values that the kernel leaves to % or the C encoder (1e16 only in JSON)
 _EDGE = np.arange(cli._BLOCK + 1)
 _MIXED = np.array([*np.linspace(0.1, 2.0, cli._RUN_MIN), 0.0, -0.0, 1e-7, 1e16, 1e17, math.nan])
 FACTORED_EDGE = {
@@ -1107,12 +1107,13 @@ def test_numpy_and_range_columns_read_as_lists(cells, rows, fmt, float_column):
 
 
 def test_plain_columns_reach_the_assembler_as_one_run(monkeypatch):
-    # simulate's eight numpy columns are one reader of row texts, and each
-    # block spells each column with one kernel call; the block of one row
-    # takes no kernel call
+    # simulate's numpy columns are one reader of row texts, and each block
+    # spells each column with one kernel call if the kernel covers any of
+    # its cells, the block of one row too, and with none if it covers none,
+    # as for the all-zero column (im_q at gamma = phi = 0)
     rows = 2 * cli._BLOCK + 1
     t = np.arange(rows)
-    table = {"t": t} | {f"x{i}": np.sin(t + i) + 1.5 for i in range(7)}
+    table = {"t": t} | {f"x{i}": np.sin(t + i) + 1.5 for i in range(7)} | {"zero": 0.0 * t}
     reads, kernel_calls = [], []
 
     def counted(read):
@@ -1135,9 +1136,34 @@ def test_plain_columns_reach_the_assembler_as_one_run(monkeypatch):
         assert written(config, table, None) == reference_dataset(config, materialized(table), None)
         blocks = [(0, cli._BLOCK), (cli._BLOCK, 2 * cli._BLOCK), (2 * cli._BLOCK, rows)]
         assert reads == [(start, stop, stop - start) for start, stop in blocks]
-        # per full block: the ints of t in the "%.17g" form, the floats in
-        # the format's (t sorts first in JSON too)
-        assert kernel_calls == ([(cli._BLOCK, False)] + [(cli._BLOCK, fmt == "json")] * 7) * 2
+        # per block: the ints of t in the "%.17g" form, the floats in the
+        # format's (t sorts first in JSON too, and zero last)
+        per_block = [[(n, False)] + [(n, fmt == "json")] * 7 for n in (cli._BLOCK, cli._BLOCK, 1)]
+        assert kernel_calls == sum(per_block, [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [cli._RUN_MIN - 1, cli._RUN_MIN])
+def test_tables_and_factored_values_share_one_length_rule(monkeypatch, rows, fmt):
+    # a table of numeric columns, and a factored column's distinct values,
+    # are spelled as a run from _RUN_MIN rows or values on, and per column
+    # below
+    runs = []
+    run_reader = cli._run_reader
+    monkeypatch.setattr(cli, "_run_reader", lambda columns, *args: (
+        runs.append([len(c) for c in columns]) or run_reader(columns, *args)))
+    values = np.linspace(0.1, 2.0, rows)
+    config = SimpleNamespace(command="markov", t_max=3, format=fmt, out=None)
+    routes = []
+    for table in ({"t": range(rows), "x": values},
+                  {"chi": cli._Factored(values, np.arange(2 * rows) % rows)}):
+        runs.clear()
+        assert written(config, table, None) == reference_dataset(config, materialized(table), None)
+        routes.append(runs[:])
+    if rows >= cli._RUN_MIN:
+        assert routes == [[[rows, rows]], [[rows]]]
+    else:
+        assert routes == [[], []]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1178,10 +1204,10 @@ def spelled_by_kernel(values, shortest=False):
 
 def factored_texts(values, shortest=False):
     """The texts the writer gives a factored column of values, one per
-    value (_block_reader): "%.17g" or, with shortest, the JSON text."""
+    value (_column_reader): "%.17g" or, with shortest, the JSON text."""
     column = cli._Factored(np.array(values, dtype=np.float64), np.arange(len(values)))
-    spell = cli._dumps_spell if shortest else cli._percent_spell
-    return cli._block_reader(column, spell, shortest)(0, len(values))
+    [read], _ = cli._readers([column], [","], shortest)
+    return read(0, len(values))
 
 
 def spy_on_kernel(monkeypatch):
@@ -1259,8 +1285,9 @@ def test_csv_spell_matches_percent(cells, size):
     (cli._RUN_MIN - 1, cli._RUN_MIN - 1, 0),  # below the break-even: % alone
     (cli._RUN_MIN, cli._RUN_MIN, 1),
     (cli._BLOCK + cli._RUN_MIN, cli._BLOCK + cli._RUN_MIN, 2),  # one call per block
-    (cli._BLOCK, cli._RUN_MIN - 1, 0),  # the kernel would cover too few cells
+    (cli._BLOCK, 1, 1),  # a block's one covered cell takes the kernel
     (cli._BLOCK, cli._RUN_MIN, 1),
+    (cli._BLOCK + cli._RUN_MIN, cli._BLOCK, 1),  # a block with no covered cell skips it
 ])
 def test_csv_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, covered, kernel_calls):
     calls = spy_on_kernel(monkeypatch)
@@ -1359,8 +1386,9 @@ def test_json_spell_matches_the_encoder(cells, size):
     (cli._RUN_MIN - 1, cli._RUN_MIN - 1, 0),  # below the break-even: the encoder alone
     (cli._RUN_MIN, cli._RUN_MIN, 1),
     (cli._BLOCK + cli._RUN_MIN, cli._BLOCK + cli._RUN_MIN, 2),  # one call per block
-    (cli._BLOCK, cli._RUN_MIN - 1, 0),  # the kernel would cover too few cells
+    (cli._BLOCK, 1, 1),  # a block's one covered cell takes the kernel
     (cli._BLOCK, cli._RUN_MIN, 1),
+    (cli._BLOCK + cli._RUN_MIN, cli._BLOCK, 1),  # a block with no covered cell skips it
 ])
 def test_json_spell_takes_the_kernel_from_the_break_even(monkeypatch, size, covered, kernel_calls):
     calls = spy_on_kernel(monkeypatch)

@@ -65,6 +65,17 @@ class TestMarkovSolution:
             markov_solution(MarkovState(0.5, 0.5), 0.5, -1)
 
 
+@pytest.mark.parametrize("advance", [
+    lambda state: markov_step(state, math.nan),
+    lambda state: markov_solution(state, math.nan, 3),
+], ids=["step", "solution"])
+def test_a_nan_state_is_rejected(advance):
+    # NaN fails every comparison, so the state's checks are written to
+    # fail on it: a NaN theta no longer yields a state of NaN probabilities
+    with pytest.raises(ParameterError, match="^probabilities must sum to 1, got nan$"):
+        advance(MarkovState(0.8, 0.2))
+
+
 class TestMarkovBeta:
     def test_decays_to_zero(self):
         s = MarkovState(1.0, 0.0)

@@ -97,14 +97,18 @@ def test_equality_and_hash(cls):
     record = cls(*args)
     assert record == record and not record != record
     assert record != tuple(args) and record != object()
+    # arrays as copies: an array field compares by value, not identity
+    twin = cls(*map(copy.copy, args))
+    assert twin == record and not twin != record
+    # the last array field of a record that holds arrays, else the last field
+    last = max(i for i, x in enumerate(args) if isinstance(x, np.ndarray) or cls not in HAS_ARRAYS)
+    changed = cls(**{**dict(zip(fields, args)), fields[last]: args[last] * 2})
+    assert changed != record and not changed == record
     if cls in HAS_ARRAYS:
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
-        return
-    twin = cls(*args)
-    assert twin == record and hash(twin) == hash(record) == hash(tuple(args))
-    changed = cls(**{**dict(zip(fields, args)), fields[-1]: args[-1] * 2})
-    assert changed != record
+    else:
+        assert hash(twin) == hash(record) == hash(tuple(args))
 
 
 @records
@@ -149,6 +153,12 @@ def test_pickle_and_copy(cls, round_trip):
         (MarkovState, (1.5, -0.5), ParameterError, "probabilities must be non-negative"),
         (CoinDensity, (0.5, 0.25, 0.0), InvalidDensityError, "trace must be 1, got 0.75"),
         (CoinDensity, (0.6, 0.4, 0.5), InvalidDensityError,
+         "density matrix is not positive semidefinite"),
+        # NaN, which fails every comparison, and MarkovState's time
+        (MarkovState, (math.nan, 0.5), ParameterError, "probabilities must sum to 1, got nan"),
+        (MarkovState, (0.5, 0.5, -1), ParameterError, "time must be non-negative"),
+        (CoinDensity, (math.nan, math.nan, 0), InvalidDensityError, "trace must be 1, got nan"),
+        (CoinDensity, (0.5, 0.5, complex(math.nan, 0)), InvalidDensityError,
          "density matrix is not positive semidefinite"),
     ],
 )

@@ -125,6 +125,16 @@ class TestDensitySeries:
         with pytest.raises(InvalidDensityError, match="exceeds 1/4"):
             chi_of_entries(half, half, np.zeros(2))
 
+    @pytest.mark.parametrize("entry, check", [
+        ("p_left", "trace"), ("p_right", "trace"), ("q", "positive semidefinite"),
+    ])
+    def test_nan_entry_rejected(self, entry, check):
+        # NaN fails every comparison, so each check is written to fail on it
+        entries = {"p_left": np.full(5, 0.6), "p_right": np.full(5, 0.4), "q": np.zeros(5, complex)}
+        entries[entry][2] = math.nan
+        with pytest.raises(InvalidDensityError, match=rf"{check}.*\(entry 2\)"):
+            chi_of_entries(**entries)
+
 
 class TestEntropy:
     def test_pure_state_zero(self):
